@@ -38,6 +38,7 @@ from pathlib import Path
 
 from .. import obs
 from ..faults.policy import RetryPolicy, call_with_retry
+from ..jobs.journal import read_records
 from .hashring import HashRing
 from .health import FleetHealth, HealthPolicy
 
@@ -92,9 +93,11 @@ class RequestJournal:
 
     @staticmethod
     def load(path) -> "RequestJournal":
+        """Replay a persisted journal.  A torn final line (a gateway
+        killed mid-write) is dropped; a malformed line before it raises
+        :class:`~repro.jobs.journal.JournalError`."""
         journal = RequestJournal()
-        with open(path, encoding="utf-8") as fh:
-            journal._events = [json.loads(line) for line in fh if line.strip()]
+        journal._events = read_records(path, required=("event", "id"))
         return journal
 
     def verify(self) -> dict:
@@ -247,7 +250,8 @@ class GatewayRouter:
         tried: set = set()
         try:
             replica, status, resp_headers, data = call_with_retry(
-                self._attempt, route_key, body, {}, tried,
+                self._attempt, route_key, body,
+                {"X-Request-Id": request_id}, tried,
                 policy=self._retry_policy, sleep=self._sleep,
                 label="fleet.predict",
             )

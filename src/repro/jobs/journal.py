@@ -7,7 +7,8 @@ caller proceeds.  A process crash therefore leaves at worst one torn
 *final* line — which :meth:`Journal.load` drops, because an append that
 never completed is by definition a step that never completed.  Torn or
 garbage lines anywhere *before* the tail still raise: that is
-corruption, not interruption.
+corruption, not interruption.  :func:`read_records` implements that
+rule; the fleet's request journal replays through it too.
 
 Records are dicts with a ``type`` field; the pipeline uses::
 
@@ -27,11 +28,41 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["JournalError", "Journal"]
+__all__ = ["JournalError", "Journal", "read_records"]
 
 
 class JournalError(ValueError):
     """The journal file is corrupt (torn/garbage line before the tail)."""
+
+
+def read_records(path, required: tuple[str, ...] = ("type",)) -> list[dict]:
+    """Parse every complete JSONL record of ``path``; a torn final line
+    is dropped.
+
+    A record is a dict holding every key in ``required``.  Raises
+    :class:`JournalError` for malformed lines that are *not* the tail —
+    those cannot be explained by an interrupted append — and
+    ``FileNotFoundError`` when there is no file.
+    """
+    lines = Path(path).read_bytes().decode("utf-8", errors="replace").splitlines()
+    records: list[dict] = []
+    last = len(lines) - 1
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict) or any(key not in obj for key in required):
+                raise ValueError("not a journal record")
+        except ValueError as exc:
+            if i == last:
+                break  # torn tail from a crashed append — ignore
+            raise JournalError(
+                f"{path}:{i + 1}: corrupt journal line ({exc})"
+            ) from None
+        records.append(obj)
+    return records
 
 
 class Journal:
@@ -78,28 +109,9 @@ class Journal:
         the tail — those cannot be explained by an interrupted append.
         """
         try:
-            raw = self.path.read_bytes()
+            return read_records(self.path)
         except FileNotFoundError:
             return []
-        lines = raw.decode("utf-8", errors="replace").splitlines()
-        records: list[dict] = []
-        last = len(lines) - 1
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict) or "type" not in obj:
-                    raise ValueError("not a journal record")
-            except ValueError as exc:
-                if i == last:
-                    break  # torn tail from a crashed append — ignore
-                raise JournalError(
-                    f"{self.path}:{i + 1}: corrupt journal line ({exc})"
-                ) from None
-            records.append(obj)
-        return records
 
     def completed_steps(self) -> dict[str, dict]:
         """Latest ``status == "done"`` record per stage.

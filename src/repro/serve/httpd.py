@@ -12,7 +12,28 @@ Endpoints::
 
 ``/predict`` bodies carry the initial window as nested JSON lists of
 shape ``(n_in, n_fields, n, n)``; responses return the rolled-out
-snapshots the same way.  When the service carries a
+snapshots the same way.
+
+Wire contract.  Floats round-trip exactly: a response parsed by any
+conforming JSON reader yields the float64 values of ``ndarray.tolist()``.
+A top-level value that is a finite float array (float16/32/64) is
+widened to float64 — exact — and written by ``orjson`` in C, with
+compact interiors (``[1.5,2.0]``, shortest round-trip digits).  Every
+other value, including a non-finite array (``NaN``/``Infinity``
+tokens), goes through ``json.dumps``, so all bytes outside the array
+bodies — the ``", "``/``": "`` separators, the key order, the trailing
+``"latency_s": <num>}`` — are the stdlib's, and a response without
+arrays is byte-identical to ``json.dumps``.  Request bodies are parsed
+by ``orjson``, and by ``json.loads`` only when ``orjson`` rejects them
+(``NaN``/``Infinity`` tokens, lone surrogates) or reads a top-level
+integer beyond 64 bits as a float.  So every body the stdlib accepts
+is accepted, and every field the service reads has the stdlib's value:
+a deeper such integer (in a window) becomes the float64 that the
+service's ``np.asarray`` makes of it anyway.  ``orjson`` is a hard
+dependency.  An ``X-Request-Id`` request header is echoed on the
+response.
+
+When the service carries a
 :class:`~repro.trust.TrustPolicy`, each response additionally includes
 ``diagnostics`` (divergence / PDE residual / spectrum drift at the
 prediction's native dtype and grid), ``uncertainty`` (seeded-ensemble
@@ -31,13 +52,14 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
+import orjson
 
 from ..faults.policy import CircuitOpenError
 from .batching import QueueFullError
 from .registry import ModelNotFound
 from .service import InferenceService, ServiceDraining
 
-__all__ = ["make_server", "serve_forever"]
+__all__ = ["make_server", "serve_forever", "encode_json", "decode_json"]
 
 _MAX_BODY = 256 * 1024 * 1024
 
@@ -48,6 +70,48 @@ def _to_jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def _is_finite_float_array(value) -> bool:
+    # 0-d arrays are excluded: tolist() makes them scalars, orjson a list.
+    return (isinstance(value, np.ndarray) and value.ndim > 0
+            and value.dtype.kind == "f" and value.dtype.itemsize <= 8
+            and bool(np.isfinite(value).all()))
+
+
+def encode_json(payload) -> bytes:
+    """``json.dumps(payload, default=_to_jsonable)``, except that finite
+    float arrays at the top level of a dict are written by ``orjson``
+    (same values; see the module docstring for the contract)."""
+    if not (isinstance(payload, dict) and all(isinstance(k, str) for k in payload)
+            and any(_is_finite_float_array(v) for v in payload.values())):
+        return json.dumps(payload, default=_to_jsonable).encode()
+    chunks = [b"{"]
+    for key, value in payload.items():
+        if _is_finite_float_array(value):
+            body = orjson.dumps(np.ascontiguousarray(value, dtype=np.float64),
+                                option=orjson.OPT_SERIALIZE_NUMPY)
+        else:
+            body = json.dumps(value, default=_to_jsonable).encode()
+        chunks += (json.dumps(key).encode(), b": ", body, b", ")
+    chunks[-1] = b"}"  # one join: the array bodies are copied once
+    return b"".join(chunks)
+
+
+def decode_json(raw: bytes):
+    """Parse a request body with ``orjson``, or with the stdlib when
+    ``orjson`` rejects it; malformed bodies raise ``ValueError``."""
+    try:
+        body = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return json.loads(raw)
+    # orjson reads an integer literal beyond 64 bits as a float.  A
+    # top-level field goes back to the stdlib so it stays an int; inside
+    # an array it is already the float64 that np.asarray would make of it.
+    if isinstance(body, dict) and any(
+            isinstance(v, float) and abs(v) >= 2.0 ** 63 for v in body.values()):
+        return json.loads(raw)
+    return body
 
 
 class _ServeHandler(BaseHTTPRequestHandler):
@@ -65,23 +129,24 @@ class _ServeHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     # -- plumbing ------------------------------------------------------
-    def _send_json(self, code: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload, default=_to_jsonable).encode()
+    def _send(self, code: int, body: bytes, content_type: str,
+              headers: dict | None = None) -> None:
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        request_id = self.headers.get("X-Request-Id")
+        if request_id:
+            self.send_header("X-Request-Id", request_id)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, code: int, payload: dict, headers: dict | None = None) -> None:
+        self._send(code, encode_json(payload), "application/json", headers)
+
     def _send_text(self, code: int, text: str) -> None:
-        body = text.encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(code, text.encode(), "text/plain; version=0.0.4; charset=utf-8")
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
@@ -89,7 +154,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             raise ValueError("missing request body")
         if length > _MAX_BODY:
             raise ValueError(f"request body too large ({length} bytes)")
-        return json.loads(self.rfile.read(length))
+        return decode_json(self.rfile.read(length))
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 — stdlib naming

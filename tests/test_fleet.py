@@ -23,6 +23,7 @@ from repro.fleet import (
     RequestJournal,
     rolling_deploy,
 )
+from repro.jobs.journal import JournalError
 from repro.jobs.supervisor import Heartbeat, HeartbeatReader, read_heartbeat
 from repro.utils.artifacts import write_manifest
 
@@ -272,6 +273,22 @@ class TestRequestJournal:
         replayed = RequestJournal.load(path)
         assert replayed.events() == journal.events()
         assert replayed.verify()["exactly_once"]
+
+    def test_torn_final_line_is_dropped(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        journal = RequestJournal(path)
+        journal.record("submitted", "q0", key="k")
+        journal.close()
+        with open(path, "ab") as fh:
+            fh.write(b'{"event": "responded", "id": "q0", "rep')  # killed mid-write
+        assert RequestJournal.load(path).events() == journal.events()
+
+    def test_garbage_before_the_tail_is_corruption(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        path.write_text('{"event": "submitted", "id": "q0"}\nnot json\n'
+                        '{"event": "responded", "id": "q0"}\n')
+        with pytest.raises(JournalError, match="corrupt journal line"):
+            RequestJournal.load(path)
 
 
 class _FakeFleet:

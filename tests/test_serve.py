@@ -1,7 +1,9 @@
 """repro.serve: registry caching, micro-batching, determinism, backpressure, HTTP."""
 
+import contextlib
 import json
 import os
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -27,6 +29,7 @@ from repro.serve import (
     QueueFullError,
     make_server,
 )
+from repro.serve.httpd import decode_json, encode_json
 
 GRID = 16
 CFG = ChannelFNOConfig(
@@ -377,6 +380,20 @@ class TestService:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _serving(svc):
+    """``svc`` behind a real HTTP server; yields the base URL."""
+    server = make_server(svc, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture()
 def http_service(checkpoint):
     reg = ModelRegistry()
@@ -384,13 +401,8 @@ def http_service(checkpoint):
     svc = InferenceService(
         reg, BatchPolicy(max_batch=4, max_wait_ms=5, max_queue=8), n_workers=1
     ).start()
-    server = make_server(svc, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield svc, f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
+    with _serving(svc) as base:
+        yield svc, base
     svc.stop()
 
 
@@ -399,15 +411,22 @@ def _get(url):
         return resp.status, json.loads(resp.read())
 
 
-def _post(url, payload):
+def _post_raw(url, payload, headers=None):
+    """POST a dict (JSON-encoded here) or raw bytes; the body comes back raw."""
+    data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
     request = urllib.request.Request(
-        url, data=json.dumps(payload).encode(), headers={"Content-Type": "application/json"}
+        url, data=data, headers={"Content-Type": "application/json", **(headers or {})}
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as resp:
-            return resp.status, json.loads(resp.read()), dict(resp.headers)
+            return resp.status, resp.read(), dict(resp.headers)
     except urllib.error.HTTPError as err:
-        return err.code, json.loads(err.read()), dict(err.headers)
+        return err.code, err.read(), dict(err.headers)
+
+
+def _post(url, payload, headers=None):
+    code, raw, response_headers = _post_raw(url, payload, headers)
+    return code, json.loads(raw), response_headers
 
 
 class TestHTTP:
@@ -439,16 +458,77 @@ class TestHTTP:
         assert float(headers["Retry-After"]) > 0
         assert svc.inflight == 0
 
-    def test_predict_roundtrip_matches_direct_call(self, http_service):
+    @pytest.mark.parametrize("mode", ["fno", "hybrid"])
+    def test_predict_roundtrip_matches_direct_call(self, http_service, mode):
         svc, base = http_service
         w = window(seed=5)
-        code, body, _ = _post(
-            f"{base}/predict", {"model": "tiny", "window": w.tolist(), "mode": "fno", "cycles": 1}
+        request = {"mode": mode, "cycles": 1, "sample_interval": 0.02}
+        code, body, _ = _post(f"{base}/predict", {"model": "tiny", "window": w.tolist(), **request})
+        assert code == 200
+        direct = svc.predict("tiny", w, **request)
+        assert direct["velocity"].dtype == np.float64
+        assert np.asarray(body["velocity"]).tobytes() == direct["velocity"].tobytes()
+        assert body["source"] == direct["source"]
+        assert body["trust"] is not None and body["trust"] == direct["trust"]
+
+    def test_response_tail_is_latency(self, http_service):
+        _, base = http_service
+        code, raw, _ = _post_raw(
+            f"{base}/predict", {"model": "tiny", "window": window().tolist(), "mode": "fno"}
         )
         assert code == 200
-        direct = svc.predict("tiny", w, mode="fno", cycles=1)
-        assert np.array_equal(np.asarray(body["velocity"]), direct["velocity"])
-        assert body["source"] == direct["source"]
+        assert re.search(rb'"latency_s": [-+0-9.eE]+}$', raw)
+
+    def test_nan_request_is_accepted_and_answered_with_nan_tokens(self, http_service):
+        _, base = http_service
+        w = window(seed=8)
+        w[0, 0, 0, 0] = np.nan
+        code, raw, _ = _post_raw(
+            f"{base}/predict", {"model": "tiny", "window": w.tolist(), "mode": "fno"}
+        )
+        assert code == 200
+        assert raw.startswith(b'{"model": "tiny", ') and b'"velocity": [[[[NaN, ' in raw
+        assert np.isnan(json.loads(raw)["velocity"][0][0][0][0])
+
+    def test_float32_registry_decodes_to_the_widened_values(self, tmp_path):
+        # No normalizer: its float64 statistics would widen the output.
+        path = tmp_path / "bare.npz"
+        save_model(path, build_fno2d_channels(CFG, rng=np.random.default_rng(4)), CFG)
+        reg = ModelRegistry(dtype=np.float32)
+        reg.register("tiny", path)
+        w = window(seed=6)
+        with InferenceService(reg, n_workers=1, trust=None) as svc, _serving(svc) as base:
+            code, body, _ = _post(
+                f"{base}/predict", {"model": "tiny", "window": w.tolist(), "mode": "fno"}
+            )
+            direct = svc.predict("tiny", w, mode="fno")
+        assert code == 200 and direct["velocity"].dtype == np.float32
+        # tolist() is float(x) per element: the exact float64 widening.
+        assert body["velocity"] == direct["velocity"].tolist()
+
+    def test_gateway_forwards_its_request_id_to_the_replica(self, http_service):
+        from types import SimpleNamespace
+
+        from repro.fleet import Gateway
+
+        _, base = http_service
+        seen = []
+        with Gateway(SimpleNamespace(urls=lambda: {"r0": base})) as gateway:
+            transport = gateway.router.transport
+
+            def recording(url, body, headers, timeout):
+                status, replica_headers, data = transport(url, body, headers, timeout=timeout)
+                seen.append(replica_headers.get("X-Request-Id"))
+                return status, replica_headers, data
+
+            gateway.router.transport = recording
+            code, _, headers = _post(
+                f"{gateway.base_url()}/predict",
+                {"model": "tiny", "window": window().tolist(), "mode": "fno"},
+                headers={"X-Request-Id": "req-42"},
+            )
+        assert code == 200 and headers["X-Request-Id"] == "req-42"
+        assert seen == ["req-42"]  # the replica itself answered with the id
 
     def test_predict_unknown_model_404(self, http_service):
         _, base = http_service
@@ -500,21 +580,14 @@ class TestHTTP:
         )
         entry = reg.get("tiny")
         svc.queue.submit(PredictRequest(key=("k",), payload={"entry": entry}))
-        server = make_server(svc, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
+        with _serving(svc) as base:
             code, body, headers = _post(
-                f"http://{host}:{port}/predict",
+                f"{base}/predict",
                 {"model": "tiny", "window": window().tolist(), "mode": "fno"},
             )
-            assert code == 503
-            assert "Retry-After" in headers
-            assert body["retry_after_s"] > 0
-        finally:
-            server.shutdown()
-            server.server_close()
+        assert code == 503
+        assert "Retry-After" in headers
+        assert body["retry_after_s"] > 0
 
     def test_unknown_route_404(self, http_service):
         _, base = http_service
@@ -523,6 +596,21 @@ class TestHTTP:
         except urllib.error.HTTPError as err:
             code = err.code
         assert code == 404
+
+
+class TestCodec:
+    def test_payload_without_float_arrays_is_byte_identical_to_json_dumps(self):
+        payload = {"a": 1, "b": [1.5, None], "c": {"d": np.float64(0.1)}, "e": np.arange(3)}
+        native = {"a": 1, "b": [1.5, None], "c": {"d": 0.1}, "e": [0, 1, 2]}
+        assert encode_json(payload) == json.dumps(native).encode()
+
+    def test_decode_falls_back_where_orjson_differs_from_the_stdlib(self):
+        for raw in (b'{"w": [NaN, -Infinity]}',
+                    b'{"cycles": 123456789012345678901234567890}',
+                    b'{"s": "\\ud800"}'):
+            assert repr(decode_json(raw)) == repr(json.loads(raw))
+        with pytest.raises(ValueError):
+            decode_json(b'{"model": ')
 
 
 # ---------------------------------------------------------------------------
