@@ -608,106 +608,42 @@ def _fft_transforms(x_shape, y_shape, axes, s, rtype, ctype):
     return fwd, inv
 
 
-@kernel("spectral_conv1d")
-def _build_spectral_conv1d(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
+@kernel("spectral_conv")
+def _build_spectral_conv(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
     shape, dtype = _out_meta(rec)
     x, wr, wi = rec.args[0], rec.args[1], rec.args[2]
-    modes = int(rec.args[3])
+    modes = tuple(rec.args[3])
+    d = len(modes)
     getx, getwr, getwi = b.getter(x), b.getter(wr), b.getter(wi)
-    B, Cin, n = x.data.shape
-    Cout = wr.data.shape[1]
-    m_half = n // 2 + 1
-    ctype = np.complex64 if dtype == np.float32 else np.complex128
-    axes, s = (-1,), (n,)
-    y_slot = b.scratch_slot((B, Cout, m_half), ctype, init=lambda buf: buf.fill(0.0))
-    contract = _mode_contraction(
-        "bix,iox->box", (B, Cin, modes), (Cin, Cout, modes), ctype
-    )
-    fwd, inv = _fft_transforms(
-        (B, Cin, n), (B, Cout, m_half), axes, s, dtype, ctype
-    )
-
-    def run(values: list) -> None:
-        X = fwd(getx(values))
-        W = getwr(values) + 1j * getwi(values)
-        Y = values[y_slot]
-        Y[:, :, :modes] = contract(X[:, :, :modes], W)
-        values[out_slot] = inv(Y).astype(dtype, copy=False)
-
-    flops = 2 * _fft_flops(B, Cin + Cout, (n,)) + 8 * B * Cin * Cout * modes
-    return Step(rec.op, run, out_slot, shape, dtype, flops=flops, fresh=True,
-                kind="spectral")
-
-
-@kernel("spectral_conv2d")
-def _build_spectral_conv2d(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    x, wr, wi = rec.args[0], rec.args[1], rec.args[2]
-    modes1, modes2 = int(rec.args[3]), int(rec.args[4])
-    getx, getwr, getwi = b.getter(x), b.getter(wr), b.getter(wi)
-    B, Cin, n1, n2 = x.data.shape
+    B, Cin = x.data.shape[:2]
+    grid = x.data.shape[2:]
     Cout = wr.data.shape[2]
-    m_half = n2 // 2 + 1
-    blocks = fft_ops.mode_blocks_2d(n1, modes1, modes2)
+    spec = grid[:-1] + (grid[-1] // 2 + 1,)
+    idx = [(slice(None), slice(None)) + blk for blk in fft_ops.mode_blocks(grid, modes)]
     ctype = np.complex64 if dtype == np.float32 else np.complex128
-    axes, s = (-2, -1), (n1, n2)
+    axes = tuple(range(-d, 0))
+    xs, ws, ys = fft_ops._subscripts(d)
     # The non-retained modes stay zero for the plan's lifetime: the block
     # slices are disjoint and fully rewritten each call, so zeroing once
     # at materialisation reproduces the eager per-call np.zeros exactly.
-    y_slot = b.scratch_slot((B, Cout, n1, m_half), ctype, init=lambda buf: buf.fill(0.0))
+    y_slot = b.scratch_slot((B, Cout) + spec, ctype, init=lambda buf: buf.fill(0.0))
     contract = _mode_contraction(
-        "bixy,ioxy->boxy", (B, Cin, modes1, modes2), (Cin, Cout, modes1, modes2), ctype
+        f"{xs},{ws}->{ys}", (B, Cin) + modes, (Cin, Cout) + modes, ctype
     )
     fwd, inv = _fft_transforms(
-        (B, Cin, n1, n2), (B, Cout, n1, m_half), axes, s, dtype, ctype
+        (B, Cin) + grid, (B, Cout) + spec, axes, grid, dtype, ctype
     )
 
     def run(values: list) -> None:
         X = fwd(getx(values))
         W = getwr(values) + 1j * getwi(values)
         Y = values[y_slot]
-        for bi, blk in enumerate(blocks):
-            Y[:, :, blk[0], blk[1]] = contract(X[:, :, blk[0], blk[1]], W[bi])
+        for bi, ix in enumerate(idx):
+            Y[ix] = contract(X[ix], W[bi])
         values[out_slot] = inv(Y).astype(dtype, copy=False)
 
-    flops = 2 * _fft_flops(B, Cin + Cout, (n1, n2)) + 8 * B * Cin * Cout * 2 * modes1 * modes2
-    return Step(rec.op, run, out_slot, shape, dtype, flops=flops, fresh=True,
-                kind="spectral")
-
-
-@kernel("spectral_conv3d")
-def _build_spectral_conv3d(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    x, wr, wi = rec.args[0], rec.args[1], rec.args[2]
-    modes1, modes2, modes3 = int(rec.args[3]), int(rec.args[4]), int(rec.args[5])
-    getx, getwr, getwi = b.getter(x), b.getter(wr), b.getter(wi)
-    B, Cin, n1, n2, n3 = x.data.shape
-    Cout = wr.data.shape[2]
-    m_half = n3 // 2 + 1
-    blocks = fft_ops.mode_blocks_3d(n1, n2, modes1, modes2, modes3)
-    ctype = np.complex64 if dtype == np.float32 else np.complex128
-    axes, s = (-3, -2, -1), (n1, n2, n3)
-    y_slot = b.scratch_slot((B, Cout, n1, n2, m_half), ctype, init=lambda buf: buf.fill(0.0))
-    contract = _mode_contraction(
-        "bixyz,ioxyz->boxyz",
-        (B, Cin, modes1, modes2, modes3),
-        (Cin, Cout, modes1, modes2, modes3),
-        ctype,
-    )
-    fwd, inv = _fft_transforms(
-        (B, Cin, n1, n2, n3), (B, Cout, n1, n2, m_half), axes, s, dtype, ctype
-    )
-
-    def run(values: list) -> None:
-        X = fwd(getx(values))
-        W = getwr(values) + 1j * getwi(values)
-        Y = values[y_slot]
-        for bi, blk in enumerate(blocks):
-            Y[:, :, blk[0], blk[1], blk[2]] = contract(X[:, :, blk[0], blk[1], blk[2]], W[bi])
-        values[out_slot] = inv(Y).astype(dtype, copy=False)
-
-    flops = (2 * _fft_flops(B, Cin + Cout, (n1, n2, n3))
-             + 8 * B * Cin * Cout * 4 * modes1 * modes2 * modes3)
+    flops = (2 * _fft_flops(B, Cin + Cout, grid)
+             + 8 * B * Cin * Cout * len(idx) * math.prod(modes))
     return Step(rec.op, run, out_slot, shape, dtype, flops=flops, fresh=True,
                 kind="spectral")
 

@@ -38,7 +38,7 @@ from pathlib import Path
 
 from .. import obs
 from ..faults.policy import RetryPolicy, call_with_retry
-from ..jobs.journal import read_records
+from ..jobs.journal import read_records, trim_torn_tail
 from .hashring import HashRing
 from .health import FleetHealth, HealthPolicy
 
@@ -71,7 +71,10 @@ class RequestJournal:
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
         self._events: list[dict] = []
-        self._fh = open(self.path, "a", encoding="utf-8") if self.path else None
+        self._fh = None
+        if self.path is not None:
+            trim_torn_tail(self.path)
+            self._fh = open(self.path, "a", encoding="utf-8")
 
     def record(self, event: str, request_id: str, **extra) -> None:
         entry = {"event": event, "id": str(request_id), **extra}

@@ -8,7 +8,9 @@ caller proceeds.  A process crash therefore leaves at worst one torn
 never completed is by definition a step that never completed.  Torn or
 garbage lines anywhere *before* the tail still raise: that is
 corruption, not interruption.  :func:`read_records` implements that
-rule; the fleet's request journal replays through it too.
+rule; the fleet's request journal replays through it too.  Before a
+writer's first append, :func:`trim_torn_tail` cuts such a fragment off,
+so a resumed writer never glues its first record onto it.
 
 Records are dicts with a ``type`` field; the pipeline uses::
 
@@ -28,7 +30,7 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["JournalError", "Journal", "read_records"]
+__all__ = ["JournalError", "Journal", "read_records", "trim_torn_tail"]
 
 
 class JournalError(ValueError):
@@ -65,6 +67,33 @@ def read_records(path, required: tuple[str, ...] = ("type",)) -> list[dict]:
     return records
 
 
+def trim_torn_tail(path) -> None:
+    """Truncate ``path`` to just after its last newline (no-op if absent).
+
+    A crashed writer can leave an unterminated final line.  Appending
+    straight after it would glue the next record onto the fragment: that
+    record would then be dropped as torn, and the one after it would make
+    the file unreadable.  Writers call this before their first append.
+    """
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with fh:
+        end = pos = fh.seek(0, os.SEEK_END)
+        while pos > 0:
+            step = min(pos, 1 << 16)
+            fh.seek(pos - step)
+            newline = fh.read(step).rfind(b"\n")
+            if newline >= 0:
+                pos += newline + 1 - step
+                break
+            pos -= step
+        if pos < end:
+            fh.truncate(pos)
+            os.fsync(fh.fileno())
+
+
 class Journal:
     """Append-only JSONL journal with crash-atomic appends."""
 
@@ -80,6 +109,7 @@ class Journal:
         payload = (json.dumps(record, sort_keys=True) + "\n").encode()
         if self._fd is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            trim_torn_tail(self.path)
             self._fd = os.open(
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )

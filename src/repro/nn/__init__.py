@@ -10,12 +10,12 @@ from .fno import FNO1d, FNO2d, FNO3d
 from .linear import ChannelLinear, ChannelMLP, Linear
 from .losses import DivergenceLoss, H1Loss, LpLoss, MSELoss
 from .module import Module, ModuleList, Parameter, Sequential
-from .spectral import SolenoidalProjection2d, SpectralConv1d, SpectralConv2d, SpectralConv3d
+from .spectral import SolenoidalProjection2d, SpectralConv
 
 __all__ = [
     "Module", "Parameter", "Sequential", "ModuleList",
     "Linear", "ChannelLinear", "ChannelMLP",
-    "SpectralConv1d", "SpectralConv2d", "SpectralConv3d", "SolenoidalProjection2d",
+    "SpectralConv", "SolenoidalProjection2d",
     "FNO1d", "FNO2d", "FNO3d", "DeepONet2d",
     "GELU", "ReLU", "Tanh", "Sigmoid", "Identity", "get_activation",
     "LpLoss", "MSELoss", "H1Loss", "DivergenceLoss",

@@ -24,7 +24,7 @@ from ..tensor import Tensor, ops
 from ..utils.rng import fallback_rng
 from .linear import ChannelLinear, ChannelMLP
 from .module import Module, ModuleList
-from .spectral import SolenoidalProjection2d, SpectralConv1d, SpectralConv2d, SpectralConv3d
+from .spectral import SolenoidalProjection2d, SpectralConv
 
 __all__ = ["FNO1d", "FNO2d", "FNO3d"]
 
@@ -72,7 +72,7 @@ class FNO1d(Module):
         lift_in = in_channels + (1 if append_grid else 0)
         self.lifting = ChannelLinear(lift_in, width, rng=rng, dtype=dtype)
         self.spectral_layers = ModuleList(
-            SpectralConv1d(width, width, modes, rng=rng, dtype=dtype)
+            SpectralConv(width, width, (modes,), rng=rng, dtype=dtype)
             for _ in range(self.n_layers)
         )
         self.local_layers = ModuleList(
@@ -182,7 +182,7 @@ class FNO2d(Module):
         lift_in = in_channels + (2 if append_grid else 0)
         self.lifting = ChannelLinear(lift_in, width, rng=rng, dtype=dtype)
         self.spectral_layers = ModuleList(
-            SpectralConv2d(width, width, modes1, modes2, rng=rng, dtype=dtype)
+            SpectralConv(width, width, (modes1, modes2), rng=rng, dtype=dtype)
             for _ in range(self.n_layers)
         )
         self.local_layers = ModuleList(
@@ -260,7 +260,7 @@ class FNO3d(Module):
         lift_in = in_channels + (3 if append_grid else 0)
         self.lifting = ChannelLinear(lift_in, width, rng=rng, dtype=dtype)
         self.spectral_layers = ModuleList(
-            SpectralConv3d(width, width, modes1, modes2, modes3, rng=rng, dtype=dtype)
+            SpectralConv(width, width, (modes1, modes2, modes3), rng=rng, dtype=dtype)
             for _ in range(self.n_layers)
         )
         self.local_layers = ModuleList(

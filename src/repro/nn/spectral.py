@@ -1,8 +1,11 @@
 """Spectral convolution modules — the Fourier layers of the FNO.
 
-Complex mode weights are stored as separate real/imaginary
-:class:`Parameter` arrays (the autograd engine is real-valued); the fused
-forward/backward lives in :mod:`repro.tensor.fft_ops`.
+One :class:`SpectralConv` serves every rank: it transforms the trailing
+``len(modes)`` axes, so the 1-D Burgers FNO, the 2-D FNO with temporal
+channels and the 3-D space–time FNO share one layer.  Complex mode
+weights are stored as separate real/imaginary :class:`Parameter` arrays
+(the autograd engine is real-valued); the fused forward/backward lives in
+:mod:`repro.tensor.fft_ops`.
 
 Initialisation follows the reference ``neuraloperator`` implementation:
 ``scale * U[0, 1)`` with ``scale = 1 / (in_channels * out_channels)``.
@@ -12,31 +15,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import (
-    Tensor,
-    solenoidal_projection_2d,
-    spectral_conv1d,
-    spectral_conv2d,
-    spectral_conv3d,
-)
+from ..tensor import Tensor, solenoidal_projection_2d, spectral_conv
 from ..utils.rng import fallback_rng
 from .module import Module, Parameter
 
-__all__ = ["SpectralConv1d", "SpectralConv2d", "SpectralConv3d", "SolenoidalProjection2d"]
+__all__ = ["SpectralConv", "SolenoidalProjection2d"]
+
+# The performance ledger's traced train run wraps this module attribute
+# by name; SpectralConv.forward calls the op through it.
+spectral_conv2d = spectral_conv
 
 
-class SpectralConv1d(Module):
-    """1-D Fourier layer: rFFT → truncate → mode-mix → irFFT.
+class SpectralConv(Module):
+    """Fourier layer: rFFT → truncate to low modes → mode-mix → irFFT.
 
-    For 1-D operator-learning problems (the canonical Burgers benchmark
-    of the original FNO paper).
+    Parameters
+    ----------
+    in_channels, out_channels:
+        Channel counts of the mixed feature maps.
+    modes:
+        Retained Fourier modes per transformed axis, e.g. ``(m,)``,
+        ``(m1, m2)`` or ``(m1, m2, m3)``.  Each entry but the last counts
+        both sign blocks of a full axis (the layer keeps
+        ``k ∈ [0, m) ∪ (-m, 0]``); the last counts bins of the half
+        spectrum.  The weights hold one slab per corner block, shape
+        ``(2**(d-1), in_channels, out_channels, *modes)``.
     """
 
     def __init__(
         self,
         in_channels: int,
         out_channels: int,
-        modes: int,
+        modes: tuple[int, ...],
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ):
@@ -44,14 +54,14 @@ class SpectralConv1d(Module):
         rng = fallback_rng(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.modes = int(modes)
+        self.modes = tuple(int(m) for m in modes)
         scale = 1.0 / (in_channels * out_channels)
-        shape = (in_channels, out_channels, self.modes)
+        shape = (2 ** (len(self.modes) - 1), in_channels, out_channels) + self.modes
         self.weight_real = Parameter((scale * rng.random(shape)).astype(dtype))
         self.weight_imag = Parameter((scale * rng.random(shape)).astype(dtype))
 
     def forward(self, x: Tensor) -> Tensor:
-        return spectral_conv1d(x, self.weight_real, self.weight_imag, self.modes)
+        return spectral_conv2d(x, self.weight_real, self.weight_imag, self.modes)
 
 
 class SolenoidalProjection2d(Module):
@@ -69,80 +79,3 @@ class SolenoidalProjection2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return solenoidal_projection_2d(x, self.length)
-
-
-class SpectralConv2d(Module):
-    """2-D Fourier layer: rFFT → truncate to low modes → mode-mix → irFFT.
-
-    Parameters
-    ----------
-    in_channels, out_channels:
-        Channel counts of the mixed feature maps.
-    modes1, modes2:
-        Retained Fourier modes along the two spatial axes.  ``modes1``
-        counts both sign blocks of the full first axis (the layer keeps
-        ``k1 ∈ [0, modes1) ∪ (-modes1, 0]``); ``modes2`` counts bins of
-        the half spectrum along the second axis.
-    """
-
-    n_blocks = 2
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        modes1: int,
-        modes2: int,
-        rng: np.random.Generator | None = None,
-        dtype=np.float64,
-    ):
-        super().__init__()
-        rng = fallback_rng(rng)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.modes1 = int(modes1)
-        self.modes2 = int(modes2)
-        scale = 1.0 / (in_channels * out_channels)
-        shape = (self.n_blocks, in_channels, out_channels, self.modes1, self.modes2)
-        self.weight_real = Parameter((scale * rng.random(shape)).astype(dtype))
-        self.weight_imag = Parameter((scale * rng.random(shape)).astype(dtype))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return spectral_conv2d(x, self.weight_real, self.weight_imag, self.modes1, self.modes2)
-
-
-class SpectralConv3d(Module):
-    """3-D Fourier layer over two space axes plus one time axis.
-
-    ``modes1``/``modes2`` count both sign blocks of the two full axes;
-    ``modes3`` counts half-spectrum bins of the last (time) axis.
-    """
-
-    n_blocks = 4
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        modes1: int,
-        modes2: int,
-        modes3: int,
-        rng: np.random.Generator | None = None,
-        dtype=np.float64,
-    ):
-        super().__init__()
-        rng = fallback_rng(rng)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.modes1 = int(modes1)
-        self.modes2 = int(modes2)
-        self.modes3 = int(modes3)
-        scale = 1.0 / (in_channels * out_channels)
-        shape = (self.n_blocks, in_channels, out_channels, self.modes1, self.modes2, self.modes3)
-        self.weight_real = Parameter((scale * rng.random(shape)).astype(dtype))
-        self.weight_imag = Parameter((scale * rng.random(shape)).astype(dtype))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return spectral_conv3d(
-            x, self.weight_real, self.weight_imag, self.modes1, self.modes2, self.modes3
-        )

@@ -13,8 +13,7 @@ updates:
 A :class:`MetricsRegistry` names instruments (optionally with labels),
 renders Prometheus text exposition for the serve ``/metrics`` endpoint
 and JSON snapshots for ``/stats``.  The accumulating :class:`Timer` and
-:func:`timed` helpers that used to live in ``repro.utils.timing`` are
-kept here so the whole timing surface has one home.
+:func:`timed` helpers complete the timing surface.
 """
 
 from __future__ import annotations
@@ -187,8 +186,7 @@ class WindowedSummary:
 
     Keeps lifetime ``count``/``total``/``max`` plus a bounded window of
     the most recent observations from which percentiles are computed —
-    the serving ``/stats`` endpoint reports p50/p95 from here.  This is
-    the class previously published as ``repro.utils.timing.LatencyStats``.
+    the serving ``/stats`` endpoint reports p50/p95 from here.
     """
 
     def __init__(self, window: int = 2048) -> None:
@@ -247,8 +245,7 @@ class WindowedSummary:
         }
 
 
-# Historical name, still exported through repro.utils for callers that
-# predate the obs subsystem.
+# Historical name for callers that predate the obs subsystem.
 LatencyStats = WindowedSummary
 
 

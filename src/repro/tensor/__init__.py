@@ -16,9 +16,7 @@ from .fft_ops import (
     fft_workers,
     set_fft_workers,
     solenoidal_projection_2d,
-    spectral_conv1d,
-    spectral_conv2d,
-    spectral_conv3d,
+    spectral_conv,
 )
 from .ops import (
     abs_,
@@ -62,7 +60,7 @@ from .tensor import Tensor, is_grad_enabled, no_grad, unbroadcast
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "unbroadcast",
-    "ops", "fft_ops", "recording", "spectral_conv1d", "spectral_conv2d", "spectral_conv3d", "solenoidal_projection_2d",
+    "ops", "fft_ops", "recording", "spectral_conv", "solenoidal_projection_2d",
     "batch_invariant_kernels", "batch_invariant_enabled", "fft_workers", "set_fft_workers",
     "add", "sub", "mul", "div", "neg", "pow_", "matmul", "einsum", "dot",
     "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "gelu", "abs_", "sin",

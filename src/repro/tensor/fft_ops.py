@@ -1,8 +1,11 @@
 """Fused spectral-convolution primitives with analytic FFT adjoints.
 
 The Fourier layer of an FNO is
-``x -> irfft( W * truncate( rfft(x) ) )`` with complex weights ``W`` acting
-on the retained low-frequency modes.  Rather than tracing complex
+``x -> irfftn( W * truncate( rfftn(x) ) )`` with complex weights ``W``
+acting on the retained low-frequency modes.  The 2-D FNO with temporal
+channels and the 3-D space–time FNO differ only in how many trailing axes
+the layer transforms, so one rank-generic op, :func:`spectral_conv`,
+serves 1-D, 2-D and 3-D inputs alike.  Rather than tracing complex
 arithmetic through the generic autograd engine, the whole layer is a
 single fused op whose backward pass uses the exact adjoints of NumPy's
 real FFTs, derived as follows (real inner products throughout).
@@ -28,6 +31,7 @@ in ``tests/test_fft_ops.py``.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from contextlib import contextmanager
@@ -45,12 +49,9 @@ __all__ = [
     "half_spectrum_weights",
     "irfftn_adjoint",
     "rfftn_adjoint",
-    "spectral_conv1d",
-    "spectral_conv2d",
-    "spectral_conv3d",
+    "spectral_conv",
     "solenoidal_projection_2d",
-    "mode_blocks_2d",
-    "mode_blocks_3d",
+    "mode_blocks",
     "batch_invariant_kernels",
     "batch_invariant_enabled",
     "fft_workers",
@@ -178,136 +179,100 @@ def rfftn_adjoint(G: np.ndarray, axes: tuple[int, ...], s: tuple[int, ...]) -> n
     return n_total * _fft.irfftn(G / w, s=s, axes=axes, workers=_FFT_WORKERS)
 
 
-def mode_blocks_2d(n1: int, modes1: int, modes2: int) -> list[tuple[slice, slice]]:
-    """Corner index blocks retained by a 2-D spectral convolution.
+def mode_blocks(grid: tuple[int, ...], modes: tuple[int, ...]) -> list[tuple[slice, ...]]:
+    """Corner index blocks retained by a spectral convolution over ``grid``.
 
-    Block 0 holds non-negative ``k1`` rows, block 1 the negative ``k1``
-    rows; ``k2`` (the half axis) is always ``[0, modes2)``.
+    Every full (two-sided) axis keeps ``k ∈ [0, m) ∪ (-m, 0]``, giving a
+    non-negative and a negative block each; the last (half-spectrum) axis
+    always keeps ``[0, m)``.  A ``d``-axis grid therefore has
+    ``2**(d-1)`` blocks.  The order is part of the weight layout: the
+    first full axis varies fastest, so for 3-D the blocks are
+    ``(+,+), (−,+), (+,−), (−,−)`` over the two full axes.
     """
-    if 2 * modes1 > n1:
-        raise ValueError(f"modes1={modes1} too large for grid size {n1} (need 2*modes1 <= n1)")
-    return [
-        (slice(0, modes1), slice(0, modes2)),
-        (slice(n1 - modes1, n1), slice(0, modes2)),
-    ]
+    *full, n_last = grid
+    *full_modes, m_last = modes
+    signs = []
+    for axis, (n, m) in enumerate(zip(full, full_modes), start=1):
+        if 2 * m > n:
+            raise ValueError(f"modes{axis}={m} too large for axis length {n}")
+        signs.append((slice(0, m), slice(n - m, n)))
+    m_half = n_last // 2 + 1
+    if m_last > m_half:
+        raise ValueError(f"modes{len(grid)}={m_last} exceeds half-spectrum size {m_half}")
+    signs.append((slice(0, m_last),))
+    return [tuple(reversed(blk)) for blk in itertools.product(*reversed(signs))]
 
 
-def mode_blocks_3d(n1: int, n2: int, modes1: int, modes2: int, modes3: int) -> list[tuple[slice, slice, slice]]:
-    """Corner index blocks retained by a 3-D spectral convolution (4 blocks)."""
-    if 2 * modes1 > n1:
-        raise ValueError(f"modes1={modes1} too large for axis length {n1}")
-    if 2 * modes2 > n2:
-        raise ValueError(f"modes2={modes2} too large for axis length {n2}")
-    k3 = slice(0, modes3)
-    pos1, neg1 = slice(0, modes1), slice(n1 - modes1, n1)
-    pos2, neg2 = slice(0, modes2), slice(n2 - modes2, n2)
-    return [(pos1, pos2, k3), (neg1, pos2, k3), (pos1, neg2, k3), (neg1, neg2, k3)]
+def _subscripts(d: int) -> tuple[str, str, str]:
+    """Einsum operands ``(input, weight, output)`` over ``d`` mode axes."""
+    axes = "xyz"[:d]
+    return f"bi{axes}", f"io{axes}", f"bo{axes}"
 
 
-def _complex_weights(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
-    return wr + 1j * wi
-
-
-def spectral_conv2d(x: Tensor, wr: Tensor, wi: Tensor, modes1: int, modes2: int) -> Tensor:
-    """Differentiable 2-D Fourier-layer convolution.
+def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> Tensor:
+    """Differentiable Fourier-layer convolution over the trailing ``len(modes)`` axes.
 
     Parameters
     ----------
     x:
-        Input of shape ``(batch, in_channels, n1, n2)`` (real).
+        Input of shape ``(batch, in_channels, *grid)`` (real); for the
+        space–time FNO the grid axes are ``(x, y, t)``.
     wr, wi:
         Real and imaginary parts of the complex mode weights, each of
-        shape ``(2, in_channels, out_channels, modes1, modes2)`` — one
-        slab per retained corner block.
-    modes1, modes2:
-        Number of retained Fourier modes per spatial axis (``modes2``
-        counts bins of the half spectrum).
+        shape ``(2**(d-1), in_channels, out_channels, *modes)`` with
+        ``d = len(modes)`` — one slab per corner block of
+        :func:`mode_blocks`.
+    modes:
+        Retained Fourier modes per transformed axis; the last entry
+        counts bins of the half spectrum.
 
     Returns
     -------
-    Tensor of shape ``(batch, out_channels, n1, n2)``.
+    Tensor of shape ``(batch, out_channels, *grid)``.
     """
-    B, Cin, n1, n2 = x.data.shape
-    m_half = n2 // 2 + 1
-    if modes2 > m_half:
-        raise ValueError(f"modes2={modes2} exceeds half-spectrum size {m_half}")
-    blocks = mode_blocks_2d(n1, modes1, modes2)
-    n_blocks, wCin, Cout = wr.data.shape[0], wr.data.shape[1], wr.data.shape[2]
-    if n_blocks != len(blocks) or wCin != Cin:
+    d = len(modes)
+    if x.data.ndim != d + 2:
+        raise ValueError(f"input shape {x.data.shape} does not have {d} grid axes for modes {modes}")
+    B, Cin = x.data.shape[:2]
+    grid = x.data.shape[2:]
+    blocks = mode_blocks(grid, modes)
+    if wr.data.shape[:2] != (len(blocks), Cin):
         raise ValueError(
             f"weight shape {wr.data.shape} incompatible with input {x.data.shape} "
-            f"and modes ({modes1}, {modes2})"
+            f"and modes {modes}"
         )
+    Cout = wr.data.shape[2]
+    spec = grid[:-1] + (grid[-1] // 2 + 1,)
+    xs, ws, ys = _subscripts(d)
 
-    axes, s = (-2, -1), (n1, n2)
+    axes = tuple(range(-d, 0))
     X = _fft.rfftn(x.data, axes=axes, workers=_FFT_WORKERS)
-    W = _complex_weights(wr.data, wi.data)
+    W = wr.data + 1j * wi.data
     ctype = np.complex64 if x.data.dtype == np.float32 else np.complex128
-    Y = np.zeros((B, Cout, n1, m_half), dtype=ctype)
+    Y = np.zeros((B, Cout) + spec, dtype=ctype)
+    idx = [(slice(None), slice(None)) + blk for blk in blocks]
     X_blocks = []
-    for b, blk in enumerate(blocks):
-        Xb = X[:, :, blk[0], blk[1]]
+    for b, ix in enumerate(idx):
+        Xb = X[ix]
         X_blocks.append(Xb)
-        Y[:, :, blk[0], blk[1]] = _mode_einsum("bixy,ioxy->boxy", Xb, W[b])
-    y = _fft.irfftn(Y, s=s, axes=axes, workers=_FFT_WORKERS)
+        Y[ix] = _mode_einsum(f"{xs},{ws}->{ys}", Xb, W[b])
+    y = _fft.irfftn(Y, s=grid, axes=axes, workers=_FFT_WORKERS)
 
     def backward(g: np.ndarray) -> None:
-        GY = irfftn_adjoint(g, axes=axes, s=s)
+        GY = irfftn_adjoint(g, axes=axes, s=grid)
         if wr.requires_grad or wi.requires_grad:
             gW = np.empty_like(W)
-            for b, blk in enumerate(blocks):
-                gW[b] = np.einsum("boxy,bixy->ioxy", GY[:, :, blk[0], blk[1]], np.conj(X_blocks[b]), optimize=True)
+            for b, ix in enumerate(idx):
+                gW[b] = np.einsum(f"{ys},{xs}->{ws}", GY[ix], np.conj(X_blocks[b]), optimize=True)
             if wr.requires_grad:
                 wr._accumulate(gW.real)
             if wi.requires_grad:
                 wi._accumulate(gW.imag)
         if x.requires_grad:
-            GX = np.zeros((B, Cin, n1, m_half), dtype=ctype)
-            for b, blk in enumerate(blocks):
-                GX[:, :, blk[0], blk[1]] = np.einsum(
-                    "boxy,ioxy->bixy", GY[:, :, blk[0], blk[1]], np.conj(W[b]), optimize=True
-                )
-            x._accumulate(rfftn_adjoint(GX, axes=axes, s=s))
-
-    return Tensor.from_op(y.astype(x.data.dtype, copy=False), (x, wr, wi), backward)
-
-
-def spectral_conv1d(x: Tensor, wr: Tensor, wi: Tensor, modes: int) -> Tensor:
-    """Differentiable 1-D Fourier-layer convolution.
-
-    ``x`` has shape ``(batch, in_channels, n)``; weights have shape
-    ``(in_channels, out_channels, modes)`` (real and imaginary parts) and
-    act on the lowest ``modes`` bins of the half spectrum.
-    """
-    B, Cin, n = x.data.shape
-    m_half = n // 2 + 1
-    if modes > m_half:
-        raise ValueError(f"modes={modes} exceeds half-spectrum size {m_half}")
-    if wr.data.shape[0] != Cin:
-        raise ValueError(f"weight shape {wr.data.shape} incompatible with input {x.data.shape}")
-    Cout = wr.data.shape[1]
-
-    axes, s = (-1,), (n,)
-    X = _fft.rfftn(x.data, axes=axes, workers=_FFT_WORKERS)
-    W = _complex_weights(wr.data, wi.data)
-    ctype = np.complex64 if x.data.dtype == np.float32 else np.complex128
-    Y = np.zeros((B, Cout, m_half), dtype=ctype)
-    Xm = X[:, :, :modes]
-    Y[:, :, :modes] = _mode_einsum("bix,iox->box", Xm, W)
-    y = _fft.irfftn(Y, s=s, axes=axes, workers=_FFT_WORKERS)
-
-    def backward(g: np.ndarray) -> None:
-        GY = irfftn_adjoint(g, axes=axes, s=s)[:, :, :modes]
-        if wr.requires_grad or wi.requires_grad:
-            gW = np.einsum("box,bix->iox", GY, np.conj(Xm), optimize=True)
-            if wr.requires_grad:
-                wr._accumulate(gW.real)
-            if wi.requires_grad:
-                wi._accumulate(gW.imag)
-        if x.requires_grad:
-            GX = np.zeros((B, Cin, m_half), dtype=ctype)
-            GX[:, :, :modes] = np.einsum("box,iox->bix", GY, np.conj(W), optimize=True)
-            x._accumulate(rfftn_adjoint(GX, axes=axes, s=s))
+            GX = np.zeros((B, Cin) + spec, dtype=ctype)
+            for b, ix in enumerate(idx):
+                GX[ix] = np.einsum(f"{ys},{ws}->{xs}", GY[ix], np.conj(W[b]), optimize=True)
+            x._accumulate(rfftn_adjoint(GX, axes=axes, s=grid))
 
     return Tensor.from_op(y.astype(x.data.dtype, copy=False), (x, wr, wi), backward)
 
@@ -318,10 +283,8 @@ def spectral_conv1d(x: Tensor, wr: Tensor, wi: Tensor, modes: int) -> Tensor:
 # before repro.tensor.__init__ re-exports the names, so every import path
 # resolves to the traced versions.
 def _wrap_traced_ops() -> None:
-    global spectral_conv1d, spectral_conv2d, spectral_conv3d, solenoidal_projection_2d
-    spectral_conv1d = _traced("spectral_conv1d", spectral_conv1d)
-    spectral_conv2d = _traced("spectral_conv2d", spectral_conv2d)
-    spectral_conv3d = _traced("spectral_conv3d", spectral_conv3d)
+    global spectral_conv, solenoidal_projection_2d
+    spectral_conv = _traced("spectral_conv", spectral_conv)
     solenoidal_projection_2d = _traced("solenoidal_projection_2d", solenoidal_projection_2d)
 
 
@@ -411,64 +374,6 @@ def solenoidal_projection_2d(x: Tensor, length: float = 2.0 * np.pi) -> Tensor:
         x._accumulate(solenoidal_apply_2d(g, kx, ky, inv_k2))
 
     return Tensor.from_op(y, (x,), backward)
-
-
-def spectral_conv3d(
-    x: Tensor, wr: Tensor, wi: Tensor, modes1: int, modes2: int, modes3: int
-) -> Tensor:
-    """Differentiable 3-D Fourier-layer convolution.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(batch, in_channels, n1, n2, n3)`` (real); for the
-        space–time FNO the axes are ``(x, y, t)``.
-    wr, wi:
-        Real/imaginary weight parts of shape
-        ``(4, in_channels, out_channels, modes1, modes2, modes3)``.
-    """
-    B, Cin, n1, n2, n3 = x.data.shape
-    m_half = n3 // 2 + 1
-    if modes3 > m_half:
-        raise ValueError(f"modes3={modes3} exceeds half-spectrum size {m_half}")
-    blocks = mode_blocks_3d(n1, n2, modes1, modes2, modes3)
-    if wr.data.shape[0] != len(blocks) or wr.data.shape[1] != Cin:
-        raise ValueError(f"weight shape {wr.data.shape} incompatible with input {x.data.shape}")
-    Cout = wr.data.shape[2]
-
-    axes, s = (-3, -2, -1), (n1, n2, n3)
-    X = _fft.rfftn(x.data, axes=axes, workers=_FFT_WORKERS)
-    W = _complex_weights(wr.data, wi.data)
-    ctype = np.complex64 if x.data.dtype == np.float32 else np.complex128
-    Y = np.zeros((B, Cout, n1, n2, m_half), dtype=ctype)
-    X_blocks = []
-    for b, blk in enumerate(blocks):
-        Xb = X[:, :, blk[0], blk[1], blk[2]]
-        X_blocks.append(Xb)
-        Y[:, :, blk[0], blk[1], blk[2]] = _mode_einsum("bixyz,ioxyz->boxyz", Xb, W[b])
-    y = _fft.irfftn(Y, s=s, axes=axes, workers=_FFT_WORKERS)
-
-    def backward(g: np.ndarray) -> None:
-        GY = irfftn_adjoint(g, axes=axes, s=s)
-        if wr.requires_grad or wi.requires_grad:
-            gW = np.empty_like(W)
-            for b, blk in enumerate(blocks):
-                gW[b] = np.einsum(
-                    "boxyz,bixyz->ioxyz", GY[:, :, blk[0], blk[1], blk[2]], np.conj(X_blocks[b]), optimize=True
-                )
-            if wr.requires_grad:
-                wr._accumulate(gW.real)
-            if wi.requires_grad:
-                wi._accumulate(gW.imag)
-        if x.requires_grad:
-            GX = np.zeros((B, Cin, n1, n2, m_half), dtype=ctype)
-            for b, blk in enumerate(blocks):
-                GX[:, :, blk[0], blk[1], blk[2]] = np.einsum(
-                    "boxyz,ioxyz->bixyz", GY[:, :, blk[0], blk[1], blk[2]], np.conj(W[b]), optimize=True
-                )
-            x._accumulate(rfftn_adjoint(GX, axes=axes, s=s))
-
-    return Tensor.from_op(y.astype(x.data.dtype, copy=False), (x, wr, wi), backward)
 
 
 _wrap_traced_ops()

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG fan-out, timing, crash-safe I/O.
+"""Shared utilities: RNG fan-out, crash-safe I/O.
 
 The old ``repro.utils.parallel`` serial-fallback map moved to
 :mod:`repro.parallel` (``parallel_map`` / ``default_workers``), which
@@ -19,11 +19,9 @@ from .artifacts import (
     write_manifest,
 )
 from .rng import as_generator, spawn_rngs
-from .timing import LatencyStats, Timer, timed
 
 __all__ = [
     "spawn_rngs", "as_generator",
-    "Timer", "timed", "LatencyStats",
     "CheckpointError", "atomic_write_npz", "atomic_write_bytes",
     "atomic_write_json", "guarded_npz_load",
     "sha256_file", "stable_hash", "manifest_path",

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn import FNO1d, LpLoss, SpectralConv1d
+from repro.nn import FNO1d, LpLoss, SpectralConv
 from repro.ns import BurgersSolver1D, random_initial_condition_1d
 from repro.tensor import Tensor
-from repro.tensor.fft_ops import spectral_conv1d
+from repro.tensor.fft_ops import spectral_conv
 
 RNG = np.random.default_rng(251)
 
@@ -82,15 +82,15 @@ class TestBurgersSolver:
 class TestSpectralConv1d:
     def test_shape(self):
         x = Tensor(RNG.standard_normal((2, 3, 32)))
-        wr = Tensor(RNG.standard_normal((3, 5, 4)))
-        wi = Tensor(RNG.standard_normal((3, 5, 4)))
-        assert spectral_conv1d(x, wr, wi, 4).shape == (2, 5, 32)
+        wr = Tensor(RNG.standard_normal((1, 3, 5, 4)))
+        wi = Tensor(RNG.standard_normal((1, 3, 5, 4)))
+        assert spectral_conv(x, wr, wi, (4,)).shape == (2, 5, 32)
 
     def test_gradcheck(self):
         x = Tensor(RNG.standard_normal((2, 2, 16)), requires_grad=True)
-        wr = Tensor(0.1 * RNG.standard_normal((2, 2, 3)), requires_grad=True)
-        wi = Tensor(0.1 * RNG.standard_normal((2, 2, 3)), requires_grad=True)
-        out = spectral_conv1d(x, wr, wi, 3)
+        wr = Tensor(0.1 * RNG.standard_normal((1, 2, 2, 3)), requires_grad=True)
+        wi = Tensor(0.1 * RNG.standard_normal((1, 2, 2, 3)), requires_grad=True)
+        out = spectral_conv(x, wr, wi, (3,))
         w = RNG.standard_normal(out.shape)
         (out * w).sum().backward()
         for t in (x, wr, wi):
@@ -98,31 +98,31 @@ class TestSpectralConv1d:
             for i in RNG.choice(flat.size, 5, replace=False):
                 old, eps = flat[i], 1e-6
                 flat[i] = old + eps
-                fp = float((spectral_conv1d(Tensor(x.data), Tensor(wr.data), Tensor(wi.data), 3).data * w).sum())
+                fp = float((spectral_conv(Tensor(x.data), Tensor(wr.data), Tensor(wi.data), (3,)).data * w).sum())
                 flat[i] = old - eps
-                fm = float((spectral_conv1d(Tensor(x.data), Tensor(wr.data), Tensor(wi.data), 3).data * w).sum())
+                fm = float((spectral_conv(Tensor(x.data), Tensor(wr.data), Tensor(wi.data), (3,)).data * w).sum())
                 flat[i] = old
                 assert t.grad.reshape(-1)[i] == pytest.approx((fp - fm) / (2 * eps), abs=1e-8)
 
     def test_translation_equivariance(self):
-        wr = Tensor(RNG.standard_normal((1, 1, 4)))
-        wi = Tensor(RNG.standard_normal((1, 1, 4)))
+        wr = Tensor(RNG.standard_normal((1, 1, 1, 4)))
+        wi = Tensor(RNG.standard_normal((1, 1, 1, 4)))
         x = RNG.standard_normal((1, 1, 32))
-        f = lambda a: spectral_conv1d(Tensor(a), wr, wi, 4).data
+        f = lambda a: spectral_conv(Tensor(a), wr, wi, (4,)).data
         assert np.allclose(f(np.roll(x, 5, axis=-1)), np.roll(f(x), 5, axis=-1), atol=1e-12)
 
     def test_module_wrapper(self):
-        layer = SpectralConv1d(2, 3, 4, rng=RNG)
-        assert layer.weight_real.shape == (2, 3, 4)
+        layer = SpectralConv(2, 3, (4,), rng=RNG)
+        assert layer.weight_real.shape == (1, 2, 3, 4)
         out = layer(Tensor(RNG.standard_normal((1, 2, 16))))
         assert out.shape == (1, 3, 16)
 
     def test_too_many_modes(self):
         x = Tensor(RNG.standard_normal((1, 1, 8)))
-        wr = Tensor(RNG.standard_normal((1, 1, 6)))
-        wi = Tensor(RNG.standard_normal((1, 1, 6)))
+        wr = Tensor(RNG.standard_normal((1, 1, 1, 6)))
+        wi = Tensor(RNG.standard_normal((1, 1, 1, 6)))
         with pytest.raises(ValueError):
-            spectral_conv1d(x, wr, wi, 6)
+            spectral_conv(x, wr, wi, (6,))
 
 
 class TestFNO1d:

@@ -298,10 +298,10 @@ class TestIntegration:
 
         assert main(["compile", str(path), "--grid", "16"]) == 0
         text = capsys.readouterr().out
-        assert "spectral_conv2d" in text and "arena" in text
+        assert "spectral_conv" in text and "arena" in text
 
         import json
         assert main(["compile", str(path), "--grid", "16", "--json"]) == 0
         desc = json.loads(capsys.readouterr().out)
         assert desc["input_shape"] == [1, 2, 16, 16]
-        assert any(s["op"] == "spectral_conv2d" for s in desc["steps"])
+        assert any(s["op"] == "spectral_conv" for s in desc["steps"])

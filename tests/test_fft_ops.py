@@ -14,11 +14,9 @@ from repro.tensor import Tensor
 from repro.tensor.fft_ops import (
     half_spectrum_weights,
     irfftn_adjoint,
-    mode_blocks_2d,
-    mode_blocks_3d,
+    mode_blocks,
     rfftn_adjoint,
-    spectral_conv2d,
-    spectral_conv3d,
+    spectral_conv,
 )
 
 RNG = np.random.default_rng(11)
@@ -112,26 +110,51 @@ class TestAdjointIdentities3D:
 
 class TestModeBlocks:
     def test_2d_blocks_disjoint(self):
-        blocks = mode_blocks_2d(8, 3, 4)
+        blocks = mode_blocks((8, 8), (3, 4))
         rows = set(range(*blocks[0][0].indices(8))) & set(range(*blocks[1][0].indices(8)))
         assert not rows
 
     def test_2d_blocks_full_when_half(self):
-        blocks = mode_blocks_2d(8, 4, 4)
+        blocks = mode_blocks((8, 8), (4, 4))
         covered = set(range(*blocks[0][0].indices(8))) | set(range(*blocks[1][0].indices(8)))
         assert covered == set(range(8))
 
     def test_2d_too_many_modes(self):
         with pytest.raises(ValueError):
-            mode_blocks_2d(8, 5, 4)
+            mode_blocks((8, 8), (5, 4))
 
     def test_3d_four_blocks(self):
-        blocks = mode_blocks_3d(8, 8, 2, 2, 3)
+        blocks = mode_blocks((8, 8, 8), (2, 2, 3))
         assert len(blocks) == 4
 
     def test_3d_too_many_modes(self):
         with pytest.raises(ValueError):
-            mode_blocks_3d(8, 6, 2, 4, 2)
+            mode_blocks((8, 6, 8), (2, 4, 2))
+
+    @pytest.mark.parametrize("grid, modes", [((8, 8), (2, 3)), ((8, 6, 8), (2, 2, 3))])
+    def test_block_order_one_hot(self, grid, modes):
+        # A one-hot weight in block b passes exactly corner b of the input
+        # spectrum, where full axis j is negative iff bit j of b is set
+        # (first full axis fastest) — the layout trained weights rely on.
+        d = len(grid)
+        axes = tuple(range(-d, 0))
+        x = np.random.default_rng(0).standard_normal((1, 1) + grid)
+        X = np.fft.rfftn(x[0, 0])
+        for b in range(2 ** (d - 1)):
+            wr = np.zeros((2 ** (d - 1), 1, 1) + modes)
+            wr[b] = 1.0
+            out = spectral_conv(Tensor(x), Tensor(wr), Tensor(np.zeros_like(wr)), modes)
+            spec = np.fft.rfftn(out.data[0, 0], axes=axes)
+            corner = tuple(
+                slice(n - m, n) if (b >> j) & 1 else slice(0, m)
+                for j, (n, m) in enumerate(zip(grid[:-1], modes[:-1]))
+            ) + (slice(1, modes[-1]),)
+            # irfftn Hermitian-symmetrises the k_last = 0 plane, mirroring
+            # each corner onto its opposite there; compare above that plane.
+            mask = np.zeros(spec.shape, dtype=bool)
+            mask[corner] = True
+            assert np.abs(spec[..., 1:][~mask[..., 1:]]).max() < 1e-10
+            assert np.allclose(spec[mask], X[mask], atol=1e-10)
 
 
 def _fd_check(tensors, build, tol=1e-6, n_checks=5):
@@ -157,27 +180,27 @@ class TestSpectralConv2d:
         x = Tensor(RNG.standard_normal((2, 3, 8, 8)))
         wr = Tensor(RNG.standard_normal((2, 3, 5, 3, 3)))
         wi = Tensor(RNG.standard_normal((2, 3, 5, 3, 3)))
-        out = spectral_conv2d(x, wr, wi, 3, 3)
+        out = spectral_conv(x, wr, wi, (3, 3))
         assert out.shape == (2, 5, 8, 8)
 
     def test_gradcheck(self):
         x = Tensor(RNG.standard_normal((2, 2, 8, 8)), requires_grad=True)
         wr = Tensor(0.1 * RNG.standard_normal((2, 2, 2, 3, 3)), requires_grad=True)
         wi = Tensor(0.1 * RNG.standard_normal((2, 2, 2, 3, 3)), requires_grad=True)
-        _fd_check([x, wr, wi], lambda a, b, c: spectral_conv2d(a, b, c, 3, 3))
+        _fd_check([x, wr, wi], lambda a, b, c: spectral_conv(a, b, c, (3, 3)))
 
     def test_odd_grid_gradcheck(self):
         x = Tensor(RNG.standard_normal((1, 2, 7, 7)), requires_grad=True)
         wr = Tensor(0.1 * RNG.standard_normal((2, 2, 2, 3, 3)), requires_grad=True)
         wi = Tensor(0.1 * RNG.standard_normal((2, 2, 2, 3, 3)), requires_grad=True)
-        _fd_check([x, wr, wi], lambda a, b, c: spectral_conv2d(a, b, c, 3, 3))
+        _fd_check([x, wr, wi], lambda a, b, c: spectral_conv(a, b, c, (3, 3)))
 
     def test_linearity_in_input(self):
         wr = Tensor(RNG.standard_normal((2, 2, 2, 3, 3)))
         wi = Tensor(RNG.standard_normal((2, 2, 2, 3, 3)))
         x1 = RNG.standard_normal((1, 2, 8, 8))
         x2 = RNG.standard_normal((1, 2, 8, 8))
-        f = lambda x: spectral_conv2d(Tensor(x), wr, wi, 3, 3).data
+        f = lambda x: spectral_conv(Tensor(x), wr, wi, (3, 3)).data
         assert np.allclose(f(2.0 * x1 + 3.0 * x2), 2.0 * f(x1) + 3.0 * f(x2))
 
     def test_translation_equivariance(self):
@@ -185,7 +208,7 @@ class TestSpectralConv2d:
         wr = Tensor(RNG.standard_normal((2, 2, 2, 3, 3)))
         wi = Tensor(RNG.standard_normal((2, 2, 2, 3, 3)))
         x = RNG.standard_normal((1, 2, 8, 8))
-        f = lambda x: spectral_conv2d(Tensor(x), wr, wi, 3, 3).data
+        f = lambda x: spectral_conv(Tensor(x), wr, wi, (3, 3)).data
         shifted = np.roll(x, (2, 3), axis=(2, 3))
         assert np.allclose(f(shifted), np.roll(f(x), (2, 3), axis=(2, 3)), atol=1e-12)
 
@@ -194,7 +217,7 @@ class TestSpectralConv2d:
         wr = Tensor(RNG.standard_normal((2, 1, 1, 2, 2)))
         wi = Tensor(RNG.standard_normal((2, 1, 1, 2, 2)))
         x = RNG.standard_normal((1, 1, 16, 16))
-        out = spectral_conv2d(Tensor(x), wr, wi, 2, 2).data
+        out = spectral_conv(Tensor(x), wr, wi, (2, 2)).data
         spec = np.fft.rfft2(out[0, 0])
         assert np.abs(spec[4:12, :]).max() < 1e-10
         assert np.abs(spec[:, 3:]).max() < 1e-10
@@ -204,20 +227,20 @@ class TestSpectralConv2d:
         wr = Tensor(RNG.standard_normal((2, 1, 1, 3, 6)))
         wi = Tensor(RNG.standard_normal((2, 1, 1, 3, 6)))
         with pytest.raises(ValueError):
-            spectral_conv2d(x, wr, wi, 3, 6)
+            spectral_conv(x, wr, wi, (3, 6))
 
     def test_rejects_channel_mismatch(self):
         x = Tensor(RNG.standard_normal((1, 4, 8, 8)))
         wr = Tensor(RNG.standard_normal((2, 3, 2, 3, 3)))
         wi = Tensor(RNG.standard_normal((2, 3, 2, 3, 3)))
         with pytest.raises(ValueError):
-            spectral_conv2d(x, wr, wi, 3, 3)
+            spectral_conv(x, wr, wi, (3, 3))
 
     def test_float32_output_dtype(self):
         x = Tensor(RNG.standard_normal((1, 1, 8, 8)).astype(np.float32))
         wr = Tensor(RNG.standard_normal((2, 1, 1, 2, 2)).astype(np.float32))
         wi = Tensor(RNG.standard_normal((2, 1, 1, 2, 2)).astype(np.float32))
-        assert spectral_conv2d(x, wr, wi, 2, 2).dtype == np.float32
+        assert spectral_conv(x, wr, wi, (2, 2)).dtype == np.float32
 
 
 class TestSpectralConv3d:
@@ -225,19 +248,19 @@ class TestSpectralConv3d:
         x = Tensor(RNG.standard_normal((2, 3, 6, 6, 10)))
         wr = Tensor(RNG.standard_normal((4, 3, 4, 2, 2, 3)))
         wi = Tensor(RNG.standard_normal((4, 3, 4, 2, 2, 3)))
-        assert spectral_conv3d(x, wr, wi, 2, 2, 3).shape == (2, 4, 6, 6, 10)
+        assert spectral_conv(x, wr, wi, (2, 2, 3)).shape == (2, 4, 6, 6, 10)
 
     def test_gradcheck(self):
         x = Tensor(RNG.standard_normal((1, 2, 6, 6, 5)), requires_grad=True)
         wr = Tensor(0.1 * RNG.standard_normal((4, 2, 2, 2, 2, 2)), requires_grad=True)
         wi = Tensor(0.1 * RNG.standard_normal((4, 2, 2, 2, 2, 2)), requires_grad=True)
-        _fd_check([x, wr, wi], lambda a, b, c: spectral_conv3d(a, b, c, 2, 2, 2))
+        _fd_check([x, wr, wi], lambda a, b, c: spectral_conv(a, b, c, (2, 2, 2)))
 
     def test_translation_equivariance_spatial(self):
         wr = Tensor(RNG.standard_normal((4, 1, 1, 2, 2, 2)))
         wi = Tensor(RNG.standard_normal((4, 1, 1, 2, 2, 2)))
         x = RNG.standard_normal((1, 1, 8, 8, 6))
-        f = lambda x: spectral_conv3d(Tensor(x), wr, wi, 2, 2, 2).data
+        f = lambda x: spectral_conv(Tensor(x), wr, wi, (2, 2, 2)).data
         shifted = np.roll(x, (3, 1), axis=(2, 3))
         assert np.allclose(f(shifted), np.roll(f(x), (3, 1), axis=(2, 3)), atol=1e-12)
 
@@ -246,7 +269,7 @@ class TestSpectralConv3d:
         wr = Tensor(RNG.standard_normal((4, 1, 1, 4, 2, 2)))
         wi = Tensor(RNG.standard_normal((4, 1, 1, 4, 2, 2)))
         with pytest.raises(ValueError):
-            spectral_conv3d(x, wr, wi, 4, 2, 2)
+            spectral_conv(x, wr, wi, (4, 2, 2))
 
 
 class TestBatchInvariantKernels:
@@ -261,9 +284,9 @@ class TestBatchInvariantKernels:
         assert not batch_invariant_enabled()
         with batch_invariant_kernels():
             assert batch_invariant_enabled()
-            full = spectral_conv2d(Tensor(x), wr, wi, 2, 2).data
+            full = spectral_conv(Tensor(x), wr, wi, (2, 2)).data
             singles = np.concatenate(
-                [spectral_conv2d(Tensor(x[i : i + 1]), wr, wi, 2, 2).data for i in range(6)]
+                [spectral_conv(Tensor(x[i : i + 1]), wr, wi, (2, 2)).data for i in range(6)]
             )
         assert not batch_invariant_enabled()
         assert np.array_equal(full, singles)
@@ -290,7 +313,7 @@ class TestBatchInvariantKernels:
         wr = Tensor(RNG.standard_normal((2, 3, 3, 2, 2)))
         wi = Tensor(RNG.standard_normal((2, 3, 3, 2, 2)))
         x = Tensor(RNG.standard_normal((4, 3, 8, 8)))
-        fast = spectral_conv2d(x, wr, wi, 2, 2).data
+        fast = spectral_conv(x, wr, wi, (2, 2)).data
         with batch_invariant_kernels():
-            slow = spectral_conv2d(x, wr, wi, 2, 2).data
+            slow = spectral_conv(x, wr, wi, (2, 2)).data
         assert np.allclose(fast, slow, atol=1e-12)

@@ -283,6 +283,22 @@ class TestRequestJournal:
             fh.write(b'{"event": "responded", "id": "q0", "rep')  # killed mid-write
         assert RequestJournal.load(path).events() == journal.events()
 
+    def test_record_after_torn_tail_resumes_cleanly(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        journal = RequestJournal(path)
+        journal.record("submitted", "q0", key="k")
+        journal.record("responded", "q0", replica="r0", status=200)
+        journal.close()
+        with open(path, "ab") as fh:
+            fh.write(b'{"event": "submitted", "id": "q1", "k')  # killed mid-write
+        resumed = RequestJournal(path)
+        resumed.record("submitted", "q1", key="k")
+        resumed.record("responded", "q1", replica="r1", status=200)
+        resumed.close()
+        replayed = RequestJournal.load(path)
+        assert replayed.events() == journal.events() + resumed.events()
+        assert replayed.verify()["exactly_once"]
+
     def test_garbage_before_the_tail_is_corruption(self, tmp_path):
         path = tmp_path / "requests.jsonl"
         path.write_text('{"event": "submitted", "id": "q0"}\nnot json\n'

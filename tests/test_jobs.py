@@ -69,6 +69,19 @@ class TestJournal:
             fh.write(b'{"type": "step", "stage": "tr')  # SIGKILL mid-append
         assert [r["stage"] for r in journal.load()] == ["data"]
 
+    def test_append_after_torn_tail_resumes_cleanly(self, tmp_path):
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.append({"type": "run", "status": "created"})
+        journal.append({"type": "step", "stage": "data", "status": "done"})
+        journal.close()
+        with open(journal.path, "ab") as fh:
+            fh.write(b'{"type": "step", "stage": "tr')  # SIGKILL mid-append
+        resumed = Journal(journal.path)
+        resumed.append({"type": "step", "stage": "train", "status": "started"})
+        resumed.append({"type": "step", "stage": "train", "status": "done"})
+        resumed.close()
+        assert [r["status"] for r in resumed.load()] == ["created", "done", "started", "done"]
+
     def test_garbage_before_the_tail_is_corruption(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('{"type": "run"}\nnot json\n{"type": "step"}\n')

@@ -11,8 +11,7 @@ from repro.nn import (
     Linear,
     ReLU,
     Sigmoid,
-    SpectralConv2d,
-    SpectralConv3d,
+    SpectralConv,
     Tanh,
     get_activation,
 )
@@ -118,35 +117,35 @@ class TestActivationModules:
 
 class TestSpectralConvModules:
     def test_2d_weight_shapes(self):
-        layer = SpectralConv2d(3, 5, 4, 6, rng=RNG)
+        layer = SpectralConv(3, 5, (4, 6), rng=RNG)
         assert layer.weight_real.shape == (2, 3, 5, 4, 6)
         assert layer.weight_imag.shape == (2, 3, 5, 4, 6)
 
     def test_2d_forward_shape(self):
-        layer = SpectralConv2d(3, 5, 4, 4, rng=RNG)
+        layer = SpectralConv(3, 5, (4, 4), rng=RNG)
         assert layer(Tensor(RNG.standard_normal((2, 3, 16, 16)))).shape == (2, 5, 16, 16)
 
     def test_2d_resolution_invariance_of_weights(self):
         # Same layer applies at any resolution with 2*modes1 <= n.
-        layer = SpectralConv2d(1, 1, 3, 3, rng=RNG)
+        layer = SpectralConv(1, 1, (3, 3), rng=RNG)
         out8 = layer(Tensor(RNG.standard_normal((1, 1, 8, 8))))
         out16 = layer(Tensor(RNG.standard_normal((1, 1, 16, 16))))
         assert out8.shape[-1] == 8 and out16.shape[-1] == 16
 
     def test_2d_init_scale(self):
-        layer = SpectralConv2d(4, 4, 2, 2, rng=np.random.default_rng(0))
+        layer = SpectralConv(4, 4, (2, 2), rng=np.random.default_rng(0))
         scale = 1.0 / 16
         assert layer.weight_real.data.min() >= 0.0
         assert layer.weight_real.data.max() <= scale
 
     def test_3d_weight_shapes(self):
-        layer = SpectralConv3d(2, 3, 4, 5, 6, rng=RNG)
+        layer = SpectralConv(2, 3, (4, 5, 6), rng=RNG)
         assert layer.weight_real.shape == (4, 2, 3, 4, 5, 6)
 
     def test_3d_forward_shape(self):
-        layer = SpectralConv3d(2, 3, 2, 2, 2, rng=RNG)
+        layer = SpectralConv(2, 3, (2, 2, 2), rng=RNG)
         assert layer(Tensor(RNG.standard_normal((1, 2, 8, 8, 6)))).shape == (1, 3, 8, 8, 6)
 
     def test_param_counts(self):
-        layer = SpectralConv2d(3, 5, 4, 6, rng=RNG)
+        layer = SpectralConv(3, 5, (4, 6), rng=RNG)
         assert layer.num_parameters() == 2 * (2 * 3 * 5 * 4 * 6)

@@ -10,13 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils import (
-    LatencyStats,
-    Timer,
-    as_generator,
-    spawn_rngs,
-    timed,
-)
+from repro.obs.metrics import LatencyStats, Timer, timed
+from repro.utils import as_generator, spawn_rngs
 
 
 class TestRNG:
