@@ -1,33 +1,24 @@
-"""Process-parallel scaling: cores vs throughput for the data plane.
+"""Process-parallel scaling: cores vs throughput for data generation.
 
-Measures the two pillars ``repro.parallel`` rewired, at 1/2/4 workers:
-
-* **data generation** — ``generate_dataset`` fanning trajectory samples
-  over a :class:`repro.parallel.ProcessPool` (samples/s).  The per-task
-  seeding contract makes every run bitwise-identical, so the *only*
-  thing the worker count may change is the wall clock — which is what
-  this benchmark pins down.
-* **serving** — ``InferenceService`` with the process-backed worker pool
-  (``--proc``): zero-copy shared-memory weights, compiled plans rebuilt
-  per child (req/s under a closed-loop client swarm).
+Measures ``generate_dataset`` fanning trajectory samples over a
+:class:`repro.parallel.ProcessPool` at 1/2/4 workers (samples/s).  The
+per-task seeding contract makes every run bitwise-identical, so the
+*only* thing the worker count may change is the wall clock — which is
+what this benchmark pins down.
 
 The CI gate: on a runner with >= 4 cores, 4-process data generation must
 sustain >= 2x the single-process rate.  On smaller machines (laptops,
 1-core containers) the curve is still published but the gate records
-``gated: false`` instead of failing — there is no parallelism to win.
+``gated: false`` and the last line says ``SKIPPED`` — there is no
+parallelism to win.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 
-import numpy as np
 from common import print_table, write_results
-
-from repro.core import ChannelFNOConfig, build_fno2d_channels, save_model
-from repro.serve import BatchPolicy, InferenceService, ModelRegistry
 
 WORKER_COUNTS = [1, 2, 4]
 GATE_SPEEDUP = 2.0
@@ -39,15 +30,6 @@ DATAGEN_CONFIG = dict(
     n=96, reynolds=800.0, n_samples=12, warmup=0.3, duration=1.0,
     sample_interval=0.02, solver="spectral", ic="band", seed=2024,
 )
-
-SERVE_MODEL = ChannelFNOConfig(
-    n_in=2, n_out=1, n_fields=2, modes1=4, modes2=4, width=8, n_layers=3,
-    projection_channels=16, activation="relu",
-)
-SERVE_GRID = 32
-SERVE_CLIENTS = 8
-SERVE_REQUESTS_PER_CLIENT = 6
-SERVE_CYCLES = 2
 
 
 def bench_datagen() -> dict:
@@ -70,77 +52,14 @@ def bench_datagen() -> dict:
     return curve
 
 
-def _client_swarm(service: InferenceService, window: np.ndarray) -> float:
-    """Closed-loop clients hammering predict(); returns sustained req/s."""
-    errors: list[Exception] = []
-
-    def client():
-        try:
-            for _ in range(SERVE_REQUESTS_PER_CLIENT):
-                service.predict("bench", window, mode="fno", cycles=SERVE_CYCLES)
-        except Exception as exc:  # surface, don't hang the join
-            errors.append(exc)
-
-    threads = [threading.Thread(target=client) for _ in range(SERVE_CLIENTS)]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - start
-    if errors:
-        raise errors[0]
-    return SERVE_CLIENTS * SERVE_REQUESTS_PER_CLIENT / elapsed
-
-
-def bench_serve(workdir: str) -> dict:
-    rng = np.random.default_rng(0)
-    ckpt = os.path.join(workdir, "bench_parallel_model.npz")
-    save_model(ckpt, build_fno2d_channels(SERVE_MODEL, rng=rng), SERVE_MODEL)
-    window = rng.standard_normal(
-        (SERVE_MODEL.n_in, SERVE_MODEL.n_fields, SERVE_GRID, SERVE_GRID)
-    ).astype(np.float32)
-
-    curve = {}
-    for n_workers in WORKER_COUNTS:
-        registry = ModelRegistry()
-        registry.register("bench", ckpt)
-        service = InferenceService(
-            registry,
-            policy=BatchPolicy(max_batch=4, max_wait_ms=1.0, max_queue=256),
-            n_workers=n_workers,
-            default_mode="fno",
-            breaker=None,
-            proc_workers=n_workers,
-        )
-        with service:
-            _client_swarm(service, window)  # warm the children + plan caches
-            rps = _client_swarm(service, window)
-        curve[n_workers] = {"requests_per_s": rps}
-    base = curve[WORKER_COUNTS[0]]["requests_per_s"]
-    for n_workers in WORKER_COUNTS:
-        curve[n_workers]["speedup"] = curve[n_workers]["requests_per_s"] / base
-    return curve
-
-
 def run_parallel_scaling():
-    import tempfile
-
     cores = os.cpu_count() or 1
     datagen = bench_datagen()
-    with tempfile.TemporaryDirectory(prefix="bench-parallel-") as workdir:
-        serve = bench_serve(workdir)
 
     print_table(
         "data generation (samples/s)",
         ["workers", "seconds", "samples/s", "speedup"],
         [[w, datagen[w]["seconds"], datagen[w]["samples_per_s"], datagen[w]["speedup"]]
-         for w in WORKER_COUNTS],
-    )
-    print_table(
-        "proc serving (req/s)",
-        ["workers", "req/s", "speedup"],
-        [[w, serve[w]["requests_per_s"], serve[w]["speedup"]]
          for w in WORKER_COUNTS],
     )
 
@@ -151,7 +70,6 @@ def run_parallel_scaling():
         "cores": cores,
         "worker_counts": WORKER_COUNTS,
         "datagen": {str(w): datagen[w] for w in WORKER_COUNTS},
-        "serve": {str(w): serve[w] for w in WORKER_COUNTS},
         "gate": {
             "metric": "datagen_speedup_4_workers",
             "target": GATE_SPEEDUP,
@@ -166,9 +84,11 @@ def run_parallel_scaling():
             f"parallel scaling gate failed: 4-worker datagen speedup "
             f"{speedup_4:.2f}x < {GATE_SPEEDUP}x on a {cores}-core runner"
         )
-    print(f"\ngate: {'PASS' if not gated or target_met else 'FAIL'} "
-          f"(4-worker datagen speedup {speedup_4:.2f}x, "
-          f"{'enforced' if gated else f'not enforced below {GATE_MIN_CORES} cores'})")
+    if gated:
+        print(f"\ngate: PASS (4-worker datagen speedup {speedup_4:.2f}x >= "
+              f"{GATE_SPEEDUP}x on {cores} cores)")
+    else:
+        print(f"\ngate: SKIPPED (not enforced: {cores} cores < {GATE_MIN_CORES})")
     return payload
 
 

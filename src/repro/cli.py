@@ -115,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--queue-depth", type=int, default=64,
                    help="bounded queue size; beyond it /predict answers 503 + Retry-After")
     s.add_argument("--serve-workers", type=int, default=2, help="worker threads")
-    s.add_argument("--proc", action="store_true",
-                   help="back the workers with a process pool (GIL-free compute, "
-                        "zero-copy shared-memory weights, one pool child per "
-                        "worker thread)")
     s.add_argument("--capacity", type=int, default=4, help="models kept loaded (LRU)")
     s.add_argument("--require-manifest", action="store_true",
                    help="refuse models without a verifiable integrity manifest "
@@ -424,7 +420,6 @@ def _cmd_serve(args) -> int:
         deterministic=not args.non_deterministic,
         default_mode=args.default_mode,
         solver_kind=args.solver,
-        proc_workers=args.serve_workers if args.proc else 0,
         trust=trust,
         replica_id=args.replica_id,
     )

@@ -62,24 +62,44 @@ class RequestJournal:
 
     Events are ``{"event", "id", ...}`` dicts; with a ``path`` they are
     additionally persisted as JSONL (flushed per line, so a crashed
-    gateway still yields a replayable journal).  :meth:`verify` folds
-    the log into the no-loss/no-duplication verdict the chaos harness
-    asserts on.
+    gateway still yields a replayable journal).  Each event is folded
+    into the verdict as it arrives: memory holds one outstanding count
+    per in-flight id plus the ids already answered more often than they
+    were submitted, never the log itself.  :meth:`verify` reports the
+    no-loss/no-duplication verdict the chaos harness asserts on.
     """
 
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._events: list[dict] = []
+        self._outstanding: dict[str, int] = {}
+        self._duplicated: set[str] = set()
+        self._counts = {"submitted": 0, "responded": 0, "failed": 0}
         self._fh = None
         if self.path is not None:
             trim_torn_tail(self.path)
             self._fh = open(self.path, "a", encoding="utf-8")
 
+    def _fold(self, event: str, rid: str) -> None:
+        """Account one event (caller holds the lock)."""
+        if event not in self._counts:
+            return
+        self._counts[event] += 1
+        if event == "submitted":
+            self._outstanding[rid] = self._outstanding.get(rid, 0) + 1
+            return
+        left = self._outstanding.get(rid, 0) - 1
+        if left > 0:
+            self._outstanding[rid] = left
+        elif left == 0:
+            del self._outstanding[rid]
+        else:
+            self._duplicated.add(rid)
+
     def record(self, event: str, request_id: str, **extra) -> None:
         entry = {"event": event, "id": str(request_id), **extra}
         with self._lock:
-            self._events.append(entry)
+            self._fold(event, entry["id"])
             if self._fh is not None:
                 self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
                 self._fh.flush()
@@ -90,44 +110,31 @@ class RequestJournal:
                 self._fh.close()
                 self._fh = None
 
-    def events(self) -> list[dict]:
-        with self._lock:
-            return list(self._events)
-
     @staticmethod
     def load(path) -> "RequestJournal":
         """Replay a persisted journal.  A torn final line (a gateway
         killed mid-write) is dropped; a malformed line before it raises
         :class:`~repro.jobs.journal.JournalError`."""
         journal = RequestJournal()
-        journal._events = read_records(path, required=("event", "id"))
+        for entry in read_records(path, required=("event", "id")):
+            journal._fold(entry["event"], str(entry["id"]))
         return journal
 
     def verify(self) -> dict:
-        """No request lost (0 responses) or duplicated (>1 terminal)."""
-        submitted: dict[str, int] = {}
-        terminal: dict[str, int] = {}
-        failed: dict[str, int] = {}
-        for entry in self.events():
-            rid = entry["id"]
-            if entry["event"] == "submitted":
-                submitted[rid] = submitted.get(rid, 0) + 1
-            elif entry["event"] == "responded":
-                terminal[rid] = terminal.get(rid, 0) + 1
-            elif entry["event"] == "failed":
-                terminal[rid] = terminal.get(rid, 0) + 1
-                failed[rid] = failed.get(rid, 0) + 1
-        lost = sorted(r for r, n in submitted.items() if terminal.get(r, 0) < n)
-        duplicated = sorted(
-            r for r, n in terminal.items() if n > submitted.get(r, 0)
-        )
+        """No request lost (0 responses) or duplicated (>1 terminal).
+
+        ``submitted``/``responded``/``failed`` count events, so a client
+        that reuses an ``X-Request-Id`` counts once per submission.
+        """
+        with self._lock:
+            lost = sorted(self._outstanding)
+            duplicated = sorted(self._duplicated)
+            counts = dict(self._counts)
         return {
-            "submitted": len(submitted),
-            "responded": sum(terminal.values()) - sum(failed.values()),
-            "failed": sum(failed.values()),
+            **counts,
             "lost": lost,
             "duplicated": duplicated,
-            "exactly_once": not lost and not duplicated and not failed,
+            "exactly_once": not lost and not duplicated and not counts["failed"],
         }
 
 

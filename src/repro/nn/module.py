@@ -89,17 +89,8 @@ class Module:
         """Copy of all parameter arrays keyed by dotted names."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True,
-                        copy: bool = True) -> None:
-        """Install parameter arrays from ``state``.
-
-        ``copy=False`` adopts the given arrays directly (when dtype and
-        shape already match) instead of copying — this is how serve
-        worker processes mount read-only shared-memory weight views
-        zero-copy.  Inference never writes parameters in place, and a
-        read-only array makes any future in-place write a loud error
-        rather than silent cross-process corruption.
-        """
+    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
+        """Install copies of the parameter arrays in ``state``."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -112,7 +103,7 @@ class Module:
             value = np.asarray(value, dtype=param.data.dtype)
             if value.shape != param.data.shape:
                 raise ValueError(f"parameter {name!r}: shape {value.shape} != {param.data.shape}")
-            param.data = value.copy() if copy else value
+            param.data = value.copy()
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

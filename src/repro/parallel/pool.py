@@ -312,10 +312,6 @@ class ProcessPool:
             raise task.error
         return task.result
 
-    def call(self, fn, *args, **kwargs):
-        """Synchronous round-trip (thread-safe; used by the serve backend)."""
-        return self.result(self.submit(fn, *args, **kwargs))
-
     def map(self, fn, items, timeout: float | None = None) -> list:
         """Run ``fn(item)`` for every item; results in submission order."""
         ids = [self.submit(fn, item) for item in items]

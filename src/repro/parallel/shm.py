@@ -8,10 +8,8 @@ and batch buffers cross the process boundary as a ~100-byte
 
 A :class:`ShmArena` owns a set of segments and guarantees their
 lifecycle: every ``create`` is paired with exactly one ``unlink`` (on
-:meth:`ShmArena.close` at the latest, via a ``weakref.finalize`` safety
-net if the owner forgets), handles are *refcounted* so a segment that is
-condemned while tasks still reference it is unlinked only when the last
-reference drains, and attachment in workers never takes ownership — a
+:meth:`ShmArena.close`, or via a ``weakref.finalize`` safety net if the
+owner forgets), and attachment in workers never takes ownership — a
 SIGKILLed worker can therefore never leak a segment: the parent (or its
 resource tracker, if the parent itself dies) always unlinks.
 
@@ -23,7 +21,7 @@ Ownership rules:
   :meth:`ShmTensor.close` (unmap) — they never unlink.  Attachment also
   unregisters the segment from the attaching process's
   ``resource_tracker`` so a worker exiting cannot prematurely destroy a
-  segment the parent still serves from (CPython < 3.13 tracks every
+  segment the parent still uses (CPython < 3.13 tracks every
   attach as an owner).
 """
 
@@ -38,13 +36,9 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-__all__ = ["ShmHandle", "ShmTensor", "ShmArena", "ShmLeakError"]
+__all__ = ["ShmHandle", "ShmTensor", "ShmArena"]
 
 _SEGMENT_COUNTER = itertools.count()
-
-
-class ShmLeakError(RuntimeError):
-    """An arena was closed while handles were still retained."""
 
 
 @dataclass(frozen=True)
@@ -163,47 +157,35 @@ class ShmTensor:
         self.close()
 
 
-class _Block:
-    __slots__ = ("tensor", "refs", "condemned")
-
-    def __init__(self, tensor: ShmTensor):
-        self.tensor = tensor
-        self.refs = 1          # the arena's own reference
-        self.condemned = False
-
-
-def _finalize_blocks(lock: threading.Lock, blocks: dict) -> None:
+def _finalize_tensors(lock: threading.Lock, tensors: dict) -> None:
     """weakref.finalize target: last-resort unlink of surviving segments."""
     with lock:
-        for block in blocks.values():
+        for tensor in tensors.values():
             try:
-                block.tensor.close()
-                block.tensor.unlink()
+                tensor.close()
+                tensor.unlink()
             except Exception:  # repro: ignore[RPR005] -- weakref.finalize last resort: never raise at interpreter exit
                 pass
-        blocks.clear()
+        tensors.clear()
 
 
 class ShmArena:
-    """Owner of a family of shared-memory tensors with refcounted handles.
+    """Owner of a family of shared-memory tensors.
 
-    The arena is the only party that ever unlinks.  ``retain``/``release``
-    bracket out-of-process use of a handle (e.g. one in-flight task per
-    retain); :meth:`condemn` marks a block for removal — it is unlinked
-    immediately if unreferenced, otherwise when the last reference
-    drains.  :meth:`close` unlinks everything still alive; a
-    ``weakref.finalize`` guard does the same if the arena is dropped
-    without close (and at interpreter exit), so segments cannot outlive
-    the owning process even on error paths.
+    The arena is the only party that ever unlinks.  :meth:`close`
+    unlinks everything still alive; a ``weakref.finalize`` guard does
+    the same if the arena is dropped without close (and at interpreter
+    exit), so segments cannot outlive the owning process even on error
+    paths.
     """
 
     def __init__(self, name: str = "arena"):
         self.name = name
         self._lock = threading.Lock()
-        self._blocks: dict[str, _Block] = {}
+        self._tensors: dict[str, ShmTensor] = {}
         self._closed = False
         self._finalizer = weakref.finalize(
-            self, _finalize_blocks, self._lock, self._blocks
+            self, _finalize_tensors, self._lock, self._tensors
         )
 
     # ------------------------------------------------------------------
@@ -215,7 +197,7 @@ class ShmArena:
                 tensor.close()
                 tensor.unlink()
                 raise RuntimeError(f"arena {self.name!r} is closed")
-            self._blocks[tensor.handle.name] = _Block(tensor)
+            self._tensors[tensor.handle.name] = tensor
         return tensor
 
     def put(self, array: np.ndarray) -> ShmTensor:
@@ -225,72 +207,21 @@ class ShmArena:
         tensor.array[...] = array
         return tensor
 
-    # -- refcounting ---------------------------------------------------
-    def retain(self, name: str) -> None:
-        """One more out-of-arena reference to a block (e.g. an in-flight task)."""
-        with self._lock:
-            self._blocks[name].refs += 1
-
-    def release(self, name: str) -> None:
-        """Drop a reference; a condemned block unlinks on its last release."""
-        with self._lock:
-            block = self._blocks.get(name)
-            if block is None:
-                return  # already unlinked via close()
-            block.refs -= 1
-            if block.refs <= 0 and block.condemned:
-                del self._blocks[name]
-            else:
-                block = None
-        if block is not None:
-            block.tensor.close()
-            block.tensor.unlink()
-
-    def condemn(self, name: str) -> None:
-        """Mark a block for removal once its references drain."""
-        with self._lock:
-            block = self._blocks.get(name)
-            if block is None:
-                return
-            block.condemned = True
-            block.refs -= 1  # drop the arena's own reference
-            if block.refs <= 0:
-                del self._blocks[name]
-            else:
-                block = None
-        if block is not None:
-            block.tensor.close()
-            block.tensor.unlink()
-
-    def refcount(self, name: str) -> int:
-        with self._lock:
-            block = self._blocks.get(name)
-            return 0 if block is None else block.refs
-
     def live_segments(self) -> list[str]:
         """Names of segments this arena still owns (leak probe for tests)."""
         with self._lock:
-            return sorted(self._blocks)
+            return sorted(self._tensors)
 
     # ------------------------------------------------------------------
-    def close(self, strict: bool = False) -> None:
-        """Unlink every surviving segment.
-
-        ``strict=True`` raises :class:`ShmLeakError` when blocks still
-        carry out-of-arena references — the caller forgot a ``release``.
-        """
+    def close(self) -> None:
+        """Unlink every surviving segment."""
         with self._lock:
             self._closed = True
-            leaked = [n for n, b in self._blocks.items() if b.refs > 1]
-            blocks = list(self._blocks.values())
-            self._blocks.clear()
-        for block in blocks:
-            block.tensor.close()
-            block.tensor.unlink()
-        if strict and leaked:
-            raise ShmLeakError(
-                f"arena {self.name!r} closed with retained handles: {leaked}"
-            )
+            tensors = list(self._tensors.values())
+            self._tensors.clear()
+        for tensor in tensors:
+            tensor.close()
+            tensor.unlink()
 
     def __enter__(self) -> "ShmArena":
         return self

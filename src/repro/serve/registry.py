@@ -32,7 +32,7 @@ class ModelNotFound(KeyError):
 
 
 def _drop_compiled_plans(entry: "LoadedModel") -> None:
-    """Default invalidation hook: evicted weights take their plans along."""
+    """A model left the cache: its compiled plans go along with it."""
     from .. import compile as _compile
 
     _compile.invalidate(entry.model)
@@ -76,11 +76,10 @@ class ModelRegistry:
 
     Whenever a loaded model leaves the cache — explicit :meth:`evict`,
     LRU pressure, or an mtime/size fingerprint change on ``get`` — the
-    registry fires its *invalidation hooks* with the departing
-    :class:`LoadedModel`.  The default hook drops the model's compiled
-    inference plans (:func:`repro.compile.invalidate`), keeping the plan
-    cache coherent with what serving actually answers from: a retrained
-    checkpoint can never be served through a stale plan.
+    registry drops the departing model's compiled inference plans
+    (:func:`repro.compile.invalidate`), keeping the plan cache coherent
+    with what serving actually answers from: a retrained checkpoint can
+    never be served through a stale plan.
     """
 
     def __init__(self, capacity: int = 4, dtype=np.float64,
@@ -93,23 +92,9 @@ class ModelRegistry:
         self._aliases: dict[str, Path] = {}
         self._cache: OrderedDict[Path, LoadedModel] = OrderedDict()
         self._lock = threading.RLock()
-        self._invalidation_hooks: list = [_drop_compiled_plans]
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-
-    # -- invalidation hooks --------------------------------------------
-    def add_invalidation_hook(self, hook) -> None:
-        """Call ``hook(entry)`` whenever a loaded model leaves the cache."""
-        with self._lock:
-            self._invalidation_hooks.append(hook)
-
-    def _fire_invalidation(self, entry: LoadedModel) -> None:
-        for hook in list(self._invalidation_hooks):
-            try:
-                hook(entry)
-            except Exception:  # repro: ignore[RPR005] -- a failing cleanup hook must never take serving down with it
-                pass
 
     # -- name handling -------------------------------------------------
     def register(self, name: str, path) -> None:
@@ -158,7 +143,7 @@ class ModelRegistry:
             if entry is not None:
                 self.invalidations += 1
                 del self._cache[path]
-                self._fire_invalidation(entry)
+                _drop_compiled_plans(entry)
             self.misses += 1
             # load_model re-verifies when a sidecar exists; this adds the
             # strict "no manifest, no service" policy when configured.
@@ -176,7 +161,7 @@ class ModelRegistry:
             self._cache[path] = entry
             while len(self._cache) > self.capacity:
                 _, evicted = self._cache.popitem(last=False)
-                self._fire_invalidation(evicted)
+                _drop_compiled_plans(evicted)
             return entry
 
     def evict(self, name: str) -> bool:
@@ -188,7 +173,7 @@ class ModelRegistry:
         with self._lock:
             entry = self._cache.pop(path, None)
             if entry is not None:
-                self._fire_invalidation(entry)
+                _drop_compiled_plans(entry)
             return entry is not None
 
     def cached_names(self) -> list[str]:

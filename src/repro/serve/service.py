@@ -80,16 +80,11 @@ def run_batch_inference(
 ) -> list[dict]:
     """The compute kernel of one coalesced batch, free of service state.
 
-    Shared by the thread workers (called in-process) and the
-    process-pool backend (called inside pool children, where the model
-    is rebuilt from shared-memory weights).  Returns one
-    ``{times, velocity, source}`` dict per request — plus a ``trust``
-    bundle (diagnostics / uncertainty / trust report) when a
-    :class:`~repro.trust.TrustPolicy` is supplied, computed in whichever
-    process ran the batch so the proc backend ships reports, not extra
-    work, back to the parent.  Fault injection at ``serve.worker.infer``
-    fires in whichever process executes the batch, so kill scenarios hit
-    the real worker.
+    Returns one ``{times, velocity, source}`` dict per request — plus a
+    ``trust_bundle`` (diagnostics / uncertainty / trust report) when a
+    :class:`~repro.trust.TrustPolicy` is supplied.  Fault injection at
+    ``serve.worker.infer`` fires here, inside the worker that executes
+    the batch.
     """
     windows = np.asarray(windows)
     n = windows.shape[-1]
@@ -207,7 +202,6 @@ class InferenceService:
         solver_kind: str = "fd",
         request_timeout: float = 60.0,
         breaker: CircuitBreaker | None = "default",
-        proc_workers: int = 0,
         trust: TrustPolicy | None = "default",
         replica_id: str = "",
     ):
@@ -241,14 +235,6 @@ class InferenceService:
         self.stats = ServerStats()
         self.queue = BatchQueue(self.policy)
         self.workers = WorkerPool(self.queue, self._execute, n_workers=n_workers)
-        # Process-backed inference: the thread workers keep draining the
-        # micro-batch queue, but the compute of each batch is shipped to
-        # a pool child with zero-copy shared-memory weights.
-        self.proc = None
-        if proc_workers > 0:
-            from .serveproc import ProcServeBackend
-
-            self.proc = ProcServeBackend(self.registry, n_workers=proc_workers)
         self._lifecycle_lock = threading.Lock()
         self._started = False
         # Fleet plumbing: the replica id travels in /healthz so a
@@ -272,9 +258,6 @@ class InferenceService:
             if self._started:
                 self.workers.stop()
                 self._started = False
-            if self.proc is not None:
-                self.proc.close()
-                self.proc = None
 
     def __enter__(self) -> "InferenceService":
         return self.start()
@@ -403,20 +386,13 @@ class InferenceService:
 
         reynolds = [request.payload["reynolds"] for request in batch]
         try:
-            if self.proc is not None:
-                records = self.proc.infer(
-                    entry, windows, mode=mode, cycles=cycles, reynolds=reynolds,
-                    sample_interval=dt, solver_kind=self.solver_kind,
-                    deterministic=self.deterministic, trust=self.trust,
-                )
-            else:
-                records = run_batch_inference(
-                    entry.model, config, entry.normalizer, windows,
-                    mode=mode, cycles=cycles, reynolds=reynolds,
-                    sample_interval=dt, solver_kind=self.solver_kind,
-                    deterministic=self.deterministic, model_name=entry.name,
-                    trust=self.trust,
-                )
+            records = run_batch_inference(
+                entry.model, config, entry.normalizer, windows,
+                mode=mode, cycles=cycles, reynolds=reynolds,
+                sample_interval=dt, solver_kind=self.solver_kind,
+                deterministic=self.deterministic, model_name=entry.name,
+                trust=self.trust,
+            )
         except Exception as exc:
             # A failed batch degrades to per-request typed errors (the
             # waiting clients all get `exc`); consecutive failures trip
@@ -542,7 +518,6 @@ class InferenceService:
                     "max_queue": self.policy.max_queue,
                 },
                 "workers": self.workers.alive,
-                "proc": self.proc.stats() if self.proc is not None else None,
                 "deterministic": self.deterministic,
                 "default_mode": self.default_mode,
                 "breaker": (

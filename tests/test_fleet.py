@@ -10,6 +10,8 @@ chaos scenarios.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.fleet import (
     RequestJournal,
     rolling_deploy,
 )
-from repro.jobs.journal import JournalError
+from repro.jobs.journal import JournalError, read_records
 from repro.jobs.supervisor import Heartbeat, HeartbeatReader, read_heartbeat
 from repro.utils.artifacts import write_manifest
 
@@ -270,8 +272,12 @@ class TestRequestJournal:
         journal.record("submitted", "q0", key="k")
         journal.record("responded", "q0", replica="r1", status=200)
         journal.close()
+        assert read_records(path, required=("event", "id")) == [
+            {"event": "submitted", "id": "q0", "key": "k"},
+            {"event": "responded", "id": "q0", "replica": "r1", "status": 200},
+        ]
         replayed = RequestJournal.load(path)
-        assert replayed.events() == journal.events()
+        assert replayed.verify() == journal.verify()
         assert replayed.verify()["exactly_once"]
 
     def test_torn_final_line_is_dropped(self, tmp_path):
@@ -281,7 +287,10 @@ class TestRequestJournal:
         journal.close()
         with open(path, "ab") as fh:
             fh.write(b'{"event": "responded", "id": "q0", "rep')  # killed mid-write
-        assert RequestJournal.load(path).events() == journal.events()
+        assert read_records(path, required=("event", "id")) == [
+            {"event": "submitted", "id": "q0", "key": "k"},
+        ]
+        assert RequestJournal.load(path).verify() == journal.verify()
 
     def test_record_after_torn_tail_resumes_cleanly(self, tmp_path):
         path = tmp_path / "requests.jsonl"
@@ -295,9 +304,15 @@ class TestRequestJournal:
         resumed.record("submitted", "q1", key="k")
         resumed.record("responded", "q1", replica="r1", status=200)
         resumed.close()
+        assert read_records(path, required=("event", "id")) == [
+            {"event": "submitted", "id": "q0", "key": "k"},
+            {"event": "responded", "id": "q0", "replica": "r0", "status": 200},
+            {"event": "submitted", "id": "q1", "key": "k"},
+            {"event": "responded", "id": "q1", "replica": "r1", "status": 200},
+        ]
         replayed = RequestJournal.load(path)
-        assert replayed.events() == journal.events() + resumed.events()
         assert replayed.verify()["exactly_once"]
+        assert replayed.verify()["submitted"] == 2
 
     def test_garbage_before_the_tail_is_corruption(self, tmp_path):
         path = tmp_path / "requests.jsonl"
@@ -305,6 +320,40 @@ class TestRequestJournal:
                         '{"event": "responded", "id": "q0"}\n')
         with pytest.raises(JournalError, match="corrupt journal line"):
             RequestJournal.load(path)
+
+    def test_answered_requests_leave_no_per_id_state(self):
+        # 100k pairs from 8 handler threads sharing ids, with a short
+        # switch interval: a lost update in the fold would leave an id
+        # outstanding or flag it duplicated.
+        journal = RequestJournal()
+
+        def handler(t):
+            for i in range(12_500):
+                journal.record("submitted", f"q{i % 64}")
+                journal.record("responded", f"q{i % 64}", replica="r0", status=200)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=handler, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        verdict = journal.verify()
+        assert verdict["exactly_once"] and verdict["submitted"] == 100_000
+        assert journal._outstanding == {} and journal._duplicated == set()
+
+    def test_reused_request_id_counts_once_per_submission(self):
+        journal = RequestJournal()
+        for _ in range(2):
+            journal.record("submitted", "same")
+            journal.record("responded", "same", replica="r0", status=200)
+        verdict = journal.verify()
+        assert verdict["exactly_once"] and verdict["submitted"] == 2
 
 
 class _FakeFleet:

@@ -133,15 +133,6 @@ class TestRegistry:
         assert rc.plan_cache().plan_for(entry.model, x) is None
         rc.clear()
 
-    def test_custom_invalidation_hook_fires(self, checkpoint):
-        reg = ModelRegistry()
-        reg.register("tiny", checkpoint)
-        reg.get("tiny")
-        seen = []
-        reg.add_invalidation_hook(lambda entry: seen.append(entry.name))
-        reg.evict("tiny")
-        assert seen == ["tiny"]
-
     def test_register_requires_existing_file(self, tmp_path):
         from repro.core import CheckpointError
 
@@ -458,12 +449,27 @@ class TestHTTP:
         assert float(headers["Retry-After"]) > 0
         assert svc.inflight == 0
 
-    @pytest.mark.parametrize("mode", ["fno", "hybrid"])
-    def test_predict_roundtrip_matches_direct_call(self, http_service, mode):
-        svc, base = http_service
+    @pytest.mark.parametrize(
+        "mode, transport",
+        [("fno", "http"), ("hybrid", "http"), ("fno", "gateway"), ("hybrid", "gateway")],
+        ids=["fno", "hybrid", "fno-gateway", "hybrid-gateway"],
+    )
+    def test_predict_roundtrip_matches_direct_call(self, http_service, mode, transport):
+        from types import SimpleNamespace
+
+        from repro.fleet import Gateway
+
+        svc, replica = http_service
         w = window(seed=5)
         request = {"mode": mode, "cycles": 1, "sample_interval": 0.02}
-        code, body, _ = _post(f"{base}/predict", {"model": "tiny", "window": w.tolist(), **request})
+        with contextlib.ExitStack() as stack:
+            base = replica
+            if transport == "gateway":
+                gateway = Gateway(SimpleNamespace(urls=lambda: {"r0": replica}))
+                base = stack.enter_context(gateway).base_url()
+            code, body, _ = _post(
+                f"{base}/predict", {"model": "tiny", "window": w.tolist(), **request}
+            )
         assert code == 200
         direct = svc.predict("tiny", w, **request)
         assert direct["velocity"].dtype == np.float64
