@@ -369,6 +369,7 @@ def _cmd_inspect(args) -> int:
     print(f"checkpoint : {info['path']}")
     print(f"format     : version {info['version']}")
     print(f"kind       : {info['kind']}")
+    print(f"dtype      : {info['dtype']}")
     print(f"parameters : {info['n_parameters']:,} in {info['n_arrays']} arrays "
           f"({info['file_bytes'] / 1024:.1f} KiB on disk)")
     config = {k: v for k, v in info["config"].items() if k != "kind"}

@@ -1,4 +1,10 @@
-"""Model builders mapping experiment configs to network instances."""
+"""Model builders mapping experiment configs to network instances.
+
+The builders default to float32, the precision the paper trains in
+(PyTorch's default).  Serving loads checkpoints in float64 through
+:class:`repro.serve.ModelRegistry`; pass ``dtype=np.float64`` here for
+a float64 model.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ __all__ = [
 ]
 
 
-def build_fno2d_channels(config: ChannelFNOConfig, rng=None, dtype=np.float64) -> FNO2d:
+def build_fno2d_channels(config: ChannelFNOConfig, rng=None, dtype=np.float32) -> FNO2d:
     """Instantiate the temporal-channel 2-D FNO of paper Sec. V."""
     rng = as_generator(rng)
     return FNO2d(
@@ -36,7 +42,7 @@ def build_fno2d_channels(config: ChannelFNOConfig, rng=None, dtype=np.float64) -
     )
 
 
-def build_fno3d(config: SpaceTimeFNOConfig, rng=None, dtype=np.float64) -> FNO3d:
+def build_fno3d(config: SpaceTimeFNOConfig, rng=None, dtype=np.float32) -> FNO3d:
     """Instantiate the space–time 3-D FNO of paper Sec. V."""
     rng = as_generator(rng)
     return FNO3d(
@@ -55,7 +61,7 @@ def build_fno3d(config: SpaceTimeFNOConfig, rng=None, dtype=np.float64) -> FNO3d
     )
 
 
-def build_fno3d_spatial_channels(config: Spatial3DChannelsConfig, rng=None, dtype=np.float64) -> FNO3d:
+def build_fno3d_spatial_channels(config: Spatial3DChannelsConfig, rng=None, dtype=np.float32) -> FNO3d:
     """The paper's proposed 3-D extension: all three Fourier axes spatial
     (periodic, so no temporal padding), time snapshots in the channels."""
     rng = as_generator(rng)
@@ -75,7 +81,7 @@ def build_fno3d_spatial_channels(config: Spatial3DChannelsConfig, rng=None, dtyp
     )
 
 
-def build_model(config, rng=None, dtype=np.float64):
+def build_model(config, rng=None, dtype=np.float32):
     """Dispatch on config type (used by the model zoo loader)."""
     if isinstance(config, ChannelFNOConfig):
         return build_fno2d_channels(config, rng, dtype)

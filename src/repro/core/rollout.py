@@ -33,12 +33,15 @@ def apply_channels(model: Module, x: np.ndarray, normalizer=None) -> np.ndarray:
     cached :class:`repro.compile.CompiledPlan` (bit-for-bit equal to the
     eager no-grad forward) skips autograd dispatch and per-op
     allocations.  Unsupported models or disabled compilation
-    (``REPRO_COMPILE=0``) fall back to the eager path below.
+    (``REPRO_COMPILE=0``) fall back to the eager path below.  The encoded
+    input is cast to the model's ``dtype`` (a no-op for float64 models),
+    so a float32 model runs in float32 rather than a mixed plan.
     """
     if normalizer is not None:
         x = normalizer.encode(x)
     model.eval()
-    pred = _compile.forward(model, np.asarray(x))
+    x = np.asarray(x, dtype=getattr(model, "dtype", None))
+    pred = _compile.forward(model, x)
     if pred is None:
         with no_grad():
             pred = model(Tensor(x)).numpy()

@@ -46,6 +46,11 @@ def make_loss(name: str) -> Module:
         raise ValueError(f"unknown loss {name!r}; choose from {sorted(table)}") from None
 
 
+def _cast(batch: Tensor, dtype) -> Tensor:
+    """``batch`` in ``dtype``: the same tensor when it already matches."""
+    return batch if batch.dtype == dtype else Tensor(batch.data.astype(dtype))
+
+
 @dataclass
 class TrainingHistory:
     """Per-epoch record of a training run."""
@@ -101,10 +106,17 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def train_epoch(self, loader: DataLoader) -> float:
-        """One pass over the loader; returns the mean batch loss."""
+        """One pass over the loader; returns the mean batch loss.
+
+        Each batch is cast to the model's parameter dtype (no copy when
+        it already matches), so a float32 model trains in float32 on
+        float64 arrays instead of silently computing in float64.
+        """
         self.model.train()
+        dtype = next(self.model.parameters()).dtype
         total, count = 0.0, 0
         for xb, yb in loader:
+            xb, yb = _cast(xb, dtype), _cast(yb, dtype)
             with obs.span("train.batch", size=xb.shape[0]) as sp:
                 self.model.zero_grad()
                 loss = self.loss(self.model(xb), yb)
@@ -118,14 +130,16 @@ class Trainer:
         return total / max(count, 1)
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int | None = None) -> float:
-        """Mean loss over a held-out array pair (no gradients)."""
+        """Mean loss over a held-out array pair (no gradients), each batch
+        cast to the model's parameter dtype."""
         self.model.eval()
+        dtype = next(self.model.parameters()).dtype
         bs = batch_size or self.config.batch_size
         total, count = 0.0, 0
         with no_grad():
             for start in range(0, len(x), bs):
-                xb = Tensor(x[start : start + bs])
-                yb = Tensor(y[start : start + bs])
+                xb = Tensor(np.asarray(x[start : start + bs], dtype=dtype))
+                yb = Tensor(np.asarray(y[start : start + bs], dtype=dtype))
                 loss = self.loss(self.model(xb), yb)
                 total += loss.item() * xb.shape[0]
                 count += xb.shape[0]
@@ -146,9 +160,13 @@ class Trainer:
         legitimately extending a finished run (same everything, more
         epochs) is not rejected.
         """
+        return self._hash_with(self.model.state_dict())
+
+    def _hash_with(self, model_state: dict) -> str:
+        """:meth:`config_hash` computed over ``model_state``'s arrays."""
         shapes = {
             name: [list(value.shape), str(value.dtype)]
-            for name, value in self.model.state_dict().items()
+            for name, value in model_state.items()
         }
         cfg = self.config.to_dict()
         cfg.pop("epochs", None)
@@ -196,6 +214,23 @@ class Trainer:
         else:
             atomic_write_npz(path, arrays, site="checkpoint.write", manifest=manifest)
 
+    def _raise_if_only_dtype_differs(self, path, stored_hash: str, stored: dict) -> None:
+        """Name the dtypes when they are all that separates a checkpoint
+        from this trainer (same names, shapes, optimiser settings, loss)."""
+        own = self.model.state_dict()
+        same_shapes = ({k: v.shape for k, v in stored.items()}
+                       == {k: v.shape for k, v in own.items()})
+        if not same_shapes or self._hash_with(stored) != stored_hash:
+            return
+        theirs = ", ".join(sorted({v.dtype.name for v in stored.values()}))
+        ours = ", ".join(sorted({v.dtype.name for v in own.values()}))
+        raise CheckpointError(
+            f"{path}: checkpoint weights are {theirs} but this trainer's model "
+            f"is {ours}; only the dtype differs from the run that wrote it. "
+            f"Build the model with the checkpoint's dtype (the model "
+            f"builders take `dtype=np.{theirs}`) to resume it."
+        )
+
     def load_checkpoint(self, path) -> None:
         """Restore a state written by :meth:`save_checkpoint`.
 
@@ -213,8 +248,14 @@ class Trainer:
                     f"'header' entry; keys: {sorted(data.files)[:8]})"
                 )
             header = json.loads(bytes(data["header"]).decode())
+            model_state = {
+                key[len("model::") :]: data[key]
+                for key in data.files
+                if key.startswith("model::")
+            }
             stored_hash = header.get("config_hash")
             if stored_hash is not None and stored_hash != self.config_hash():
+                self._raise_if_only_dtype_differs(path, stored_hash, model_state)
                 raise CheckpointError(
                     f"{path}: checkpoint was written under config hash "
                     f"{stored_hash}, but this trainer hashes to "
@@ -226,11 +267,6 @@ class Trainer:
                     f"Changing only `epochs` never changes the hash, so "
                     f"extending training is always allowed."
                 )
-            model_state = {
-                key[len("model::") :]: data[key]
-                for key in data.files
-                if key.startswith("model::")
-            }
             self.model.load_state_dict(model_state)
             n = int(header["n_params"])
             self.optimizer.load_state_dict({

@@ -140,9 +140,11 @@ def _build_config(header: dict, path: Path):
     return config_from_dict(header.get("config", {}), context=str(path))
 
 
-def load_model(path, dtype=np.float64):
+def load_model(path, dtype=None):
     """Load ``(model, config, normalizer)`` saved by :func:`save_model`.
 
+    The model is built in ``dtype``; the default None follows the stored
+    weights, so save → load is an identity.  Serving passes float64.
     ``normalizer`` is None when none was stored.  Raises
     :class:`CheckpointError` (naming the offending path) when the file is
     missing, not a checkpoint, from an unknown version/kind, or fails its
@@ -152,10 +154,12 @@ def load_model(path, dtype=np.float64):
     with guarded_npz_load(path, verify=True) as data:
         header = _read_header(data, path)
         config = _build_config(header, path)
-        model = build_model(config, rng=np.random.default_rng(0), dtype=dtype)
         state = {
             key[len("param::") :]: data[key] for key in data.files if key.startswith("param::")
         }
+        if dtype is None:
+            dtype = next((value.dtype for value in state.values()), np.float64)
+        model = build_model(config, rng=np.random.default_rng(0), dtype=dtype)
         try:
             model.load_state_dict(state)
         except (KeyError, ValueError) as exc:
@@ -176,10 +180,12 @@ def load_model(path, dtype=np.float64):
 def inspect_checkpoint(path) -> dict:
     """Describe a checkpoint without building the model.
 
-    Returns ``{path, version, kind, config, normalizer, n_parameters,
-    n_arrays, file_bytes}``; ``normalizer`` is None or ``{n_fields,
-    isotropic}``.  Used by ``repro inspect`` and the serving ``/models``
-    endpoint.  Raises :class:`CheckpointError` on anything unreadable.
+    Returns ``{path, version, kind, config, normalizer, dtype,
+    n_parameters, n_arrays, file_bytes}``; ``normalizer`` is None or
+    ``{n_fields, isotropic}``; ``dtype`` names the stored weights' dtype
+    (``"float32"``).  Used by ``repro inspect`` and the serving
+    ``/models`` endpoint.  Raises :class:`CheckpointError` on anything
+    unreadable.
     """
     path = Path(path)
     with guarded_npz_load(path, verify=True) as data:
@@ -188,16 +194,20 @@ def inspect_checkpoint(path) -> dict:
         _build_config(header, path)  # validate, result unused
         n_params = 0
         n_arrays = 0
+        dtypes = set()
         for key in data.files:
             if key.startswith("param::"):
+                value = data[key]
                 n_arrays += 1
-                n_params += int(np.prod(data[key].shape))
+                n_params += int(np.prod(value.shape))
+                dtypes.add(str(value.dtype))
     return {
         "path": str(path),
         "version": header["version"],
         "kind": kind,
         "config": header["config"],
         "normalizer": header.get("normalizer"),
+        "dtype": ", ".join(sorted(dtypes)),
         "n_parameters": n_params,
         "n_arrays": n_arrays,
         "file_bytes": path.stat().st_size,

@@ -190,7 +190,8 @@ class ModelRegistry:
             row = {"name": name, "path": str(path), "cached": path in cached}
             try:
                 info = cached[path].info if path in cached else inspect_checkpoint(path)
-                row.update(kind=info["kind"], n_parameters=info["n_parameters"],
+                row.update(kind=info["kind"], dtype=info["dtype"],
+                           n_parameters=info["n_parameters"],
                            config=info["config"], normalizer=info["normalizer"])
             except CheckpointError as exc:
                 row["error"] = str(exc)

@@ -40,7 +40,8 @@ def _cached_model(path: str):
     if entry is None:
         from ..core.zoo import load_model
 
-        entry = _MODEL_CACHE[path] = load_model(path)
+        # float64, as ModelRegistry serves it: calibration replays serving.
+        entry = _MODEL_CACHE[path] = load_model(path, dtype=np.float64)
     return entry
 
 

@@ -139,6 +139,7 @@ class TestInspectAndServeCLI:
         assert "channel_fno" in out
         assert "width=6" in out
         assert "version 1" in out
+        assert "dtype      : float32" in out  # the builders' default
 
     def test_inspect_bad_path_fails_cleanly(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.npz")]) == 2

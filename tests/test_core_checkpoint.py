@@ -118,6 +118,29 @@ class TestCheckpoint:
         # The rejection happened before any state was applied.
         assert other.epochs_completed == 0 and other.history.train_loss == []
 
+    def test_dtype_only_mismatch_names_both_dtypes(self, tmp_path):
+        """A float64 checkpoint resumed into the float32 default model is
+        reported as a dtype mismatch, before any state is applied."""
+        from repro.utils.artifacts import CheckpointError
+
+        X, Y = _problem()
+        cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3,
+                               width=6, n_layers=2)
+        training = TrainingConfig(epochs=1, batch_size=4, seed=1)
+        writer = Trainer(build_fno2d_channels(cfg, rng=np.random.default_rng(0),
+                                              dtype=np.float64), training)
+        writer.fit(X, Y)
+        path = tmp_path / "ckpt.npz"
+        writer.save_checkpoint(path)
+
+        reader = Trainer(build_fno2d_channels(cfg, rng=np.random.default_rng(0)), training)
+        before = {k: v.copy() for k, v in reader.model.state_dict().items()}
+        with pytest.raises(CheckpointError, match="float64 but this trainer's model is float32"):
+            reader.load_checkpoint(path)
+        assert reader.epochs_completed == 0
+        for k, v in reader.model.state_dict().items():
+            assert np.array_equal(v, before[k]) and v.dtype == np.float32
+
     def test_config_hash_ignores_epochs(self):
         a, b = _trainer(epochs=2), _trainer(epochs=50)
         assert a.config_hash() == b.config_hash()

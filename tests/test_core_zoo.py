@@ -34,6 +34,22 @@ def test_channel_model_roundtrip(tmp_path):
         assert np.array_equal(model(Tensor(x)).numpy(), loaded(Tensor(x)).numpy())
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_follows_stored_dtype(tmp_path, dtype):
+    """``load_model`` builds the checkpoint's own dtype unless told
+    otherwise; ``inspect_checkpoint`` names it."""
+    cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=2, modes2=2, width=4, n_layers=1)
+    model = build_fno2d_channels(cfg, rng=RNG, dtype=dtype)
+    path = tmp_path / "model.npz"
+    save_model(path, model, cfg)
+    assert inspect_checkpoint(path)["dtype"] == np.dtype(dtype).name
+    loaded, _, _ = load_model(path)
+    for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert b.dtype == dtype and np.array_equal(a.data, b.data)
+    served, _, _ = load_model(path, dtype=np.float64)
+    assert {p.dtype for p in served.parameters()} == {np.dtype(np.float64)}
+
+
 def test_channel_model_activation_roundtrip(tmp_path):
     """Non-default activation survives the save/load cycle (old
     checkpoints without the key fall back to the dataclass default)."""

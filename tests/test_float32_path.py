@@ -8,8 +8,12 @@ end to end without silent upcasts.
 import numpy as np
 import pytest
 
+from repro.checks import dtype_sanitizer
+from repro.compile import runtime
 from repro.core import ChannelFNOConfig, Trainer, TrainingConfig
 from repro.core.models import build_fno2d_channels
+from repro.core.rollout import apply_channels
+from repro.data import FieldNormalizer, make_channel_pairs
 from repro.nn import FNO2d, LpLoss
 from repro.optim import Adam
 from repro.tensor import Tensor, no_grad
@@ -82,3 +86,63 @@ class TestFloat32:
             y64 = m64(Tensor(x)).numpy()
             y32 = m32(Tensor(x.astype(np.float32))).numpy()
         assert np.allclose(y32, y64, atol=1e-4)
+
+
+class TestFloat32Training:
+    """Float32 is the builders' default (the paper trained with PyTorch's
+    float32); ``Trainer`` feeds the model batches in its own dtype."""
+
+    def test_loss_curve_tracks_float64(self, velocity_data):
+        """The ``trained_channel_model`` recipe, 10 epochs in each dtype
+        from the same seed: per-epoch train losses agree within 1e-4
+        relative (measured: 2.8e-7)."""
+        config = ChannelFNOConfig(n_in=5, n_out=2, n_fields=2, modes1=8, modes2=8,
+                                  width=10, n_layers=3)
+        X, Y = make_channel_pairs(velocity_data, n_in=config.n_in, n_out=config.n_out)
+        normalizer = FieldNormalizer(n_fields=2).fit(X)
+        x, y = normalizer.encode(X), normalizer.encode(Y)
+        training = TrainingConfig(epochs=10, batch_size=8, learning_rate=3e-3,
+                                  scheduler_step=15, scheduler_gamma=0.5, seed=5)
+        curves = {}
+        for dtype in (None, np.float64):
+            kwargs = {} if dtype is None else {"dtype": dtype}
+            model = build_fno2d_channels(config, rng=np.random.default_rng(5), **kwargs)
+            curves[dtype] = Trainer(model, training).fit(x, y).train_loss
+            assert next(model.parameters()).dtype == (dtype or np.float32)
+        np.testing.assert_allclose(curves[None], curves[np.float64], rtol=1e-4)
+
+    def test_apply_channels_runs_float32_model_in_float32(self):
+        """A float64 window reaches a float32 model as float32, on the
+        compiled path and the eager one."""
+        x = RNG.standard_normal((1, 2, 16, 16))
+        outs = []
+        for compiled in (True, False):
+            previous = runtime.enabled()
+            runtime.set_enabled(compiled)
+            try:
+                with dtype_sanitizer(mode="raise"):
+                    outs.append(apply_channels(_f32_model(), x))
+            finally:
+                runtime.set_enabled(previous)
+        assert [o.dtype for o in outs] == [np.float32, np.float32]
+        assert np.array_equal(outs[0], outs[1])
+
+    def test_fit_on_float64_arrays_stays_float32(self, tmp_path):
+        cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3,
+                               width=6, n_layers=2)
+        trainer = Trainer(build_fno2d_channels(cfg, rng=np.random.default_rng(0)),
+                          TrainingConfig(epochs=1, batch_size=4, seed=1))
+        x = RNG.standard_normal((8, 2, 8, 8))
+        y = RNG.standard_normal((8, 2, 8, 8))
+        with dtype_sanitizer(mode="raise") as report:
+            trainer.fit(x, y, x_val=x, y_val=y)
+        assert report.ok
+        for _, p in trainer.model.named_parameters():
+            assert p.dtype == np.float32 and p.grad.dtype == np.float32
+        for moment in trainer.optimizer._m + trainer.optimizer._v:
+            assert moment.dtype == np.float32
+        path = tmp_path / "ckpt.npz"
+        trainer.save_checkpoint(path)
+        with np.load(path) as data:
+            stored = {k: data[k].dtype for k in data.files if k != "header"}
+        assert stored and set(stored.values()) == {np.dtype(np.float32)}

@@ -176,6 +176,9 @@ class TestRegistry:
         assert row["kind"] == "channel_fno"
         assert row["n_parameters"] > 0
         assert row["cached"] is False
+        # The listing names the stored dtype; serving still loads float64.
+        assert row["dtype"] == "float32"
+        assert reg.get("tiny").model.dtype == np.float64
 
 
 class TestBatchQueue:
