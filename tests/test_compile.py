@@ -305,3 +305,143 @@ class TestIntegration:
         desc = json.loads(capsys.readouterr().out)
         assert desc["input_shape"] == [1, 2, 16, 16]
         assert any(s["op"] == "spectral_conv" for s in desc["steps"])
+
+
+# ---------------------------------------------------------------------------
+# per-op pins: every registered op, one-op models, bitwise
+# ---------------------------------------------------------------------------
+
+
+class _OneOp:
+    """A minimal model: ``forward`` is one traced op (plus its operands)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def eval(self):
+        return self
+
+    def __call__(self, x):
+        return self.fn(x)
+
+
+def _op_cases():
+    """``(op, case, build)``; ``build(dtype) -> fn(x)`` over x (2, 4, 8, 8)."""
+    from repro.nn.module import Parameter
+    from repro.tensor import ops
+
+    def const(arr, dtype):
+        return Tensor(np.asarray(arr).astype(dtype))
+
+    rng = np.random.default_rng(40)
+    bias = rng.standard_normal((1, 4, 1, 1))
+    mat = rng.standard_normal((8, 5))
+    full = rng.standard_normal((2, 4, 8, 8))
+    cond = rng.standard_normal((2, 4, 8, 8)) > 0
+    lin_w = rng.standard_normal((4, 3))
+    lin_b = rng.standard_normal(3)
+    wr = rng.standard_normal((2, 4, 3, 3, 3))
+    wi = rng.standard_normal((2, 4, 3, 3, 3))
+
+    cases = []
+    for name, fn in [("add", ops.add), ("sub", ops.sub), ("mul", ops.mul),
+                     ("div", ops.div), ("maximum", ops.maximum),
+                     ("minimum", ops.minimum)]:
+        cases += [
+            (name, "tensor", lambda d, fn=fn: lambda x: fn(x, const(bias, d))),
+            (name, "scalar_right", lambda d, fn=fn: lambda x: fn(x, 0.5)),
+            (name, "scalar_left", lambda d, fn=fn: lambda x: fn(-1.5, x)),
+        ]
+    for name in ("neg", "exp", "tanh", "sin", "cos", "abs_", "sigmoid",
+                 "square", "relu", "gelu"):
+        cases.append((name, "unary", lambda d, name=name: getattr(ops, name)))
+    for name in ("log", "sqrt"):
+        cases.append((name, "nonneg", lambda d, name=name:
+                      lambda x: getattr(ops, name)(x * x)))
+    cases += [
+        ("pow_", "cube", lambda d: lambda x: ops.pow_(x, 3.0)),
+        ("clip", "band", lambda d: lambda x: ops.clip(x, -0.5, 0.25)),
+        ("where", "tensors", lambda d: lambda x: ops.where(cond, x, const(full, d))),
+        ("where", "scalar_right", lambda d: lambda x: ops.where(cond, x, 0.0)),
+        ("where", "scalar_left", lambda d: lambda x: ops.where(const(cond, d), 2.0, x)),
+        ("channel_linear", "bias", lambda d: lambda x: ops.channel_linear(
+            x, Parameter(lin_w.astype(d)), Parameter(lin_b.astype(d)))),
+        ("channel_linear", "no_bias", lambda d: lambda x: ops.channel_linear(
+            x, Parameter(lin_w.astype(d)))),
+        ("matmul", "tensor", lambda d: lambda x: ops.matmul(x, const(mat, d))),
+        ("dot", "tensor", lambda d: lambda x: ops.dot(x, const(full, d))),
+        ("reshape", "then_add", lambda d: lambda x: ops.reshape(x, (2, 4, 64)) + 1.0),
+        ("transpose", "then_mul", lambda d: lambda x: ops.transpose(x, (0, 2, 3, 1)) * 3.0),
+        ("transpose", "reversed", lambda d: lambda x: ops.transpose(x)),
+        ("moveaxis", "then_sub", lambda d: lambda x: 0.25 - ops.moveaxis(x, 1, -1)),
+        ("broadcast_to", "lead_axis", lambda d: lambda x: ops.broadcast_to(x, (3, 2, 4, 8, 8))),
+        ("roll", "one_axis", lambda d: lambda x: ops.roll(x, 3, 2)),
+        ("roll", "two_axes", lambda d: lambda x: ops.roll(x, (1, -2), (2, 3))),
+        ("getitem", "strided", lambda d: lambda x: x[:, 1:3, ::2]),
+        ("getitem", "int_then_div", lambda d: lambda x: x[..., 0] / 7.0),
+        ("pad", "zero", lambda d: lambda x: ops.pad(x, ((0, 0), (0, 0), (1, 2), (2, 1)))),
+        ("pad", "negative_zero_fill", lambda d: lambda x: ops.pad(
+            x, ((0, 0), (0, 0), (0, 0), (0, 3)), -0.0)),
+        ("concatenate", "constant_piece", lambda d: lambda x: ops.concatenate(
+            [x, const(full, d)], axis=1)),
+        ("concatenate", "traced_pieces", lambda d: lambda x: ops.concatenate(
+            [x, -x], axis=-1)),
+        ("stack", "traced_pieces", lambda d: lambda x: ops.stack([x, -x], axis=1)),
+        ("sum_", "all", lambda d: lambda x: ops.sum_(x)),
+        ("sum_", "axis_keepdims", lambda d: lambda x: ops.sum_(x, axis=(1, 3), keepdims=True)),
+        ("mean", "all", lambda d: lambda x: ops.mean(x)),
+        ("mean", "axis", lambda d: lambda x: ops.mean(x, axis=2)),
+        ("spectral_conv", "2d", lambda d: lambda x: fft_ops.spectral_conv(
+            x, Parameter(wr.astype(d)), Parameter(wi.astype(d)), (3, 3))),
+        ("solenoidal_projection_2d", "pairs", lambda d: lambda x:
+            fft_ops.solenoidal_projection_2d(x)),
+    ]
+    return cases
+
+
+_OP_CASES = _op_cases()
+
+
+def _registered_ops() -> set[str]:
+    from repro.compile.kernels import KERNELS
+
+    return set(KERNELS) - {"einsum"}
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(np.signbit(got), np.signbit(want))
+            and got.tobytes() == want.tobytes())
+
+
+class TestPerOpPins:
+    def test_every_registered_op_is_pinned(self):
+        assert {op for op, _, _ in _OP_CASES} == _registered_ops()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "op,build", [(op, build) for op, _, build in _OP_CASES],
+        ids=[f"{op}-{case}" for op, case, _ in _OP_CASES],
+    )
+    def test_plan_matches_eager_bitwise(self, op, build, dtype):
+        x = np.random.default_rng(41).standard_normal((2, 4, 8, 8)).astype(dtype)
+        x[0, 0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+        model = _OneOp(build(dtype))
+        with np.errstate(divide="ignore"):
+            with no_grad():
+                want = model(Tensor(x)).data.copy()
+            plan, _ = rc.trace_model(model, x)
+            assert op in [step.op for step in plan.steps]
+            assert _same_bits(plan.execute(x), want)
+            assert _same_bits(plan.execute(x), want)  # reused buffers stay exact
+
+            # Step by step: an arena step writes into the buffer it was
+            # given instead of rebinding its slot to a fresh array.
+            values = plan._template().copy()
+            values[plan.input_slot] = x
+            for step in plan.steps:
+                given = values[step.out_slot]
+                step.run(values)
+                if step.kind == "arena":
+                    assert given is not None and values[step.out_slot] is given
+        assert _same_bits(np.asarray(values[plan.output_slot]), want)
