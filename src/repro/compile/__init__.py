@@ -12,7 +12,8 @@ This package removes it:
 * :mod:`~repro.compile.plan` lowers the schedule into a
   :class:`~repro.compile.plan.CompiledPlan`: buffer-arena liveness
   assignment plus one ``run`` closure per op from
-  :mod:`~repro.compile.kernels`, bit-for-bit equivalent to eager.
+  :mod:`~repro.compile.kernels`; each closure calls the eager op's own
+  forward, so plans are bit-for-bit equivalent to eager.
 * :mod:`~repro.compile.runtime` caches plans per
   ``(model, batch_shape, dtype)`` with eager fallback for anything it
   cannot compile (``repro.compile.forward(model, x) -> array | None``).

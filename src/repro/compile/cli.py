@@ -22,8 +22,8 @@ def add_compile_arguments(parser) -> None:
     parser.add_argument("--batch", type=int, default=1, help="batch size to plan for")
     parser.add_argument("--grid", type=int, default=64,
                         help="spatial resolution to plan for (per axis)")
-    parser.add_argument("--dtype", choices=["float32", "float64"], default="float32",
-                        help="inference dtype (serving uses float32 plans)")
+    parser.add_argument("--dtype", choices=["float32", "float64"], default="float64",
+                        help="inference dtype (serving runs float64 plans; training is float32)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the full plan description as JSON")
 

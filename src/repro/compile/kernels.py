@@ -1,17 +1,21 @@
-"""Kernel builders: one compiled executor per traced op.
+"""Plan lowering: one :class:`~repro.compile.plan.Step` per traced op.
 
-Each builder lowers one :class:`~repro.tensor.recording.TraceRecord` into
-a :class:`~repro.compile.plan.Step` whose ``run(values)`` closure writes
-the step output either into a preallocated arena buffer (``out=`` ufunc
-calls, sliced ``copyto``) or as a fresh per-call array where the
-underlying library allocates its result internally (pocketfft).
+Every op is lowered from the primitive table
+(:data:`repro.tensor.recording.PRIMITIVES`).  A step's ``run(values)``
+closure calls the op's shared forward, the very function the eager op
+calls, so plan and eager run the same arithmetic by construction.  The
+table's output kind picks where the result goes: an ``arena`` step hands
+the forward its preallocated buffer as ``out=``, a ``view`` step stores
+the view the forward returns, and ``fresh``/``spectral`` steps store a
+new per-call array (where the underlying library allocates internally,
+e.g. pocketfft, or where an ``out=`` variant could change a BLAS
+accumulation path).  ``plan.execute(x)`` is therefore bit-for-bit equal to
+the eager no-grad forward; property tests pin that for every op.
 
-The cardinal rule is **bitwise equivalence with the eager op**: kernels
-call the same ufuncs in the same order with the same scalar-promotion
-behaviour, and anywhere an ``out=`` variant could conceivably change the
-computation path (BLAS-backed einsum contractions) the kernel keeps the
-eager allocate-then-copy form instead.  The equivalence is enforced by
-property tests, not assumed.
+Only three ops have dedicated builders, each for something eager cannot
+do: ``concatenate`` and ``pad`` write their constant regions once, when
+the buffer is made, and ``spectral_conv`` runs fixed-shape replays of its
+transforms and contraction.  ``einsum`` is refused.
 
 Allocation discipline inside ``run`` closures is checked statically by
 rule ``RPR009`` (see ``repro/checks/rules/compile.py``): fresh
@@ -26,359 +30,113 @@ from typing import Callable
 
 import numpy as np
 from scipy import fft as _scipy_fft
-from scipy import special as _sp_special
 
 from ..tensor import fft_ops
-from ..tensor.recording import TraceRecord
+from ..tensor.ops import weak_pair
+from ..tensor.recording import PRIMITIVES, Primitive, TraceRecord
 from ..tensor.tensor import Tensor
 from .plan import PlanBuilder, Step, UnsupportedOpError
 
-__all__ = ["KERNELS", "kernel"]
-
-_SQRT_2 = math.sqrt(2.0)
-
-KERNELS: dict[str, Callable] = {}
+__all__ = ["lower"]
 
 
-def kernel(name: str):
-    """Register a builder for traced op ``name``."""
-
-    def decorate(fn):
-        KERNELS[name] = fn
-        return fn
-
-    return decorate
+def lower(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
+    """Lower one traced op into a plan step."""
+    spec = PRIMITIVES.get(rec.op)
+    if spec is None:
+        raise UnsupportedOpError(f"op {rec.op!r} has no compiled kernel")
+    return _BUILDERS.get(rec.op, _lower_generic)(b, rec, spec, out_slot)
 
 
 def _out_meta(rec: TraceRecord) -> tuple[tuple[int, ...], np.dtype]:
     return tuple(rec.out.data.shape), rec.out.data.dtype
 
 
-def _weak_scalar(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _operand_getter(b: PlanBuilder, value) -> Callable[[list], object]:
+    if value is None:
+        return lambda values: None
+    if isinstance(value, (list, tuple)):
+        gets = [b.getter(v) for v in value]
+        return lambda values: [get(values) for get in gets]
+    return b.getter(value)
 
 
-def _pair_getters(b: PlanBuilder, x, y):
-    """Operand accessors replicating ``ops._t2`` scalar adoption.
-
-    A bare Python scalar paired with a tensor is frozen as a 0-d constant
-    of the tensor's dtype, exactly like the eager coercion path.
-    """
-    if isinstance(x, Tensor) and _weak_scalar(y):
-        return b.getter(x), b.getter(np.asarray(y, dtype=x.data.dtype))
-    if isinstance(y, Tensor) and _weak_scalar(x):
-        return b.getter(np.asarray(x, dtype=y.data.dtype)), b.getter(y)
-    return b.getter(x), b.getter(y)
-
-
-# ---------------------------------------------------------------------------
-# elementwise ufunc kernels (arena-backed out=)
-# ---------------------------------------------------------------------------
-
-def _binary_ufunc(ufunc, flops_per_elem: int = 1):
-    def build(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-        shape, dtype = _out_meta(rec)
-        getx, gety = _pair_getters(b, rec.args[0], rec.args[1])
-        b.request_arena(out_slot, shape, dtype)
+def _arena_run(fwd, gets, statics, slot: int) -> Callable[[list], None]:
+    # Specialised at build time so the common arities call the forward
+    # directly, with no per-call walk over an argument list.
+    if len(gets) == 1 and not statics:
+        (g0,) = gets
 
         def run(values: list) -> None:
-            ufunc(getx(values), gety(values), out=values[out_slot])
-
-        return Step(rec.op, run, out_slot, shape, dtype,
-                    flops=flops_per_elem * int(np.prod(shape, dtype=np.int64)),
-                    kind="arena")
-
-    return build
-
-
-def _unary_ufunc(ufunc, flops_per_elem: int = 1):
-    def build(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-        shape, dtype = _out_meta(rec)
-        getx = b.getter(rec.args[0])
-        b.request_arena(out_slot, shape, dtype)
+            fwd(g0(values), out=values[slot])
+    elif len(gets) == 1:
+        (g0,) = gets
 
         def run(values: list) -> None:
-            ufunc(getx(values), out=values[out_slot])
+            fwd(g0(values), *statics, out=values[slot])
+    elif len(gets) == 2 and not statics:
+        g0, g1 = gets
 
-        return Step(rec.op, run, out_slot, shape, dtype,
-                    flops=flops_per_elem * int(np.prod(shape, dtype=np.int64)),
-                    kind="arena")
-
-    return build
-
-
-KERNELS["add"] = _binary_ufunc(np.add)
-KERNELS["sub"] = _binary_ufunc(np.subtract)
-KERNELS["mul"] = _binary_ufunc(np.multiply)
-KERNELS["div"] = _binary_ufunc(np.divide)
-KERNELS["maximum"] = _binary_ufunc(np.maximum)
-KERNELS["minimum"] = _binary_ufunc(np.minimum)
-KERNELS["neg"] = _unary_ufunc(np.negative)
-KERNELS["exp"] = _unary_ufunc(np.exp, 8)
-KERNELS["log"] = _unary_ufunc(np.log, 8)
-KERNELS["sqrt"] = _unary_ufunc(np.sqrt, 4)
-KERNELS["tanh"] = _unary_ufunc(np.tanh, 8)
-KERNELS["sin"] = _unary_ufunc(np.sin, 8)
-KERNELS["cos"] = _unary_ufunc(np.cos, 8)
-KERNELS["abs_"] = _unary_ufunc(np.absolute)
-KERNELS["sigmoid"] = _unary_ufunc(_sp_special.expit, 8)
+        def run(values: list) -> None:
+            fwd(g0(values), g1(values), out=values[slot])
+    else:
+        def run(values: list) -> None:
+            fwd(*[get(values) for get in gets], *statics, out=values[slot])
+    return run
 
 
-@kernel("square")
-def _build_square(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
+def _value_run(fwd, gets, statics, slot: int) -> Callable[[list], None]:
+    if len(gets) == 1:
+        (g0,) = gets
+
+        def run(values: list) -> None:
+            values[slot] = fwd(g0(values), *statics)
+    elif len(gets) == 2 and not statics:
+        g0, g1 = gets
+
+        def run(values: list) -> None:
+            values[slot] = fwd(g0(values), g1(values))
+    else:
+        def run(values: list) -> None:
+            values[slot] = fwd(*[get(values) for get in gets], *statics)
+    return run
+
+
+def _lower_generic(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int) -> Step:
     shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    b.request_arena(out_slot, shape, dtype)
-
-    def run(values: list) -> None:
-        x = getx(values)
-        np.multiply(x, x, out=values[out_slot])
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=int(np.prod(shape, dtype=np.int64)), kind="arena")
-
-
-@kernel("pow_")
-def _build_pow(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    exponent = float(rec.args[1])
-    b.request_arena(out_slot, shape, dtype)
-
-    def run(values: list) -> None:
-        np.power(getx(values), exponent, out=values[out_slot])
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=8 * int(np.prod(shape, dtype=np.int64)), kind="arena")
-
-
-@kernel("relu")
-def _build_relu(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    b.request_arena(out_slot, shape, dtype)
-
-    def run(values: list) -> None:
-        np.maximum(getx(values), 0.0, out=values[out_slot])
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=int(np.prod(shape, dtype=np.int64)), kind="arena")
-
-
-@kernel("gelu")
-def _build_gelu(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    b.request_arena(out_slot, shape, dtype)
-
-    def run(values: list) -> None:
-        # Mirrors ops.gelu step for step; the final multiply is written
-        # operand-swapped into the same buffer (IEEE multiplication is
-        # commutative at the bit level).
-        x = getx(values)
-        buf = values[out_slot]
-        np.divide(x, _SQRT_2, out=buf)
-        _sp_special.erf(buf, out=buf)
-        buf += 1.0
-        buf *= 0.5
-        np.multiply(buf, x, out=buf)
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=12 * int(np.prod(shape, dtype=np.int64)), kind="arena")
-
-
-@kernel("clip")
-def _build_clip(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    lo, hi = rec.args[1], rec.args[2]
-    b.request_arena(out_slot, shape, dtype)
-
-    def run(values: list) -> None:
-        np.clip(getx(values), lo, hi, out=values[out_slot])
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=2 * int(np.prod(shape, dtype=np.int64)), kind="arena")
-
-
-@kernel("where")
-def _build_where(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    cond = rec.args[0]
-    cond_arr = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
-    getc = b.getter(cond) if isinstance(cond, Tensor) else None
-    getx, gety = _pair_getters(b, rec.args[1], rec.args[2])
-
-    def run(values: list) -> None:
-        c = np.asarray(getc(values), dtype=bool) if getc is not None else cond_arr
-        values[out_slot] = np.where(c, getx(values), gety(values))
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=int(np.prod(shape, dtype=np.int64)), fresh=True)
+    params = spec.bind(rec.args, rec.kwargs)
+    operands, statics = params[:spec.arity], tuple(params[spec.arity:])
+    if spec.weak:
+        operands[-2:] = weak_pair(*operands[-2:])
+    gets = [_operand_getter(b, value) for value in operands]
+    if callable(spec.flops):
+        flops = spec.flops(rec.out.data, *[p.data if isinstance(p, Tensor) else p for p in params])
+    else:
+        flops = spec.flops * int(np.prod(shape, dtype=np.int64))
+    if spec.out == "arena":
+        b.request_arena(out_slot, shape, dtype)
+        return Step(rec.op, _arena_run(spec.forward, gets, statics, out_slot), out_slot,
+                    shape, dtype, flops=flops, kind="arena")
+    run = _value_run(spec.forward, gets, statics, out_slot)
+    if spec.out == "view":
+        src_slot = b.slot_for(operands[0]) if isinstance(operands[0], Tensor) else None
+        if src_slot is not None:
+            b.mark_view(out_slot, src_slot)
+        return Step(rec.op, run, out_slot, shape, dtype, flops=flops, kind="view")
+    return Step(rec.op, run, out_slot, shape, dtype, flops=flops, fresh=True,
+                kind="spectral" if spec.out == "spectral" else "transient")
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# dedicated builders
 # ---------------------------------------------------------------------------
 
-@kernel("channel_linear")
-def _build_channel_linear(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
+def _lower_pad(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int) -> Step:
     shape, dtype = _out_meta(rec)
-    x, weight = rec.args[0], rec.args[1]
-    bias = rec.args[2] if len(rec.args) > 2 else rec.kwargs.get("bias")
+    x, pad_width, constant_value = spec.bind(rec.args, rec.kwargs)
     getx = b.getter(x)
-    getw = b.getter(weight)
-    getbias = b.getter(bias) if bias is not None else None
-    batch, cin = x.data.shape[0], x.data.shape[1]
-    cout = shape[1]
-    n_grid = int(np.prod(shape[2:], dtype=np.int64)) if len(shape) > 2 else 1
-    b.request_arena(out_slot, shape, dtype)
-
-    def run(values: list) -> None:
-        flat = getx(values).reshape(batch, cin, -1)
-        oflat = values[out_slot].reshape(batch, cout, -1)
-        np.matmul(getw(values).T, flat, out=oflat)
-        if getbias is not None:
-            oflat += getbias(values)[:, None]
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=2 * batch * cin * cout * n_grid, kind="arena")
-
-
-@kernel("matmul")
-def _build_matmul(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    # Kept transient and allocation-identical to the eager op: BLAS may
-    # pick a different accumulation path when handed an ``out=`` buffer
-    # of unusual layout, and matmul here is off the FNO hot path anyway.
-    shape, dtype = _out_meta(rec)
-    getx, gety = _pair_getters(b, rec.args[0], rec.args[1])
-    k = rec.args[0].data.shape[-1] if isinstance(rec.args[0], Tensor) else 1
-
-    def run(values: list) -> None:
-        values[out_slot] = getx(values) @ gety(values)
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=2 * k * int(np.prod(shape, dtype=np.int64)), fresh=True)
-
-
-@kernel("dot")
-def _build_dot(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx, gety = _pair_getters(b, rec.args[0], rec.args[1])
-
-    def run(values: list) -> None:
-        values[out_slot] = np.asarray(np.vdot(getx(values), gety(values)))
-
-    return Step(rec.op, run, out_slot, shape, dtype, flops=0, fresh=True)
-
-
-# ---------------------------------------------------------------------------
-# shape manipulation
-# ---------------------------------------------------------------------------
-
-@kernel("reshape")
-def _build_reshape(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    src = rec.args[0]
-    getx = b.getter(src)
-    target = rec.args[1]
-    src_slot = b.slot_for(src) if isinstance(src, Tensor) else None
-    if src_slot is not None:
-        b.mark_view(out_slot, src_slot)
-
-    def run(values: list) -> None:
-        values[out_slot] = getx(values).reshape(target)
-
-    return Step(rec.op, run, out_slot, shape, dtype, kind="view")
-
-
-@kernel("transpose")
-def _build_transpose(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    src = rec.args[0]
-    getx = b.getter(src)
-    axes = rec.args[1] if len(rec.args) > 1 else rec.kwargs.get("axes")
-    if axes is None:
-        axes = tuple(reversed(range(src.data.ndim)))
-    axes = tuple(axes)
-    src_slot = b.slot_for(src) if isinstance(src, Tensor) else None
-    if src_slot is not None:
-        b.mark_view(out_slot, src_slot)
-
-    def run(values: list) -> None:
-        values[out_slot] = getx(values).transpose(axes)
-
-    return Step(rec.op, run, out_slot, shape, dtype, kind="view")
-
-
-@kernel("moveaxis")
-def _build_moveaxis(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    src = rec.args[0]
-    getx = b.getter(src)
-    source, destination = rec.args[1], rec.args[2]
-    src_slot = b.slot_for(src) if isinstance(src, Tensor) else None
-    if src_slot is not None:
-        b.mark_view(out_slot, src_slot)
-
-    def run(values: list) -> None:
-        values[out_slot] = np.moveaxis(getx(values), source, destination)
-
-    return Step(rec.op, run, out_slot, shape, dtype, kind="view")
-
-
-@kernel("broadcast_to")
-def _build_broadcast_to(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    target = tuple(rec.args[1])
-
-    def run(values: list) -> None:
-        values[out_slot] = np.broadcast_to(getx(values), target).copy()
-
-    return Step(rec.op, run, out_slot, shape, dtype, fresh=True)
-
-
-@kernel("roll")
-def _build_roll(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    shift, axis = rec.args[1], rec.args[2]
-
-    def run(values: list) -> None:
-        values[out_slot] = np.roll(getx(values), shift, axis=axis)
-
-    return Step(rec.op, run, out_slot, shape, dtype, fresh=True)
-
-
-@kernel("getitem")
-def _build_getitem(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    index = rec.args[1]
-    b.request_arena(out_slot, shape, dtype)
-
-    def run(values: list) -> None:
-        np.copyto(values[out_slot], getx(values)[index])
-
-    return Step(rec.op, run, out_slot, shape, dtype, kind="arena")
-
-
-@kernel("pad")
-def _build_pad(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    src = rec.args[0]
-    getx = b.getter(src)
-    pad_width = np.asarray(rec.args[1] if len(rec.args) > 1 else rec.kwargs["pad_width"])
-    constant_value = float(
-        rec.args[2] if len(rec.args) > 2 else rec.kwargs.get("constant_value", 0.0)
-    )
-    if pad_width.ndim == 1:
-        pad_width = np.broadcast_to(pad_width, (src.data.ndim, 2))
-    interior = tuple(
-        slice(int(before), int(before) + dim)
-        for (before, _after), dim in zip(pad_width, src.data.shape)
-    )
+    fwd = spec.forward
+    constant_value = float(constant_value)
 
     def init(buf: np.ndarray) -> None:
         buf.fill(constant_value)
@@ -388,17 +146,15 @@ def _build_pad(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
     b.request_arena(out_slot, shape, dtype, init=init, reusable=False)
 
     def run(values: list) -> None:
-        np.copyto(values[out_slot][interior], getx(values))
+        fwd(getx(values), pad_width, constant_value, out=values[out_slot])
 
     return Step(rec.op, run, out_slot, shape, dtype, kind="arena")
 
 
-@kernel("concatenate")
-def _build_concatenate(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
+def _lower_concatenate(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int) -> Step:
     shape, dtype = _out_meta(rec)
-    tensors = list(rec.args[0])
-    axis = int(rec.args[1] if len(rec.args) > 1 else rec.kwargs.get("axis", 0))
-    axis %= len(shape)
+    tensors, axis = spec.bind(rec.args, rec.kwargs)
+    axis = int(axis) % len(shape)
     offsets = np.cumsum(
         [0] + [(t.data if isinstance(t, Tensor) else np.asarray(t)).shape[axis] for t in tensors]
     )
@@ -437,66 +193,9 @@ def _build_concatenate(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
     return Step(rec.op, run, out_slot, shape, dtype, kind="arena")
 
 
-@kernel("stack")
-def _build_stack(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    tensors = list(rec.args[0])
-    axis = int(rec.args[1] if len(rec.args) > 1 else rec.kwargs.get("axis", 0))
-    axis %= len(shape)
-
-    pieces = []
-    for i, t in enumerate(tensors):
-        idx = [slice(None)] * len(shape)
-        idx[axis] = i
-        pieces.append((tuple(idx), b.getter(t)))
-    b.request_arena(out_slot, shape, dtype)
-
-    def run(values: list) -> None:
-        buf = values[out_slot]
-        for reg, get in pieces:
-            np.copyto(buf[reg], get(values))
-
-    return Step(rec.op, run, out_slot, shape, dtype, kind="arena")
-
-
 # ---------------------------------------------------------------------------
-# reductions
+# spectral convolution: fixed-shape replays
 # ---------------------------------------------------------------------------
-
-@kernel("sum_")
-def _build_sum(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    axis = rec.args[1] if len(rec.args) > 1 else rec.kwargs.get("axis")
-    keepdims = bool(rec.args[2] if len(rec.args) > 2 else rec.kwargs.get("keepdims", False))
-
-    def run(values: list) -> None:
-        values[out_slot] = np.asarray(getx(values).sum(axis=axis, keepdims=keepdims))
-
-    return Step(rec.op, run, out_slot, shape, dtype, fresh=True)
-
-
-@kernel("mean")
-def _build_mean(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    getx = b.getter(rec.args[0])
-    axis = rec.args[1] if len(rec.args) > 1 else rec.kwargs.get("axis")
-    keepdims = bool(rec.args[2] if len(rec.args) > 2 else rec.kwargs.get("keepdims", False))
-
-    def run(values: list) -> None:
-        values[out_slot] = np.asarray(getx(values).mean(axis=axis, keepdims=keepdims))
-
-    return Step(rec.op, run, out_slot, shape, dtype, fresh=True)
-
-
-# ---------------------------------------------------------------------------
-# fused spectral ops
-# ---------------------------------------------------------------------------
-
-def _fft_flops(batch: int, channels: int, spatial: tuple[int, ...]) -> int:
-    n = int(np.prod(spatial, dtype=np.int64))
-    return int(5 * batch * channels * n * max(1.0, math.log2(max(n, 2))))
-
 
 def _mode_contraction(subscripts: str, x_shape, w_shape, ctype) -> Callable:
     """A call-time replayer for ``fft_ops._mode_einsum`` at fixed shapes.
@@ -608,71 +307,54 @@ def _fft_transforms(x_shape, y_shape, axes, s, rtype, ctype):
     return fwd, inv
 
 
-@kernel("spectral_conv")
-def _build_spectral_conv(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
+def _lower_spectral_conv(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int) -> Step:
     shape, dtype = _out_meta(rec)
-    x, wr, wi = rec.args[0], rec.args[1], rec.args[2]
-    modes = tuple(rec.args[3])
+    x, wr, wi, modes = spec.bind(rec.args, rec.kwargs)
+    modes = tuple(modes)
     d = len(modes)
     getx, getwr, getwi = b.getter(x), b.getter(wr), b.getter(wi)
     B, Cin = x.data.shape[:2]
     grid = x.data.shape[2:]
     Cout = wr.data.shape[2]
-    spec = grid[:-1] + (grid[-1] // 2 + 1,)
+    spec_shape = grid[:-1] + (grid[-1] // 2 + 1,)
     idx = [(slice(None), slice(None)) + blk for blk in fft_ops.mode_blocks(grid, modes)]
     ctype = np.complex64 if dtype == np.float32 else np.complex128
-    axes = tuple(range(-d, 0))
     xs, ws, ys = fft_ops._subscripts(d)
     # The non-retained modes stay zero for the plan's lifetime: the block
     # slices are disjoint and fully rewritten each call, so zeroing once
     # at materialisation reproduces the eager per-call np.zeros exactly.
-    y_slot = b.scratch_slot((B, Cout) + spec, ctype, init=lambda buf: buf.fill(0.0))
+    y_slot = b.scratch_slot((B, Cout) + spec_shape, ctype, init=lambda buf: buf.fill(0.0))
     contract = _mode_contraction(
         f"{xs},{ws}->{ys}", (B, Cin) + modes, (Cin, Cout) + modes, ctype
     )
     fwd, inv = _fft_transforms(
-        (B, Cin) + grid, (B, Cout) + spec, axes, grid, dtype, ctype
+        (B, Cin) + grid, (B, Cout) + spec_shape, tuple(range(-d, 0)), grid, dtype, ctype
     )
+    forward, weights = spec.forward, fft_ops.complex_weights
 
     def run(values: list) -> None:
-        X = fwd(getx(values))
-        W = getwr(values) + 1j * getwi(values)
-        Y = values[y_slot]
-        for bi, ix in enumerate(idx):
-            Y[ix] = contract(X[ix], W[bi])
-        values[out_slot] = inv(Y).astype(dtype, copy=False)
+        values[out_slot], _ = forward(
+            getx(values), weights(getwr(values), getwi(values)), idx,
+            fwd, inv, contract, values[y_slot],
+        )
 
-    flops = (2 * _fft_flops(B, Cin + Cout, grid)
+    flops = (2 * fft_ops.fft_flops(B, Cin + Cout, grid)
              + 8 * B * Cin * Cout * len(idx) * math.prod(modes))
     return Step(rec.op, run, out_slot, shape, dtype, flops=flops, fresh=True,
                 kind="spectral")
 
 
-@kernel("solenoidal_projection_2d")
-def _build_solenoidal(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-    shape, dtype = _out_meta(rec)
-    x = rec.args[0]
-    length = float(rec.args[1] if len(rec.args) > 1 else rec.kwargs.get("length", 2.0 * np.pi))
-    getx = b.getter(x)
-    B, C, n1, n2 = x.data.shape
-    kx, ky, inv_k2 = fft_ops.projection_multipliers(n1, n2, length, x.data.dtype)
-
-    def run(values: list) -> None:
-        values[out_slot] = fft_ops.solenoidal_apply_2d(getx(values), kx, ky, inv_k2)
-
-    return Step(rec.op, run, out_slot, shape, dtype,
-                flops=2 * _fft_flops(B, C, (n1, n2)), fresh=True, kind="spectral")
+# ``einsum`` is refused: its gradient-era parsing and optimize=True
+# contraction paths make an equivalence claim untestable in general.
+# Models built on it (DeepONet) fall back to eager execution via
+# UnsupportedOpError at plan-build time.
+def _refuse(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int) -> Step:
+    raise UnsupportedOpError(f"op {rec.op!r} is not supported by the compiler")
 
 
-# ``einsum`` is deliberately absent: its gradient-era parsing and
-# optimize=True contraction paths make an out=-form equivalence claim
-# untestable in general.  Models built on it (DeepONet) fall back to
-# eager execution via UnsupportedOpError at plan-build time.
-def _unsupported(name: str):
-    def build(b: PlanBuilder, rec: TraceRecord, out_slot: int) -> Step:
-        raise UnsupportedOpError(f"op {name!r} is not supported by the compiler")
-
-    return build
-
-
-KERNELS["einsum"] = _unsupported("einsum")
+_BUILDERS = {
+    "pad": _lower_pad,
+    "concatenate": _lower_concatenate,
+    "spectral_conv": _lower_spectral_conv,
+    "einsum": _refuse,
+}

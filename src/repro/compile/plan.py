@@ -9,10 +9,11 @@ traced intermediate to either a preallocated buffer (written with
 
 Guarantees:
 
-* **Bitwise equivalence.**  Every kernel replicates the eager op's
-  arithmetic exactly — same ufunc loops, same contraction order, same
-  scalar-promotion rules — so ``plan.execute(x)`` is bit-for-bit equal to
-  the no-grad eager forward (property-tested in ``tests/test_compile.py``).
+* **Bitwise equivalence.**  Every step calls the eager op's own forward
+  from the primitive table (:data:`repro.tensor.recording.PRIMITIVES`),
+  with the same weak-scalar rule, so ``plan.execute(x)`` is bit-for-bit
+  equal to the no-grad eager forward (property-tested per op in
+  ``tests/test_compile.py``).
 * **No aliasing of user-visible outputs.**  When the final value lives in
   the arena (or is a view of it), :meth:`CompiledPlan.execute` returns a
   copy; arena storage is never handed to callers.
@@ -21,8 +22,8 @@ Guarantees:
   ``load_state_dict`` (which replaces the data array) takes effect on the
   next execution without retracing.
 
-Ops without a registered kernel (notably ``einsum``, used by DeepONet)
-raise :class:`UnsupportedOpError` at build time; the runtime records the
+Ops the compiler refuses (``einsum``, used by DeepONet) raise
+:class:`UnsupportedOpError` at build time; the runtime records the
 failure and serves those models eagerly forever after.
 """
 
@@ -84,9 +85,9 @@ class _ArenaRequest:
 
 
 class PlanBuilder:
-    """Mutable state threaded through the kernel builders.
+    """Mutable state threaded through op lowering.
 
-    Kernel builders use three services: :meth:`getter` (resolve an op
+    Lowering uses three services: :meth:`getter` (resolve an op
     argument to a ``values``-list accessor, registering the read for
     liveness), :meth:`request_arena` (claim a preallocated buffer for a
     slot), and :meth:`scratch_slot` (a hidden arena slot not tied to any
@@ -198,20 +199,16 @@ def build_plan(
     model_name: str = "model",
 ) -> "CompiledPlan":
     """Lower a recorded schedule into a :class:`CompiledPlan`."""
-    from .kernels import KERNELS  # late import: kernels imports this module
+    from .kernels import lower  # late import: kernels imports this module
 
     if not recorder.records:
         raise UnsupportedOpError("trace recorded no ops (nothing to compile)")
 
     builder = PlanBuilder(recorder, input_tensor)
     for rec in recorder.records:
-        build = KERNELS.get(rec.op)
-        if build is None:
-            raise UnsupportedOpError(f"op {rec.op!r} has no compiled kernel")
         out_slot = builder.new_slot(rec.out)
         builder.begin_step()
-        step = build(builder, rec, out_slot)
-        builder.end_step(step)
+        builder.end_step(lower(builder, rec, out_slot))
 
     output_slot = builder.slot_for(output_tensor)
     if output_slot is None:

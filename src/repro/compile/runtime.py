@@ -10,9 +10,9 @@ execution failure).
 
 Cache structure and coherence:
 
-* Keys are weak on the model object — plans die with their model, so the
-  serve registry's LRU/mtime eviction drops plan memory automatically
-  once its hook (``serve.registry``) calls :func:`invalidate`.
+* Keys are weak on the model object — plans die with their model, and
+  the serve registry's LRU/mtime eviction drops them at once:
+  ``serve.registry._drop_compiled_plans`` calls :func:`invalidate`.
 * Per model, plans are kept in a small LRU keyed by
   ``(batch_shape, dtype)``; unseen shapes trace a new plan rather than
   failing, and models whose trace is uncompilable are negatively cached

@@ -41,14 +41,16 @@ def read_records(path, required: tuple[str, ...] = ("type",)) -> list[dict]:
     """Parse every complete JSONL record of ``path``; a torn final line
     is dropped.
 
-    A record is a dict holding every key in ``required``.  Raises
-    :class:`JournalError` for malformed lines that are *not* the tail —
-    those cannot be explained by an interrupted append — and
-    ``FileNotFoundError`` when there is no file.
+    A record is a dict holding every key in ``required``.  The tail is the
+    last non-blank line.  Raises :class:`JournalError` for malformed lines
+    that are *not* the tail — those cannot be explained by an interrupted
+    append — and ``FileNotFoundError`` when there is no file.  This is the
+    one JSONL reader: journals and trace files (:func:`repro.obs.trace.load_trace`)
+    share its torn-tail rule.
     """
     lines = Path(path).read_bytes().decode("utf-8", errors="replace").splitlines()
     records: list[dict] = []
-    last = len(lines) - 1
+    last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:

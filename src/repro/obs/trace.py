@@ -208,26 +208,13 @@ def load_trace(path) -> list[SpanRecord]:
 
     A malformed *final* line is dropped instead: the tracer writes one
     record per syscall, so a crashed process can leave at most a torn
-    tail — that must not make the rest of the trace unreadable.
+    tail — that must not make the rest of the trace unreadable.  The
+    rule is :func:`repro.jobs.journal.read_records`'s, which raises
+    :class:`~repro.jobs.journal.JournalError` (a ``ValueError``).
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, 1)]
-    lines = [(lineno, line) for lineno, line in lines if line]
-    records: list[SpanRecord] = []
-    for i, (lineno, line) in enumerate(lines):
-        is_tail = i == len(lines) - 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if is_tail:
-                break  # torn tail from an interrupted write
-            raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})") from None
-        if not isinstance(obj, dict) or "type" not in obj:
-            if is_tail:
-                break
-            raise ValueError(f"{path}:{lineno}: trace records must be objects with 'type'")
-        records.append(SpanRecord(obj))
-    return records
+    from ..jobs.journal import read_records  # lazy: repro.jobs imports obs
+
+    return [SpanRecord(record) for record in read_records(path)]
 
 
 class _Node:

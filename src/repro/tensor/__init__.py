@@ -18,53 +18,12 @@ from .fft_ops import (
     solenoidal_projection_2d,
     spectral_conv,
 )
-from .ops import (
-    abs_,
-    add,
-    broadcast_to,
-    clip,
-    concatenate,
-    cos,
-    div,
-    dot,
-    einsum,
-    exp,
-    gelu,
-    getitem,
-    log,
-    matmul,
-    maximum,
-    mean,
-    minimum,
-    moveaxis,
-    mul,
-    neg,
-    pad,
-    pow_,
-    relu,
-    reshape,
-    roll,
-    sigmoid,
-    sin,
-    sqrt,
-    square,
-    stack,
-    sub,
-    sum_,
-    tanh,
-    transpose,
-    var,
-    where,
-)
+from .ops import *  # noqa: F403 -- the differentiable primitives (ops.__all__)
 from .tensor import Tensor, is_grad_enabled, no_grad, unbroadcast
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "unbroadcast",
     "ops", "fft_ops", "recording", "spectral_conv", "solenoidal_projection_2d",
     "batch_invariant_kernels", "batch_invariant_enabled", "fft_workers", "set_fft_workers",
-    "add", "sub", "mul", "div", "neg", "pow_", "matmul", "einsum", "dot",
-    "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "gelu", "abs_", "sin",
-    "cos", "clip", "reshape", "transpose", "moveaxis", "getitem", "pad",
-    "concatenate", "stack", "sum_", "mean", "var", "maximum", "minimum", "roll",
-    "where", "broadcast_to", "square",
+    *ops.__all__,
 ]

@@ -32,6 +32,7 @@ in ``tests/test_fft_ops.py``.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -42,7 +43,7 @@ import numpy as np
 # input to complex128), which matters for float32 serving throughput.
 from scipy import fft as _fft
 
-from .recording import traced as _traced
+from .recording import primitive
 from .tensor import Tensor
 
 __all__ = [
@@ -209,6 +210,34 @@ def _subscripts(d: int) -> tuple[str, str, str]:
     return f"bi{axes}", f"io{axes}", f"bo{axes}"
 
 
+def fft_flops(batch: int, channels: int, spatial: tuple[int, ...]) -> int:
+    """FLOP estimate for one real FFT of ``batch * channels`` fields over ``spatial``."""
+    n = int(np.prod(spatial, dtype=np.int64))
+    return int(5 * batch * channels * n * max(1.0, math.log2(max(n, 2))))
+
+
+def complex_weights(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
+    """The complex mode weights ``wr + i wi`` of a spectral convolution."""
+    return wr + 1j * wi
+
+
+def spectral_forward(x, W, idx, rfftn, irfftn, contract, Y) -> tuple[np.ndarray, np.ndarray]:
+    """The Fourier layer's forward, shared by the eager op and compiled plans.
+
+    Transforms ``x`` with ``rfftn``, mixes each retained mode block
+    ``idx[b]`` with ``contract(X_block, W[b])`` into ``Y`` (which must be
+    zero outside the blocks), and returns ``(y, X)``: ``irfftn(Y)`` in
+    ``x``'s dtype and the spectrum ``X``.  The eager op passes the scipy wrappers, :func:`_mode_einsum`
+    and a fresh zeroed ``Y``; a plan passes fixed-shape replays of the
+    same calls and its zero-initialised arena buffer.
+    """
+    X = rfftn(x)
+    for b, ix in enumerate(idx):
+        Y[ix] = contract(X[ix], W[b])
+    return irfftn(Y).astype(x.dtype, copy=False), X
+
+
+@primitive(spectral_forward, out="spectral")
 def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> Tensor:
     """Differentiable Fourier-layer convolution over the trailing ``len(modes)`` axes.
 
@@ -246,24 +275,23 @@ def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> 
     xs, ws, ys = _subscripts(d)
 
     axes = tuple(range(-d, 0))
-    X = _fft.rfftn(x.data, axes=axes, workers=_FFT_WORKERS)
-    W = wr.data + 1j * wi.data
+    W = complex_weights(wr.data, wi.data)
     ctype = np.complex64 if x.data.dtype == np.float32 else np.complex128
-    Y = np.zeros((B, Cout) + spec, dtype=ctype)
     idx = [(slice(None), slice(None)) + blk for blk in blocks]
-    X_blocks = []
-    for b, ix in enumerate(idx):
-        Xb = X[ix]
-        X_blocks.append(Xb)
-        Y[ix] = _mode_einsum(f"{xs},{ws}->{ys}", Xb, W[b])
-    y = _fft.irfftn(Y, s=grid, axes=axes, workers=_FFT_WORKERS)
+    y, X = spectral_forward(
+        x.data, W, idx,
+        lambda a: _fft.rfftn(a, axes=axes, workers=_FFT_WORKERS),
+        lambda a: _fft.irfftn(a, s=grid, axes=axes, workers=_FFT_WORKERS),
+        lambda Xb, Wb: _mode_einsum(f"{xs},{ws}->{ys}", Xb, Wb),
+        np.zeros((B, Cout) + spec, dtype=ctype),
+    )
 
     def backward(g: np.ndarray) -> None:
         GY = irfftn_adjoint(g, axes=axes, s=grid)
         if wr.requires_grad or wi.requires_grad:
             gW = np.empty_like(W)
             for b, ix in enumerate(idx):
-                gW[b] = np.einsum(f"{ys},{xs}->{ws}", GY[ix], np.conj(X_blocks[b]), optimize=True)
+                gW[b] = np.einsum(f"{ys},{xs}->{ws}", GY[ix], np.conj(X[ix]), optimize=True)
             if wr.requires_grad:
                 wr._accumulate(gW.real)
             if wi.requires_grad:
@@ -274,18 +302,7 @@ def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> 
                 GX[ix] = np.einsum(f"{ys},{ws}->{xs}", GY[ix], np.conj(W[b]), optimize=True)
             x._accumulate(rfftn_adjoint(GX, axes=axes, s=grid))
 
-    return Tensor.from_op(y.astype(x.data.dtype, copy=False), (x, wr, wi), backward)
-
-
-# Wrapped at the bottom of the module once every op is defined.
-# Fused ops participate in trace recording like the generic primitives in
-# repro.tensor.ops (see repro.tensor.recording).  Rebinding here happens
-# before repro.tensor.__init__ re-exports the names, so every import path
-# resolves to the traced versions.
-def _wrap_traced_ops() -> None:
-    global spectral_conv, solenoidal_projection_2d
-    spectral_conv = _traced("spectral_conv", spectral_conv)
-    solenoidal_projection_2d = _traced("solenoidal_projection_2d", solenoidal_projection_2d)
+    return Tensor.from_op(y, (x, wr, wi), backward)
 
 
 def _projection_multipliers(n1: int, n2: int, length: float, dtype):
@@ -331,9 +348,8 @@ def solenoidal_apply_2d(
 ) -> np.ndarray:
     """Leray-project ``(B, 2S, n1, n2)`` velocity pairs (plain ndarray path).
 
-    Shared by the eager op below (forward and self-adjoint backward) and
-    by the compiled kernel in :mod:`repro.compile.kernels`, so both paths
-    run bit-identical arithmetic.
+    The eager op below calls it for its forward and its self-adjoint
+    backward; compiled plans reach it through :func:`_solenoidal_forward`.
     """
     B, C, n1, n2 = arr.shape
     axes, s = (-2, -1), (n1, n2)
@@ -350,6 +366,12 @@ def solenoidal_apply_2d(
     return out.reshape(B, C, n1, n2).astype(arr.dtype, copy=False)
 
 
+def _solenoidal_forward(x: np.ndarray, length: float = 2.0 * np.pi) -> np.ndarray:
+    return solenoidal_apply_2d(x, *projection_multipliers(*x.shape[2:], length, x.dtype))
+
+
+@primitive(_solenoidal_forward, out="spectral",
+           flops=lambda out, x, length=None: 2 * fft_flops(*x.shape[:2], x.shape[2:]))
 def solenoidal_projection_2d(x: Tensor, length: float = 2.0 * np.pi) -> Tensor:
     """Differentiable Leray projection of velocity pairs.
 
@@ -374,6 +396,3 @@ def solenoidal_projection_2d(x: Tensor, length: float = 2.0 * np.pi) -> Tensor:
         x._accumulate(solenoidal_apply_2d(g, kx, ky, inv_k2))
 
     return Tensor.from_op(y, (x,), backward)
-
-
-_wrap_traced_ops()

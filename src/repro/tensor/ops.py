@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _sp_special
 
-from .recording import traced as _traced
+from .recording import primitive
 from .tensor import Tensor, unbroadcast
 
 __all__ = [
@@ -36,17 +36,29 @@ def _t(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _t2(a, b) -> tuple[Tensor, Tensor]:
-    """Coerce a binary-op operand pair to tensors.
+def _is_weak(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    A bare Python scalar adopts the tensor operand's dtype (NEP-50 weak
-    scalar semantics): ``x32 * 0.5`` stays float32 instead of the literal
-    widening the whole pipeline to float64.
+
+def weak_pair(a, b) -> tuple:
+    """Apply the weak-scalar rule to a binary-op operand pair.
+
+    A bare Python scalar paired with a tensor becomes a 0-d array of the
+    tensor's dtype (NEP-50 weak scalar semantics): ``x32 * 0.5`` stays
+    float32 instead of the literal widening the whole pipeline to float64.
+    Any other pair is returned unchanged.  Eager coercion and compiled
+    plans both resolve their operands through this one rule.
     """
-    if isinstance(a, Tensor) and not isinstance(b, Tensor) and isinstance(b, (int, float)) and not isinstance(b, bool):
-        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
-    if isinstance(b, Tensor) and not isinstance(a, Tensor) and isinstance(a, (int, float)) and not isinstance(a, bool):
-        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    if isinstance(a, Tensor) and _is_weak(b):
+        return a, np.asarray(b, dtype=a.data.dtype)
+    if isinstance(b, Tensor) and _is_weak(a):
+        return np.asarray(a, dtype=b.data.dtype), b
+    return a, b
+
+
+def _t2(a, b) -> tuple[Tensor, Tensor]:
+    """Coerce a binary-op operand pair to tensors (see :func:`weak_pair`)."""
+    a, b = weak_pair(a, b)
     return _t(a), _t(b)
 
 
@@ -54,9 +66,10 @@ def _t2(a, b) -> tuple[Tensor, Tensor]:
 # arithmetic
 # ---------------------------------------------------------------------------
 
+@primitive(np.add, arity=2, weak=True, flops=1)
 def add(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = a.data + b.data
+    out_data = np.add(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(unbroadcast(g, a.data.shape))
@@ -65,9 +78,10 @@ def add(a, b) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+@primitive(np.subtract, arity=2, weak=True, flops=1)
 def sub(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = a.data - b.data
+    out_data = np.subtract(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(unbroadcast(g, a.data.shape))
@@ -76,9 +90,10 @@ def sub(a, b) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+@primitive(np.multiply, arity=2, weak=True, flops=1)
 def mul(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = a.data * b.data
+    out_data = np.multiply(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -89,9 +104,10 @@ def mul(a, b) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+@primitive(np.divide, arity=2, weak=True, flops=1)
 def div(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = a.data / b.data
+    out_data = np.divide(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -102,20 +118,22 @@ def div(a, b) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+@primitive(np.negative, flops=1)
 def neg(a) -> Tensor:
     a = _t(a)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(-g)
 
-    return Tensor.from_op(-a.data, (a,), backward)
+    return Tensor.from_op(np.negative(a.data), (a,), backward)
 
 
+@primitive(np.power, flops=8)
 def pow_(a, exponent: float) -> Tensor:
     """Elementwise power with a *scalar* exponent."""
     a = _t(a)
     exponent = float(exponent)
-    out_data = a.data ** exponent
+    out_data = np.power(a.data, exponent)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g * exponent * a.data ** (exponent - 1.0))
@@ -123,9 +141,14 @@ def pow_(a, exponent: float) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(x, x, out=out)
+
+
+@primitive(_square, flops=1)
 def square(a) -> Tensor:
     a = _t(a)
-    out_data = a.data * a.data
+    out_data = _square(a.data)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(2.0 * g * a.data)
@@ -133,9 +156,14 @@ def square(a) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+# Kept transient (a fresh result per plan call): BLAS may pick a different
+# accumulation path when handed an ``out=`` buffer of unusual layout, and
+# matmul is off the FNO hot path anyway.
+@primitive(np.matmul, out="fresh", arity=2, weak=True,
+           flops=lambda out, a, b: 2 * np.shape(a)[-1] * out.size)
 def matmul(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = a.data @ b.data
+    out_data = np.matmul(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -154,10 +182,15 @@ def matmul(a, b) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.asarray(np.vdot(x, y))
+
+
+@primitive(_dot, out="fresh", arity=2, weak=True)
 def dot(a, b) -> Tensor:
     """Inner product of two flattened tensors."""
     a, b = _t2(a, b)
-    out_data = np.asarray(np.vdot(a.data, b.data))
+    out_data = _dot(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -189,6 +222,9 @@ def _parse_einsum(subscripts: str, n_ops: int) -> tuple[list[str], str]:
     return terms, out
 
 
+# Registered for tracing only: plans refuse it (see repro.compile.kernels),
+# so models built on it (DeepONet) run eagerly.
+@primitive(np.einsum, out="fresh")
 def einsum(subscripts: str, *operands) -> Tensor:
     """Differentiable einsum for one or two operands.
 
@@ -250,6 +286,20 @@ def einsum(subscripts: str, *operands) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+def _channel_linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    batch, cin = x.shape[:2]
+    cout = weight.shape[1]
+    if out is None:
+        out = np.empty((batch, cout) + x.shape[2:], dtype=np.result_type(weight, x))
+    out_flat = out.reshape(batch, cout, -1)
+    np.matmul(weight.T, x.reshape(batch, cin, -1), out=out_flat)
+    if bias is not None:
+        out_flat += bias[:, None]
+    return out
+
+
+@primitive(_channel_linear, arity=3, flops=lambda out, x, w, bias=None: 2 * x.shape[1] * out.size)
 def channel_linear(x, weight, bias=None) -> Tensor:
     """Pointwise channel mix ``y[b,o,...] = sum_i x[b,i,...] w[i,o] (+ bias[o])``.
 
@@ -269,15 +319,12 @@ def channel_linear(x, weight, bias=None) -> Tensor:
         raise ValueError(
             f"channel_linear got {x.data.shape[1]} input channels for weight {weight.data.shape}"
         )
-    batch, _, *grid = x.data.shape
+    batch = x.data.shape[0]
     out_channels = weight.data.shape[1]
     if bias is not None and bias.data.shape != (out_channels,):
         raise ValueError(f"channel_linear bias must have shape ({out_channels},)")
+    out_data = _channel_linear(x.data, weight.data, None if bias is None else bias.data)
     flat = x.data.reshape(batch, x.data.shape[1], -1)
-    out_flat = np.matmul(weight.data.T, flat)
-    if bias is not None:
-        out_flat += bias.data[:, None]
-    out_data = out_flat.reshape(batch, out_channels, *grid)
 
     def backward(g: np.ndarray) -> None:
         g_flat = g.reshape(batch, out_channels, -1)
@@ -309,6 +356,7 @@ def _expand_missing(g: np.ndarray, term: str, kept: list[str], size_map: dict[st
 # elementwise functions
 # ---------------------------------------------------------------------------
 
+@primitive(np.exp, flops=8)
 def exp(a) -> Tensor:
     a = _t(a)
     out_data = np.exp(a.data)
@@ -319,6 +367,7 @@ def exp(a) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+@primitive(np.log, flops=8)
 def log(a) -> Tensor:
     a = _t(a)
 
@@ -328,6 +377,7 @@ def log(a) -> Tensor:
     return Tensor.from_op(np.log(a.data), (a,), backward)
 
 
+@primitive(np.sqrt, flops=4)
 def sqrt(a) -> Tensor:
     a = _t(a)
     out_data = np.sqrt(a.data)
@@ -338,6 +388,7 @@ def sqrt(a) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+@primitive(np.tanh, flops=8)
 def tanh(a) -> Tensor:
     a = _t(a)
     out_data = np.tanh(a.data)
@@ -348,6 +399,7 @@ def tanh(a) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+@primitive(_sp_special.expit, flops=8)
 def sigmoid(a) -> Tensor:
     a = _t(a)
     out_data = _sp_special.expit(a.data)
@@ -358,9 +410,14 @@ def sigmoid(a) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
+
+
+@primitive(_relu, flops=1)
 def relu(a) -> Tensor:
     a = _t(a)
-    out_data = np.maximum(a.data, 0.0)
+    out_data = _relu(a.data)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g * (a.data > 0))
@@ -368,17 +425,35 @@ def relu(a) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The standard normal CDF ``0.5 (1 + erf(x/sqrt(2)))``, built in place.
+
+    At serving batch sizes these arrays fall out of cache, so every
+    avoided temporary is a real memory-traffic saving.
+    """
+    cdf = np.divide(x, _SQRT_2, out=out)
+    _sp_special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # IEEE multiplication is commutative at the bit level, so ``cdf * x``
+    # in place equals the eager op's ``x * cdf``.
+    cdf = _gelu_cdf(x, out)
+    return np.multiply(cdf, x, out=cdf)
+
+
+@primitive(_gelu, flops=12)
 def gelu(a) -> Tensor:
     """Exact Gaussian error linear unit: ``0.5 x (1 + erf(x/sqrt(2)))``."""
     a = _t(a)
     x = a.data
-    # Built in place: at serving batch sizes these arrays fall out of
-    # cache, so every avoided temporary is a real memory-traffic saving.
-    cdf = x / _SQRT_2
-    _sp_special.erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out_data = x * cdf
+    # The backward pass reads the CDF, so eager keeps it instead of
+    # multiplying in place as the plan forward does.
+    cdf = _gelu_cdf(x)
+    out_data = np.multiply(x, cdf)
 
     def backward(g: np.ndarray) -> None:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
@@ -387,15 +462,17 @@ def gelu(a) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+@primitive(np.absolute, flops=1)
 def abs_(a) -> Tensor:
     a = _t(a)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g * np.sign(a.data))
 
-    return Tensor.from_op(np.abs(a.data), (a,), backward)
+    return Tensor.from_op(np.absolute(a.data), (a,), backward)
 
 
+@primitive(np.sin, flops=8)
 def sin(a) -> Tensor:
     a = _t(a)
 
@@ -405,6 +482,7 @@ def sin(a) -> Tensor:
     return Tensor.from_op(np.sin(a.data), (a,), backward)
 
 
+@primitive(np.cos, flops=8)
 def cos(a) -> Tensor:
     a = _t(a)
 
@@ -414,6 +492,7 @@ def cos(a) -> Tensor:
     return Tensor.from_op(np.cos(a.data), (a,), backward)
 
 
+@primitive(np.clip, flops=2)
 def clip(a, lo: float, hi: float) -> Tensor:
     a = _t(a)
     out_data = np.clip(a.data, lo, hi)
@@ -424,6 +503,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+@primitive(np.maximum, arity=2, weak=True, flops=1)
 def maximum(a, b) -> Tensor:
     a, b = _t2(a, b)
     out_data = np.maximum(a.data, b.data)
@@ -438,6 +518,7 @@ def maximum(a, b) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+@primitive(np.minimum, arity=2, weak=True, flops=1)
 def minimum(a, b) -> Tensor:
     a, b = _t2(a, b)
     out_data = np.minimum(a.data, b.data)
@@ -452,6 +533,9 @@ def minimum(a, b) -> Tensor:
     return Tensor.from_op(out_data, (a, b), backward)
 
 
+# A plan passes ``cond`` as stored (float for a tensor); np.where reads
+# any nonzero element as true, exactly like the bool cast eager keeps.
+@primitive(np.where, out="fresh", arity=3, weak=True, flops=1)
 def where(cond, a, b) -> Tensor:
     cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
     a, b = _t2(a, b)
@@ -470,6 +554,7 @@ def where(cond, a, b) -> Tensor:
 # shape manipulation
 # ---------------------------------------------------------------------------
 
+@primitive(np.reshape, out="view")
 def reshape(a, shape) -> Tensor:
     a = _t(a)
     in_shape = a.data.shape
@@ -477,9 +562,10 @@ def reshape(a, shape) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(g.reshape(in_shape))
 
-    return Tensor.from_op(a.data.reshape(shape), (a,), backward)
+    return Tensor.from_op(np.reshape(a.data, shape), (a,), backward)
 
 
+@primitive(np.transpose, out="view")
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     a = _t(a)
     if axes is None:
@@ -490,9 +576,10 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(g.transpose(inv))
 
-    return Tensor.from_op(a.data.transpose(axes), (a,), backward)
+    return Tensor.from_op(np.transpose(a.data, axes), (a,), backward)
 
 
+@primitive(np.moveaxis, out="view")
 def moveaxis(a, source, destination) -> Tensor:
     a = _t(a)
 
@@ -502,29 +589,49 @@ def moveaxis(a, source, destination) -> Tensor:
     return Tensor.from_op(np.moveaxis(a.data, source, destination), (a,), backward)
 
 
+def _getitem(x: np.ndarray, index, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        return np.ascontiguousarray(x[index])
+    np.copyto(out, x[index])
+    return out
+
+
+@primitive(_getitem)
 def getitem(a, index) -> Tensor:
     a = _t(a)
-    out_data = a.data[index]
 
     def backward(g: np.ndarray) -> None:
         ga = np.zeros_like(a.data)
         np.add.at(ga, index, g)
         a._accumulate(ga)
 
-    return Tensor.from_op(np.ascontiguousarray(out_data), (a,), backward)
+    return Tensor.from_op(_getitem(a.data, index), (a,), backward)
 
 
+def pad_interior(pad_width, shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """Where an array of ``shape`` sits inside its constant padding."""
+    widths = np.broadcast_to(np.asarray(pad_width), (len(shape), 2))
+    return tuple(slice(int(before), int(before) + dim) for (before, _), dim in zip(widths, shape))
+
+
+def _pad(x: np.ndarray, pad_width, constant_value: float = 0.0,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Constant padding.  A given ``out`` must already hold the constant
+    outside the interior; plans write it once, when the buffer is made."""
+    if out is None:
+        widths = np.broadcast_to(np.asarray(pad_width), (x.ndim, 2))
+        shape = tuple(int(before) + dim + int(after) for (before, after), dim in zip(widths, x.shape))
+        out = np.full(shape, constant_value, dtype=x.dtype)
+    np.copyto(out[pad_interior(pad_width, x.shape)], x)
+    return out
+
+
+@primitive(_pad)
 def pad(a, pad_width, constant_value: float = 0.0) -> Tensor:
     """Constant-pad; ``pad_width`` follows :func:`numpy.pad` conventions."""
     a = _t(a)
-    pad_width = np.asarray(pad_width)
-    if pad_width.ndim == 1:
-        pad_width = np.broadcast_to(pad_width, (a.data.ndim, 2))
-    slices = tuple(
-        slice(int(before), int(before) + dim)
-        for (before, _after), dim in zip(pad_width, a.data.shape)
-    )
-    out_data = np.pad(a.data, pad_width, constant_values=constant_value)
+    slices = pad_interior(pad_width, a.data.shape)
+    out_data = _pad(a.data, pad_width, constant_value)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g[slices])
@@ -532,6 +639,7 @@ def pad(a, pad_width, constant_value: float = 0.0) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
+@primitive(np.concatenate)
 def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [_t(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -548,6 +656,7 @@ def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
     return Tensor.from_op(out_data, tuple(tensors), backward)
 
 
+@primitive(np.stack)
 def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [_t(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
@@ -561,6 +670,7 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     return Tensor.from_op(out_data, tuple(tensors), backward)
 
 
+@primitive(np.roll, out="fresh")
 def roll(a, shift, axis) -> Tensor:
     """Periodic roll along ``axis`` (differentiable; adjoint rolls back)."""
     a = _t(a)
@@ -571,6 +681,11 @@ def roll(a, shift, axis) -> Tensor:
     return Tensor.from_op(np.roll(a.data, shift, axis=axis), (a,), backward)
 
 
+def _broadcast_to(x: np.ndarray, shape) -> np.ndarray:
+    return np.broadcast_to(x, shape).copy()
+
+
+@primitive(_broadcast_to, out="fresh")
 def broadcast_to(a, shape) -> Tensor:
     a = _t(a)
     in_shape = a.data.shape
@@ -578,7 +693,7 @@ def broadcast_to(a, shape) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(unbroadcast(g, in_shape))
 
-    return Tensor.from_op(np.broadcast_to(a.data, shape).copy(), (a,), backward)
+    return Tensor.from_op(_broadcast_to(a.data, shape), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +711,31 @@ def _restore_reduced(g: np.ndarray, in_shape: tuple[int, ...], axis, keepdims: b
     return np.broadcast_to(g, in_shape)
 
 
+def _sum(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+    return np.asarray(x.sum(axis=axis, keepdims=keepdims))
+
+
+def _mean(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+    return np.asarray(x.mean(axis=axis, keepdims=keepdims))
+
+
+@primitive(_sum, out="fresh")
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _t(a)
     in_shape = a.data.shape
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = _sum(a.data, axis, keepdims)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(_restore_reduced(g, in_shape, axis, keepdims))
 
-    return Tensor.from_op(np.asarray(out_data), (a,), backward)
+    return Tensor.from_op(out_data, (a,), backward)
 
 
+@primitive(_mean, out="fresh")
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _t(a)
     in_shape = a.data.shape
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
+    out_data = _mean(a.data, axis, keepdims)
     count = a.data.size if axis is None else np.prod(
         [in_shape[ax % len(in_shape)] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
@@ -618,36 +743,17 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(_restore_reduced(g, in_shape, axis, keepdims) / count)
 
-    return Tensor.from_op(np.asarray(out_data), (a,), backward)
+    return Tensor.from_op(out_data, (a,), backward)
 
 
+# Not a primitive: its output Tensor *is* its internal ``mean``'s output,
+# so registering (and so tracing) it would record that tensor twice.
 def var(a, axis=None, keepdims: bool = False) -> Tensor:
     """Biased (population) variance, differentiable."""
     a = _t(a)
     mu = mean(a, axis=axis, keepdims=True)
     centered = sub(a, mu)
     return mean(square(centered), axis=axis, keepdims=keepdims)
-
-
-# ---------------------------------------------------------------------------
-# trace recording (inference compiler)
-# ---------------------------------------------------------------------------
-
-# Every primitive is wrapped so repro.compile can record op schedules (see
-# repro.tensor.recording).  ``var`` is deliberately excluded: it is a
-# composite whose output Tensor *is* its internal ``mean``'s output, and
-# wrapping it would record that tensor twice.  The dunders installed below
-# use late-binding lambdas, so they dispatch to the wrapped functions too.
-_TRACED_OPS = (
-    "add", "sub", "mul", "div", "neg", "pow_", "square", "matmul", "dot",
-    "einsum", "channel_linear", "exp", "log", "sqrt", "tanh", "sigmoid",
-    "relu", "gelu", "abs_", "sin", "cos", "clip", "maximum", "minimum",
-    "where", "reshape", "transpose", "moveaxis", "getitem", "pad",
-    "concatenate", "stack", "roll", "broadcast_to", "sum_", "mean",
-)
-for _name in _TRACED_OPS:
-    globals()[_name] = _traced(_name, globals()[_name])
-del _name
 
 
 # ---------------------------------------------------------------------------

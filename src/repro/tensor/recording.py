@@ -2,12 +2,14 @@
 
 :mod:`repro.compile` builds frozen execution plans by running a model's
 ``forward`` once under a recording context and capturing the linear
-sequence of tensor primitives it executes.  This module owns the hook:
-every differentiable primitive in :mod:`repro.tensor.ops` and every fused
-spectral op in :mod:`repro.tensor.fft_ops` is wrapped with :func:`traced`
-at module-definition time, so the wrapped function *is* the public op —
-``from repro.tensor import gelu`` and the installed ``Tensor`` dunders
-both resolve to it.
+sequence of tensor primitives it executes.  This module owns the hook
+and the op table: every differentiable primitive in
+:mod:`repro.tensor.ops` and every fused spectral op in
+:mod:`repro.tensor.fft_ops` is registered with :func:`primitive` at
+module-definition time, which records its shared forward in
+:data:`PRIMITIVES` and wraps it with :func:`traced`, so the wrapped
+function *is* the public op — ``from repro.tensor import gelu`` and the
+installed ``Tensor`` dunders both resolve to it.
 
 Design constraints:
 
@@ -28,13 +30,17 @@ Design constraints:
 from __future__ import annotations
 
 import functools
+import inspect
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .tensor import Tensor
 
-__all__ = ["TraceRecord", "Recorder", "traced", "recording_active"]
+__all__ = [
+    "TraceRecord", "Recorder", "traced", "recording_active",
+    "Primitive", "PRIMITIVES", "primitive",
+]
 
 
 @dataclass
@@ -144,3 +150,59 @@ def traced(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
 
     wrapper.__wrapped_op__ = name  # type: ignore[attr-defined]
     return wrapper
+
+
+# ---------------------------------------------------------------------------
+# the op table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Primitive:
+    """One traced op: its array forward and what a plan needs to lower it.
+
+    ``forward`` takes the op's arguments in the public op's order, with
+    arrays in place of tensors.  It writes into ``out=`` when given a
+    buffer and allocates when not; the eager op calls it without a buffer,
+    a compiled plan with its arena buffer.  ``out`` says what a plan step
+    produces: ``"arena"`` (writes ``out=``), ``"view"`` (a view of its
+    first operand), ``"fresh"`` (a new array per call) or ``"spectral"``
+    (a fresh FFT-backed array).  ``flops`` is the estimate per output
+    element, or ``flops(out, *args)`` for the whole step.  The first
+    ``arity`` arguments are array operands, the rest are static; with
+    ``weak`` the last two operands follow the weak-scalar rule
+    (:func:`repro.tensor.ops.weak_pair`).
+    """
+
+    name: str
+    forward: Callable[..., Any]
+    out: str
+    flops: int | Callable[..., int]
+    arity: int
+    weak: bool
+    signature: inspect.Signature
+
+    def bind(self, args: tuple, kwargs: dict) -> list:
+        """A recorded call's arguments in signature order, defaults filled."""
+        bound = self.signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return list(bound.arguments.values())
+
+
+PRIMITIVES: dict[str, Primitive] = {}
+
+
+def primitive(forward, *, out: str = "arena", flops=0, arity: int = 1, weak: bool = False):
+    """Register the decorated public op in :data:`PRIMITIVES` and trace it.
+
+    The op is registered under its function name; the returned function
+    is the :func:`traced` wrapper, so registering an op is also what makes
+    a recorder capture it.
+    """
+
+    def register(fn):
+        PRIMITIVES[fn.__name__] = Primitive(
+            fn.__name__, forward, out, flops, arity, weak, inspect.signature(fn)
+        )
+        return traced(fn.__name__, fn)
+
+    return register

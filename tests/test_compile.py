@@ -304,6 +304,8 @@ class TestIntegration:
         assert main(["compile", str(path), "--grid", "16", "--json"]) == 0
         desc = json.loads(capsys.readouterr().out)
         assert desc["input_shape"] == [1, 2, 16, 16]
+        # The default plans what serving executes: ModelRegistry loads float64.
+        assert desc["input_dtype"] == "float64"
         assert any(s["op"] == "spectral_conv" for s in desc["steps"])
 
 
@@ -403,9 +405,9 @@ _OP_CASES = _op_cases()
 
 
 def _registered_ops() -> set[str]:
-    from repro.compile.kernels import KERNELS
+    from repro.tensor.recording import PRIMITIVES
 
-    return set(KERNELS) - {"einsum"}
+    return set(PRIMITIVES) - {"einsum"}
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:

@@ -61,12 +61,13 @@ class TestJournal:
         with pytest.raises(ValueError, match="type"):
             Journal(tmp_path / "j.jsonl").append({"status": "done"})
 
-    def test_torn_final_line_is_dropped(self, tmp_path):
+    @pytest.mark.parametrize("after_tear", [b"", b"\n\n"], ids=["torn", "torn_then_blank"])
+    def test_torn_final_line_is_dropped(self, tmp_path, after_tear):
         journal = Journal(tmp_path / "j.jsonl")
         journal.append({"type": "step", "stage": "data", "status": "done"})
         journal.close()
         with open(journal.path, "ab") as fh:
-            fh.write(b'{"type": "step", "stage": "tr')  # SIGKILL mid-append
+            fh.write(b'{"type": "step", "stage": "tr' + after_tear)  # SIGKILL mid-append
         assert [r["stage"] for r in journal.load()] == ["data"]
 
     def test_append_after_torn_tail_resumes_cleanly(self, tmp_path):

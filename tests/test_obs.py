@@ -256,13 +256,15 @@ class TestTraceRoundTrip:
             load_trace(path)
         assert cli_main(["trace", str(path)]) == 2
 
-    def test_torn_final_line_is_dropped(self, tmp_path):
+    @pytest.mark.parametrize("after_tear", [b"", b"\n\n"], ids=["torn", "torn_then_blank"])
+    def test_torn_final_line_is_dropped(self, tmp_path, after_tear):
         # ... but a torn *final* line is what a crashed writer leaves
-        # behind, and must not make the rest of the trace unreadable.
+        # behind, and must not make the rest of the trace unreadable;
+        # blank lines after it do not make it any less the tail.
         path = tmp_path / "torn.jsonl"
         self._write_trace(path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-7])  # tear the last record mid-line
+        path.write_bytes(blob[:-7] + after_tear)  # tear the last record mid-line
         whole = load_trace(path)
         assert whole and whole[0]["type"] == "meta"
         assert all("type" in r for r in whole)
