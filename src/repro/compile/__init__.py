@@ -1,4 +1,4 @@
-"""repro.compile — an inference compiler for no-grad serving.
+"""repro.compile — an inference and training compiler for the FNO.
 
 Eager inference pays the full autograd machinery on every call: one
 Python dispatch, tape bookkeeping, and a fresh allocation per primitive.
@@ -17,6 +17,11 @@ This package removes it:
 * :mod:`~repro.compile.runtime` caches plans per
   ``(model, batch_shape, dtype)`` with eager fallback for anything it
   cannot compile (``repro.compile.forward(model, x) -> array | None``).
+* :mod:`~repro.compile.train` builds training plans: one eager step
+  under trace, then a forward + backward plan whose reverse steps call
+  the op table's VJPs in the order eager ran them
+  (``repro.compile.train_forward(model, x) -> Tensor``, used by
+  ``Trainer``).
 
 The serve registry keeps the cache coherent: evicting or
 mtime-invalidating a model also drops its plans (see
@@ -34,11 +39,14 @@ from .runtime import (
     plan_cache,
     set_enabled,
     stats,
+    train_forward,
 )
 from .tracer import compile_model, trace_model
+from .train import TrainPlan
 
 __all__ = [
     "CompiledPlan",
+    "TrainPlan",
     "PlanCache",
     "PlanMismatchError",
     "UnsupportedOpError",
@@ -46,6 +54,7 @@ __all__ = [
     "trace_model",
     "plan_cache",
     "forward",
+    "train_forward",
     "invalidate",
     "clear",
     "stats",

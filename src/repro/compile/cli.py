@@ -4,7 +4,11 @@ Shows what the inference compiler would run for a given input shape:
 the op schedule, which intermediates share arena storage, total buffer
 bytes, and a FLOP estimate.  Useful both for verifying that a model
 compiles (DeepONet-style models fall back to eager) and for sizing the
-memory a serving replica pins per ``(model, batch_shape)``.
+memory a serving replica pins per ``(model, batch_shape)``.  With
+``--profile N`` it also runs the plan N times with per-step timing on
+and prints time, share, ``est_flops`` and GFLOP/s per op and per module
+path (:func:`profile_rows` builds the same rows for any plan, training
+plans included).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["add_compile_arguments", "run_compile"]
+__all__ = ["add_compile_arguments", "run_compile", "profile_rows", "format_profile"]
 
 
 def add_compile_arguments(parser) -> None:
@@ -26,6 +30,59 @@ def add_compile_arguments(parser) -> None:
                         help="inference dtype (serving runs float64 plans; training is float32)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the full plan description as JSON")
+    parser.add_argument("--profile", type=int, nargs="?", const=20, default=0, metavar="N",
+                        help="run the plan N times (default 20) and print time, share, "
+                             "est. flops and GFLOP/s per op and per module path")
+
+
+def profile_rows(plan, run, calls: int) -> dict:
+    """Time ``calls`` calls of ``run()`` (which executes ``plan``) step by step.
+
+    Returns ``{"calls", "seconds", "by_op", "by_module"}``; each row list
+    holds ``{"name", "steps", "ms", "share", "est_flops", "gflops"}``
+    per call, slowest first.  Steps of a training plan's reverse pass are
+    named ``<op>.vjp``.
+    """
+    from ..obs import hooks
+
+    plan.step_seconds[:] = [0.0] * len(plan.steps)
+    with hooks.step_timing():
+        for _ in range(calls):
+            run()
+    total = sum(plan.step_seconds)
+
+    def rows(key) -> list[dict]:
+        groups: dict[str, list] = {}
+        for step, seconds in zip(plan.steps, plan.step_seconds):
+            row = groups.setdefault(key(step), [0, 0.0, 0])
+            row[0] += 1
+            row[1] += seconds
+            row[2] += step.flops
+        out = [{
+            "name": name, "steps": n, "ms": 1e3 * secs / calls,
+            "share": secs / total if total else 0.0, "est_flops": flops,
+            "gflops": flops * calls / secs / 1e9 if secs and flops else 0.0,
+        } for name, (n, secs, flops) in groups.items()]
+        return sorted(out, key=lambda row: -row["ms"])
+
+    return {"calls": calls, "seconds": total,
+            "by_op": rows(lambda step: step.op),
+            "by_module": rows(lambda step: step.module or "(root)")}
+
+
+def format_profile(profile: dict) -> list[str]:
+    """Table lines for :func:`profile_rows` output."""
+    lines = [f"profile    : {profile['calls']} calls, "
+             f"{1e3 * profile['seconds'] / profile['calls']:.2f} ms per call in steps"]
+    for title, key in (("op", "by_op"), ("module", "by_module")):
+        lines.append("")
+        lines.append(f"  {title:32} {'steps':>5} {'ms':>9} {'share':>7} {'Mflop':>9} {'GFLOP/s':>8}")
+        for row in profile[key]:
+            mflop = f"{row['est_flops'] / 1e6:.2f}" if row["est_flops"] else "-"
+            gflops = f"{row['gflops']:.2f}" if row["gflops"] else "-"
+            lines.append(f"  {row['name']:32} {row['steps']:>5} {row['ms']:>9.3f} "
+                         f"{100 * row['share']:>6.1f}% {mflop:>9} {gflops:>8}")
+    return lines
 
 
 def _input_shape(config, batch: int, grid: int) -> tuple[int, ...]:
@@ -72,7 +129,13 @@ def run_compile(args) -> int:
         return 1
 
     desc = plan.describe()
+    profile = None
+    if args.profile:
+        example = np.random.default_rng(1).standard_normal(shape).astype(dtype)
+        profile = profile_rows(plan, lambda: plan.execute(example), args.profile)
     if args.as_json:
+        if profile is not None:
+            desc["profile"] = profile
         json.dump(desc, sys.stdout, indent=2)
         print()
         return 0
@@ -93,4 +156,7 @@ def run_compile(args) -> int:
         mflop = f"{step['est_flops'] / 1e6:.2f}" if step["est_flops"] else "-"
         print(f"  {i:>3} {step['op']:24} {out:>22} {step['kind']:10} "
               f"{arena:>10} {mflop:>8}")
+    if profile is not None:
+        print()
+        print("\n".join(format_profile(profile)))
     return 0

@@ -25,6 +25,7 @@ path is an arena bypass unless explicitly justified.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -197,6 +198,7 @@ def _lower_concatenate(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_sl
 # spectral convolution: fixed-shape replays
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def _mode_contraction(subscripts: str, x_shape, w_shape, ctype) -> Callable:
     """A call-time replayer for ``fft_ops._mode_einsum`` at fixed shapes.
 
@@ -251,96 +253,142 @@ def _mode_contraction(subscripts: str, x_shape, w_shape, ctype) -> Callable:
     return contract
 
 
-def _fft_transforms(x_shape, y_shape, axes, s, rtype, ctype):
-    """Fixed-shape ``(rfftn, irfftn)`` callables for the spectral kernels.
+@functools.lru_cache(maxsize=64)
+def _fft_transforms(x_shape, grid, m_last, rtype, ctype):
+    """Fixed-shape replays of :func:`fft_ops.spectral_transforms`.
 
-    The scipy wrappers re-derive shape/axis/normalisation bookkeeping on
-    every call — roughly two thirds of the wall time of a serving-scale
-    transform.  A plan executes one fixed shape forever, so the
-    bookkeeping is resolved once here and the pocketfft C entry points
-    are called directly.  Guarded like :func:`_mode_contraction`: both
-    directions are probed for bitwise equality against the wrappers at
-    build time, any surprise (scipy internals moved, signature change,
-    mismatch) falls back to the wrappers, and the wrappers are also used
-    whenever ``fft_ops._fft`` has been swapped out — the obs profiling
-    hooks count FFT calls by replacing that attribute, and compiled
-    plans must stay visible to them.
+    Returns ``(rfftn(a, half=None, out=None), irfftn(A, pad, out=None))``:
+    the mode-pruned transforms with their intermediates and results
+    written into the given buffers.  The scipy wrappers re-derive
+    shape/axis/normalisation bookkeeping on every call — roughly two
+    thirds of the wall time of a serving-scale transform.  A plan
+    executes one fixed shape forever, so the bookkeeping is resolved once
+    here and the pocketfft C entry points are called directly.  Guarded
+    like :func:`_mode_contraction`: both directions are probed for
+    bitwise equality against the wrappers at build time, any surprise
+    (scipy internals moved, signature change, mismatch) falls back to the
+    wrappers, and the wrappers are also used whenever ``fft_ops._fft``
+    has been swapped out — the obs profiling hooks count FFT calls by
+    replacing that attribute, and compiled plans must stay visible to
+    them.  Callers always use the returned arrays: the wrappers ignore
+    the buffers.  Like the contraction, the result depends on shapes and
+    dtypes only, so it is built (and probed) once per key and shared by
+    every layer and plan.
     """
-    def wrap_fwd(a: np.ndarray) -> np.ndarray:
-        return fft_ops._fft.rfftn(a, axes=axes, workers=fft_ops._FFT_WORKERS)
+    wrap_rfftn, wrap_irfftn = fft_ops.spectral_transforms(grid, m_last, rtype)
 
-    def wrap_inv(a: np.ndarray) -> np.ndarray:
-        return fft_ops._fft.irfftn(a, s=s, axes=axes, workers=fft_ops._FFT_WORKERS)
+    def wrap_fwd(a: np.ndarray, half=None, out=None) -> np.ndarray:
+        return wrap_rfftn(a)
+
+    def wrap_inv(A: np.ndarray, pad: np.ndarray, out=None) -> np.ndarray:
+        return wrap_irfftn(A, pad)
 
     try:
         from scipy.fft._pocketfft import pypocketfft as pfft
     except ImportError:
         return wrap_fwd, wrap_inv
-    pos_axes = tuple(ax % len(x_shape) for ax in axes)
-    lastsize = int(s[-1])
-    # inorm encodes the wrappers' default norm=None: 0 (unscaled) forward,
-    # 2 (1/N) inverse.  Verified bitwise by the probe below.
+    nd, d = len(x_shape), len(grid)
+    last, full = nd - 1, tuple(range(nd - d, nd - 1))
+    n_last, m = int(grid[-1]), int(m_last)
+    scale = fft_ops.inverse_scale(grid, rtype)
+
+    def fwd(a: np.ndarray, half=None, out=None) -> np.ndarray:
+        if fft_ops._fft is not _scipy_fft:
+            return wrap_rfftn(a)
+        X = pfft.r2c(a, (last,), True, 0, half, fft_ops._FFT_WORKERS or 1)[..., :m]
+        if full:
+            return pfft.c2c(X, full, True, 0, out, fft_ops._FFT_WORKERS or 1)
+        if out is None:
+            return X
+        np.copyto(out, X)
+        return out
+
+    def inv(A: np.ndarray, pad: np.ndarray, out=None) -> np.ndarray:
+        if fft_ops._fft is not _scipy_fft:
+            return wrap_irfftn(A, pad)
+        workers = fft_ops._FFT_WORKERS or 1
+        if full:
+            pfft.c2c(A, full, False, 0, pad[..., :m], workers)
+        else:
+            np.copyto(pad[..., :m], A)
+        y = pfft.c2r(pad, (last,), n_last, False, 0, out, workers)
+        return np.multiply(y, scale, out=y)
+
     rng = np.random.default_rng(20240)
-    px = rng.standard_normal(x_shape).astype(rtype)
-    pY = (rng.standard_normal(y_shape)
-          + 1j * rng.standard_normal(y_shape)).astype(ctype)
+    half_shape = tuple(x_shape[:-1]) + (n_last // 2 + 1,)
+    px = rng.standard_normal(x_shape, dtype=rtype)
+    pY = rng.standard_normal(half_shape[:-1] + (2 * m,), dtype=rtype).view(ctype)
     try:
-        want_X, got_X = wrap_fwd(px), pfft.r2c(px, pos_axes, True, 0, None, 1)
-        want_y, got_y = wrap_inv(pY), pfft.c2r(pY, pos_axes, lastsize, False, 2, None, 1)
+        want_X = wrap_rfftn(px)
+        got_X = fwd(px, np.empty(half_shape, ctype), np.empty(want_X.shape, ctype))
+        want_y = wrap_irfftn(pY, np.zeros(half_shape, ctype))
+        got_y = inv(pY, np.zeros(half_shape, ctype), np.empty(x_shape, rtype))
     except (TypeError, ValueError):
         return wrap_fwd, wrap_inv
     if not (np.array_equal(want_X, got_X) and want_X.dtype == got_X.dtype
             and np.array_equal(want_y, got_y) and want_y.dtype == got_y.dtype):
         return wrap_fwd, wrap_inv
-
-    def fwd(a: np.ndarray) -> np.ndarray:
-        if fft_ops._fft is not _scipy_fft:
-            return fft_ops._fft.rfftn(a, axes=axes, workers=fft_ops._FFT_WORKERS)
-        return pfft.r2c(a, pos_axes, True, 0, None, fft_ops._FFT_WORKERS or 1)
-
-    def inv(a: np.ndarray) -> np.ndarray:
-        if fft_ops._fft is not _scipy_fft:
-            return fft_ops._fft.irfftn(a, s=s, axes=axes, workers=fft_ops._FFT_WORKERS)
-        return pfft.c2r(a, pos_axes, lastsize, False, 2, None,
-                        fft_ops._FFT_WORKERS or 1)
-
     return fwd, inv
+
+
+class SpectralLayer:
+    """Build-time set-up of one ``spectral_conv`` call, shared by the
+    inference and training lowerings: geometry, the mode blocks, the
+    fixed-shape transforms and contraction, and the pinned scratch slots
+    (zeroed compact mode buffer, zeroed half-spectrum pad, r2c scratch),
+    one per shape for the whole plan."""
+
+    def __init__(self, b: PlanBuilder, rec: TraceRecord, spec: Primitive):
+        x, wr, wi, modes = spec.bind(rec.args, rec.kwargs)
+        self.x, self.wr, self.wi = x, wr, wi
+        modes = tuple(modes)
+        d = len(modes)
+        self.dtype = rec.out.data.dtype
+        B, Cin = x.data.shape[:2]
+        grid = x.data.shape[2:]
+        Cout = wr.data.shape[2]
+        self.shape_in = (B, Cin) + grid
+        self.compact_in = (B, Cin) + grid[:-1] + (modes[-1],)
+        self.compact_out = (B, Cout) + grid[:-1] + (modes[-1],)
+        self.half_in = (B, Cin) + grid[:-1] + (grid[-1] // 2 + 1,)
+        self.half_out = (B, Cout) + grid[:-1] + (grid[-1] // 2 + 1,)
+        self.idx = [(slice(None), slice(None)) + blk for blk in fft_ops.mode_blocks(grid, modes)]
+        self.ctype = np.complex64 if self.dtype == np.float32 else np.complex128
+        self.w_last = fft_ops.half_spectrum_weights(grid[-1], dtype=self.dtype)[:modes[-1]]
+        xs, ws, ys = fft_ops._subscripts(d)
+        self.contract = _mode_contraction(
+            f"{xs},{ws}->{ys}", (B, Cin) + modes, (Cin, Cout) + modes, self.ctype
+        )
+        self.fwd, self.inv = _fft_transforms(self.shape_in, grid, modes[-1], self.dtype, self.ctype)
+        zero = lambda buf: buf.fill(0.0)  # noqa: E731
+        # The non-retained modes stay zero for the plan's lifetime: the
+        # block slices are disjoint and fully rewritten each call, so
+        # zeroing once at materialisation reproduces the eager per-call
+        # np.zeros exactly.  The pad's retained bins are rewritten by
+        # every inverse transform before it reads them.
+        self.y_slot = b.shared_scratch("modes", self.compact_out, self.ctype, init=zero)
+        self.pad_out = b.shared_scratch("pad", self.half_out, self.ctype, init=zero)
+        self.r2c_in = b.shared_scratch("r2c", self.half_in, self.ctype)
+        self.flops = (2 * fft_ops.fft_flops(B, Cin + Cout, grid)
+                      + 8 * B * Cin * Cout * len(self.idx) * math.prod(modes))
 
 
 def _lower_spectral_conv(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int) -> Step:
     shape, dtype = _out_meta(rec)
-    x, wr, wi, modes = spec.bind(rec.args, rec.kwargs)
-    modes = tuple(modes)
-    d = len(modes)
-    getx, getwr, getwi = b.getter(x), b.getter(wr), b.getter(wi)
-    B, Cin = x.data.shape[:2]
-    grid = x.data.shape[2:]
-    Cout = wr.data.shape[2]
-    spec_shape = grid[:-1] + (grid[-1] // 2 + 1,)
-    idx = [(slice(None), slice(None)) + blk for blk in fft_ops.mode_blocks(grid, modes)]
-    ctype = np.complex64 if dtype == np.float32 else np.complex128
-    xs, ws, ys = fft_ops._subscripts(d)
-    # The non-retained modes stay zero for the plan's lifetime: the block
-    # slices are disjoint and fully rewritten each call, so zeroing once
-    # at materialisation reproduces the eager per-call np.zeros exactly.
-    y_slot = b.scratch_slot((B, Cout) + spec_shape, ctype, init=lambda buf: buf.fill(0.0))
-    contract = _mode_contraction(
-        f"{xs},{ws}->{ys}", (B, Cin) + modes, (Cin, Cout) + modes, ctype
-    )
-    fwd, inv = _fft_transforms(
-        (B, Cin) + grid, (B, Cout) + spec_shape, tuple(range(-d, 0)), grid, dtype, ctype
-    )
-    forward, weights = spec.forward, fft_ops.complex_weights
+    layer = SpectralLayer(b, rec, spec)
+    getx, getwr, getwi = b.getter(layer.x), b.getter(layer.wr), b.getter(layer.wi)
+    reads = [b.read(slot) for slot in (layer.y_slot, layer.pad_out, layer.r2c_in)]
+    forward, weights, fwd, inv = spec.forward, fft_ops.complex_weights, layer.fwd, layer.inv
+    idx, contract = layer.idx, layer.contract
 
     def run(values: list) -> None:
+        Y, pad, half = (get(values) for get in reads)
         values[out_slot], _ = forward(
             getx(values), weights(getwr(values), getwi(values)), idx,
-            fwd, inv, contract, values[y_slot],
+            lambda a: fwd(a, half), lambda A: inv(A, pad), contract, Y,
         )
 
-    flops = (2 * fft_ops.fft_flops(B, Cin + Cout, grid)
-             + 8 * B * Cin * Cout * len(idx) * math.prod(modes))
-    return Step(rec.op, run, out_slot, shape, dtype, flops=flops, fresh=True,
+    return Step(rec.op, run, out_slot, shape, dtype, flops=layer.flops, fresh=True,
                 kind="spectral")
 
 

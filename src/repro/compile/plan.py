@@ -5,15 +5,22 @@ A :class:`CompiledPlan` is the compiled artifact for one
 buffer :class:`~repro.compile.arena.Arena`, and a slot table mapping every
 traced intermediate to either a preallocated buffer (written with
 ``out=``-style kernels) or a transient value produced fresh each call
-(FFT outputs, views).
+(FFT outputs, views).  The training plan
+(:class:`repro.compile.train.TrainPlan`) is a subclass whose schedule
+continues with reverse steps; both share :class:`PlanBuilder` and the
+liveness-based buffer assignment (:func:`assign_buffers`).  While
+:data:`repro.obs.hooks.PROFILING` is set, every step's wall time is
+added to ``step_seconds`` (:func:`run_steps`).
 
 Guarantees:
 
 * **Bitwise equivalence.**  Every step calls the eager op's own forward
-  from the primitive table (:data:`repro.tensor.recording.PRIMITIVES`),
-  with the same weak-scalar rule, so ``plan.execute(x)`` is bit-for-bit
-  equal to the no-grad eager forward (property-tested per op in
-  ``tests/test_compile.py``).
+  (and, in a training plan, its VJP) from the primitive table
+  (:data:`repro.tensor.recording.PRIMITIVES`), with the same weak-scalar
+  rule, so ``plan.execute(x)`` is bit-for-bit equal to the no-grad eager
+  forward (property-tested per op in ``tests/test_compile.py``) and a
+  compiled training step equals the eager one
+  (``tests/test_compile_train.py``).
 * **No aliasing of user-visible outputs.**  When the final value lives in
   the arena (or is a view of it), :meth:`CompiledPlan.execute` returns a
   copy; arena storage is never handed to callers.
@@ -30,12 +37,14 @@ failure and serves those models eagerly forever after.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from ..nn.module import Parameter
+from ..obs import hooks as _hooks
 from ..tensor.recording import Recorder
 from ..tensor.tensor import Tensor, asarray
 from .arena import Arena
@@ -73,6 +82,8 @@ class Step:
     fresh: bool = False
     kind: str = "transient"
     alloc_bytes: int = 0
+    # Dotted path of the module whose forward issued the op ("" = root).
+    module: str = ""
 
 
 @dataclass
@@ -103,6 +114,7 @@ class PlanBuilder:
         self.step_reads: list[set[int]] = []
         self.step_requests: list[list[_ArenaRequest]] = []
         self._alias_root: dict[int, int] = {}
+        self._shared: dict[tuple, int] = {}
         self._current_reads: set[int] = set()
         self._current_requests: list[_ArenaRequest] = []
 
@@ -123,6 +135,11 @@ class PlanBuilder:
     def mark_view(self, out_slot: int, src_slot: int) -> None:
         """Record that ``out_slot`` aliases ``src_slot``'s storage."""
         self._alias_root[out_slot] = self.root(src_slot)
+
+    def read(self, slot: int) -> Callable[[list], np.ndarray]:
+        """An accessor for ``slot``, registered as a read of this step."""
+        self._current_reads.add(self.root(slot))
+        return _slot_getter(slot)
 
     # -- argument resolution -------------------------------------------
     def getter(self, value: Any) -> Callable[[list], np.ndarray]:
@@ -158,6 +175,17 @@ class PlanBuilder:
     def scratch_slot(self, shape, dtype, init=None, reusable: bool = False) -> int:
         slot = self.new_slot()
         self.request_arena(slot, shape, dtype, init=init, reusable=reusable)
+        return slot
+
+    def shared_scratch(self, purpose: str, shape, dtype, init=None) -> int:
+        """One pinned scratch slot per ``(purpose, shape, dtype)``, shared
+        by every step asking for it: for buffers whose per-call region
+        is rewritten before each read and whose rest is invariant (zero
+        padding, zero-outside-the-blocks mode buffers, FFT scratch)."""
+        key = (purpose, tuple(shape), np.dtype(dtype).str)
+        slot = self._shared.get(key)
+        if slot is None:
+            slot = self._shared[key] = self.scratch_slot(shape, dtype, init=init)
         return slot
 
     # -- step assembly (called by build_plan) --------------------------
@@ -197,8 +225,12 @@ def build_plan(
     input_tensor: Tensor,
     output_tensor: Tensor,
     model_name: str = "model",
+    module_paths: dict[int, str] | None = None,
 ) -> "CompiledPlan":
-    """Lower a recorded schedule into a :class:`CompiledPlan`."""
+    """Lower a recorded schedule into a :class:`CompiledPlan`.
+
+    ``module_paths`` maps ``id(module)`` to its dotted path, naming the
+    module each step came from (for per-module profiles)."""
     from .kernels import lower  # late import: kernels imports this module
 
     if not recorder.records:
@@ -208,24 +240,49 @@ def build_plan(
     for rec in recorder.records:
         out_slot = builder.new_slot(rec.out)
         builder.begin_step()
-        builder.end_step(lower(builder, rec, out_slot))
+        step = lower(builder, rec, out_slot)
+        step.module = (module_paths or {}).get(id(rec.module), "")
+        builder.end_step(step)
 
     output_slot = builder.slot_for(output_tensor)
     if output_slot is None:
         raise UnsupportedOpError("model output was not produced by a traced op")
 
-    # ---- liveness: last step reading each root slot -------------------
+    # The final output must survive the whole schedule.
+    arena, buffer_of = assign_buffers(builder, {builder.root(output_slot): len(builder.steps)})
+
+    output_step = next(s for s in builder.steps if s.out_slot == output_slot)
+    return CompiledPlan(
+        model_name=model_name,
+        input_shape=tuple(input_tensor.data.shape),
+        input_dtype=np.dtype(input_tensor.data.dtype),
+        steps=builder.steps,
+        arena=arena,
+        buffer_of=buffer_of,
+        n_slots=builder.n_slots,
+        input_slot=builder.input_slot,
+        output_slot=output_slot,
+        output_fresh=output_step.fresh,
+    )
+
+
+def assign_buffers(builder: PlanBuilder, keep: dict[int, int]) -> tuple[Arena, dict[int, int]]:
+    """Give every requested slot an arena buffer, reusing freed ones.
+
+    A buffer is freed after the last step that reads its slot (or the
+    step ``keep[slot]``, when later); a step's own requests are assigned
+    before anything is freed, so its outputs never alias its inputs.
+    Pinned buffers (``init`` or not ``reusable``) are never shared.
+    """
     last_read: dict[int, int] = {}
     for i, reads in enumerate(builder.step_reads):
         for slot in reads:
             last_read[slot] = i
-    # The final output must survive the whole schedule.
-    last_read[builder.root(output_slot)] = len(builder.steps)
+    for slot, i in keep.items():
+        last_read[slot] = max(i, last_read.get(slot, i))
 
-    # ---- buffer assignment with free-list reuse -----------------------
     arena = Arena()
     buffer_of: dict[int, int] = {}
-    slot_of_buffer: dict[int, int] = {}
     free: dict[tuple, list[int]] = {}
 
     def _key(shape, dtype) -> tuple:
@@ -244,10 +301,6 @@ def build_plan(
                 bid = arena.add(req.shape, req.dtype, req.init, req.reusable)
                 step.alloc_bytes += arena.specs[bid].nbytes
             buffer_of[req.slot] = bid
-            slot_of_buffer[bid] = req.slot
-        # Release buffers whose final reader just ran.  Outputs of this
-        # step were assigned above, before any release, so a step's
-        # output buffer can never alias one of its own inputs.
         for slot in builder.step_reads[i]:
             if last_read.get(slot) != i:
                 continue
@@ -257,20 +310,25 @@ def build_plan(
             spec = arena.specs[bid]
             if spec.reusable and spec.init is None:
                 free.setdefault(_key(spec.shape, spec.dtype), []).append(bid)
+    return arena, buffer_of
 
-    output_step = next(s for s in builder.steps if s.out_slot == output_slot)
-    return CompiledPlan(
-        model_name=model_name,
-        input_shape=tuple(input_tensor.data.shape),
-        input_dtype=np.dtype(input_tensor.data.dtype),
-        steps=builder.steps,
-        arena=arena,
-        buffer_of=buffer_of,
-        n_slots=builder.n_slots,
-        input_slot=builder.input_slot,
-        output_slot=output_slot,
-        output_fresh=output_step.fresh,
-    )
+
+def run_steps(runs: list, values: list, step_seconds: list[float], first: int = 0) -> None:
+    """Run step closures in order; time each one while profiling is on.
+
+    With :data:`repro.obs.hooks.PROFILING` off this costs one flag read
+    per call; on, each step's wall time is added to
+    ``step_seconds[first + i]``.
+    """
+    if not _hooks.PROFILING:
+        for run in runs:
+            run(values)
+        return
+    clock = time.perf_counter
+    for i, run in enumerate(runs, start=first):
+        start = clock()
+        run(values)
+        step_seconds[i] += clock() - start
 
 
 class CompiledPlan:
@@ -308,6 +366,8 @@ class CompiledPlan:
         self._count_lock = threading.Lock()
         self._runs = [step.run for step in steps]
         self._tls = threading.local()
+        # Per-step wall time, accumulated only while profiling is on.
+        self.step_seconds = [0.0] * len(steps)
 
     # ------------------------------------------------------------------
     def _template(self) -> list:
@@ -329,8 +389,7 @@ class CompiledPlan:
             )
         values = self._template().copy()
         values[self.input_slot] = x
-        for run in self._runs:
-            run(values)
+        run_steps(self._runs, values, self.step_seconds)
         # Plans are shared across serve workers through the process-wide
         # cache; unlocked increments would lose counts.
         with self._count_lock:
@@ -367,6 +426,7 @@ class CompiledPlan:
             "steps": [
                 {
                     "op": step.op,
+                    "module": step.module,
                     "out_shape": list(step.out_shape),
                     "out_dtype": str(step.out_dtype),
                     "kind": step.kind,

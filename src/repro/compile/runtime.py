@@ -1,6 +1,6 @@
-"""The plan cache and the eager-fallback inference entry point.
+"""The plan cache and its eager-fallback entry points.
 
-:func:`forward` is the single integration point used by
+:func:`forward` is the single inference integration point used by
 ``core.rollout.apply_channels`` (and therefore by rollouts, hybrid runs,
 serving, and the benchmarks): it returns the compiled no-grad forward
 output for ``(model, x)``, tracing a plan on first sight of a
@@ -8,13 +8,25 @@ output for ``(model, x)``, tracing a plan on first sight of a
 eager path (compilation disabled, unsupported model, or a mid-flight
 execution failure).
 
+:func:`train_forward` is the training counterpart, called by
+``core.training.Trainer`` for every model call: it always returns the
+model output as a Tensor.  The first call for a ``(batch_shape, dtype)``
+is the eager forward under trace (its caller's ``backward()`` completes
+the trace), the next builds a :class:`~repro.compile.train.TrainPlan`,
+and from then on the forward and the output's backward run compiled.
+Training plans live in the same per-model cache under a
+``("train", batch_shape, dtype)`` key, with their own negative entry so
+a model that serves compiled but cannot train compiled (an op without a
+VJP) keeps its inference plans.
+
 Cache structure and coherence:
 
 * Keys are weak on the model object — plans die with their model, and
   the serve registry's LRU/mtime eviction drops them at once:
   ``serve.registry._drop_compiled_plans`` calls :func:`invalidate`.
 * Per model, plans are kept in a small LRU keyed by
-  ``(batch_shape, dtype)``; unseen shapes trace a new plan rather than
+  ``(batch_shape, dtype)`` (training plans: ``("train", batch_shape,
+  dtype)``); unseen shapes trace a new plan rather than
   failing, and models whose trace is uncompilable are negatively cached
   so the fallback check costs one dict probe.
 
@@ -36,13 +48,16 @@ from collections import OrderedDict
 import numpy as np
 
 from .. import obs
+from ..tensor.tensor import Tensor, is_grad_enabled
 from .plan import CompiledPlan, PlanMismatchError, UnsupportedOpError
-from .tracer import trace_model
+from .tracer import module_paths, trace_model
+from .train import TrainPlan, TrainTrace, build_train_plan, trace_train_step
 
 __all__ = [
     "PlanCache",
     "plan_cache",
     "forward",
+    "train_forward",
     "invalidate",
     "clear",
     "stats",
@@ -50,8 +65,10 @@ __all__ = [
     "set_enabled",
 ]
 
-# Sentinel for models whose trace could not be compiled (eager forever).
+# Sentinels for models whose trace could not be compiled (eager forever),
+# one for inference plans and one for training plans.
 _UNSUPPORTED = object()
+_UNSUPPORTED_TRAIN = object()
 
 
 def _env_enabled(environ=os.environ) -> bool:
@@ -116,20 +133,97 @@ class PlanCache:
             try:
                 plan, out = trace_model(model, x)
             except UnsupportedOpError:
-                with self._lock:
-                    self._plans.setdefault(model, OrderedDict())[_UNSUPPORTED] = True
-                self._count_fallback()
+                self._mark_unsupported(model, _UNSUPPORTED)
                 return None
+        self._store(model, key, plan)
+        with self._lock:
+            self.traces += 1
+        obs.metric_counter("compile_traces_total")
+        return out
+
+    def train_forward(self, model, x: Tensor) -> Tensor:
+        """``model(x)`` for a training step: compiled when possible.
+
+        The first call for a ``(batch_shape, dtype)`` runs the eager
+        forward under a recorder; its caller's ``backward()`` logs the
+        closure order, and the next call lowers that step into a
+        :class:`TrainPlan` and runs it.  The output's backward then runs
+        the plan's reverse steps.  Uncompilable models, disabled
+        compilation, grad mode off and inputs that require grad all get
+        the eager ``model(x)``.
+        """
+        if not (self.enabled and is_grad_enabled()) or x.requires_grad:
+            return model(x)
+        key = ("train", x.shape, x.dtype.str)
+        with self._lock:
+            per_model = self._plans.get(model)
+            entry = None
+            if per_model is not None:
+                entry = per_model.get(key)
+                if entry is None and _UNSUPPORTED_TRAIN in per_model:
+                    entry = _UNSUPPORTED_TRAIN
+                elif entry is not None:
+                    per_model.move_to_end(key)
+        if entry is _UNSUPPORTED_TRAIN:
+            self._count_fallback()
+            return model(x)
+        if isinstance(entry, TrainTrace):
+            entry = self._build_train(model, key, entry) if entry.complete else None
+            if entry is _UNSUPPORTED_TRAIN:
+                return model(x)
+        if entry is not None:
+            try:
+                out = entry.forward(x.data)
+            except (PlanMismatchError, ValueError, TypeError):
+                with self._lock:
+                    per_model = self._plans.get(model)
+                    if per_model is not None:
+                        per_model.pop(key, None)
+                self._count_fallback()
+                return model(x)
+            with self._lock:
+                self.hits += 1
+            obs.metric_counter("compile_hits_total")
+            return out
+        # Miss: this step runs eagerly under trace; its own backward
+        # completes the trace, and the next call builds the plan.
+        try:
+            trace, out = trace_train_step(model, x)
+        except UnsupportedOpError:
+            self._mark_unsupported(model, _UNSUPPORTED_TRAIN)
+            return model(x)
+        self._store(model, key, trace)
+        return out
+
+    def _build_train(self, model, key, trace: TrainTrace):
+        with obs.span("compile.trace", model=type(model).__name__,
+                      shape=str(key[1]), dtype=key[2], mode="train"):
+            try:
+                plan = build_train_plan(trace, type(model).__name__, module_paths(model))
+            except UnsupportedOpError:
+                self._mark_unsupported(model, _UNSUPPORTED_TRAIN, drop=key)
+                return _UNSUPPORTED_TRAIN
+        self._store(model, key, plan)
+        with self._lock:
+            self.traces += 1
+        obs.metric_counter("compile_traces_total")
+        return plan
+
+    def _store(self, model, key, entry) -> None:
         with self._lock:
             per_model = self._plans.setdefault(model, OrderedDict())
-            per_model[key] = plan
+            per_model[key] = entry
             per_model.move_to_end(key)
             while len(per_model) > self.max_plans_per_model:
                 per_model.popitem(last=False)
                 self.shape_evictions += 1
-            self.traces += 1
-        obs.metric_counter("compile_traces_total")
-        return out
+
+    def _mark_unsupported(self, model, sentinel, drop=None) -> None:
+        with self._lock:
+            per_model = self._plans.setdefault(model, OrderedDict())
+            per_model.pop(drop, None)
+            per_model[sentinel] = True
+        self._count_fallback()
 
     def _count_fallback(self) -> None:
         with self._lock:
@@ -137,9 +231,10 @@ class PlanCache:
         obs.metric_counter("compile_fallbacks_total")
 
     # ------------------------------------------------------------------
-    def plan_for(self, model, x: np.ndarray) -> CompiledPlan | None:
-        """The cached plan for ``(model, x.shape, x.dtype)``, if any."""
-        key = (x.shape, x.dtype.str)
+    def plan_for(self, model, x: np.ndarray, train: bool = False) -> CompiledPlan | None:
+        """The cached inference (or, with ``train``, training) plan for
+        ``(model, x.shape, x.dtype)``, if any."""
+        key = (("train",) if train else ()) + (x.shape, x.dtype.str)
         with self._lock:
             per_model = self._plans.get(model)
             entry = per_model.get(key) if per_model is not None else None
@@ -167,7 +262,7 @@ class PlanCache:
     def stats(self) -> dict:
         with self._lock:
             per_model_counts = [
-                sum(1 for k in plans if k is not _UNSUPPORTED)
+                sum(1 for entry in plans.values() if isinstance(entry, CompiledPlan))
                 for plans in self._plans.values()
             ]
             return {
@@ -197,6 +292,11 @@ def plan_cache() -> PlanCache:
 def forward(model, x: np.ndarray) -> np.ndarray | None:
     """Compiled forward through the process cache (None -> run eager)."""
     return _CACHE.forward(model, x)
+
+
+def train_forward(model, x: Tensor) -> Tensor:
+    """Training forward through the process cache (eager when uncompilable)."""
+    return _CACHE.train_forward(model, x)
 
 
 def invalidate(model) -> int:

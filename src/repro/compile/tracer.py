@@ -15,7 +15,18 @@ from ..tensor.recording import Recorder
 from ..tensor.tensor import Tensor, no_grad
 from .plan import CompiledPlan, UnsupportedOpError, build_plan
 
-__all__ = ["trace_model", "compile_model"]
+__all__ = ["trace_model", "compile_model", "module_paths"]
+
+
+def module_paths(model) -> dict[int, str]:
+    """``id(module) -> dotted path`` for ``model`` and its submodules."""
+    paths, stack = {}, [("", model)]
+    while stack:
+        prefix, module = stack.pop()
+        paths[id(module)] = prefix
+        for name, child in getattr(module, "_modules", {}).items():
+            stack.append((f"{prefix}.{name}" if prefix else name, child))
+    return paths
 
 
 def trace_model(model, x: np.ndarray) -> tuple[CompiledPlan, np.ndarray]:
@@ -35,7 +46,8 @@ def trace_model(model, x: np.ndarray) -> tuple[CompiledPlan, np.ndarray]:
             out = model(inp)
     if not isinstance(out, Tensor):
         raise UnsupportedOpError("model forward did not return a Tensor")
-    plan = build_plan(recorder, inp, out, model_name=type(model).__name__)
+    plan = build_plan(recorder, inp, out, model_name=type(model).__name__,
+                      module_paths=module_paths(model))
     return plan, out.data
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..compile import runtime as _compile
 from .. import obs
 from ..data.loader import DataLoader
 from ..faults.policy import RetryPolicy, call_with_retry
@@ -110,7 +111,10 @@ class Trainer:
 
         Each batch is cast to the model's parameter dtype (no copy when
         it already matches), so a float32 model trains in float32 on
-        float64 arrays instead of silently computing in float64.
+        float64 arrays instead of silently computing in float64.  The
+        model call goes through :func:`repro.compile.train_forward`: a
+        compiled forward + backward plan, bitwise equal to eager, for
+        models built from ops with a VJP in the op table; eager otherwise.
         """
         self.model.train()
         dtype = next(self.model.parameters()).dtype
@@ -119,7 +123,7 @@ class Trainer:
             xb, yb = _cast(xb, dtype), _cast(yb, dtype)
             with obs.span("train.batch", size=xb.shape[0]) as sp:
                 self.model.zero_grad()
-                loss = self.loss(self.model(xb), yb)
+                loss = self.loss(_compile.train_forward(self.model, xb), yb)
                 loss.backward()
                 self.optimizer.step()
                 batch_loss = loss.item()

@@ -15,6 +15,11 @@ untouched:
   :class:`repro.lbm.LBMSolver2D` check the module-level
   :data:`PROFILING` flag once per ``advance()``/``step()`` call (not per
   grid point) and report step counts + wall time here when it is set.
+* **Compiled plan steps** — :class:`repro.compile.CompiledPlan` reads
+  the same flag once per execution and, when set, adds each step's wall
+  time to ``plan.step_seconds``.  :func:`step_timing` sets the flag
+  alone, without the op/FFT patches (a swapped ``_fft`` sends plans
+  back to the scipy wrappers, which would time a different program).
 
 Enabling is reference-counted so nested ``profile()`` contexts compose;
 counts land in the registry returned by :func:`repro.obs.metrics_registry`.
@@ -26,8 +31,8 @@ import threading
 import time
 from contextlib import contextmanager
 
-__all__ = ["PROFILING", "profile", "enable_profiling", "disable_profiling",
-           "record_solver_advance"]
+__all__ = ["PROFILING", "profile", "step_timing", "enable_profiling",
+           "disable_profiling", "record_solver_advance"]
 
 # Read by the solver step loops; written only under _lock below.
 PROFILING = False
@@ -130,6 +135,19 @@ def profile():
         yield
     finally:
         _uninstall()
+
+
+@contextmanager
+def step_timing():
+    """Set :data:`PROFILING` for a block without installing the hooks."""
+    global PROFILING
+    with _lock:
+        previous, PROFILING = PROFILING, True
+    try:
+        yield
+    finally:
+        with _lock:
+            PROFILING = previous
 
 
 def record_solver_advance(solver_name: str, n_steps: int, seconds: float) -> None:

@@ -216,20 +216,61 @@ def fft_flops(batch: int, channels: int, spatial: tuple[int, ...]) -> int:
     return int(5 * batch * channels * n * max(1.0, math.log2(max(n, 2))))
 
 
-def complex_weights(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
+def complex_weights(wr: np.ndarray, wi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The complex mode weights ``wr + i wi`` of a spectral convolution."""
-    return wr + 1j * wi
+    W = np.multiply(wi, 1j, out=out)
+    return np.add(wr, W, out=W)
+
+
+def inverse_scale(grid: tuple[int, ...], dtype) -> np.ndarray:
+    """The ``1/N`` factor of an inverse transform over ``grid``, rounded
+    the way pocketfft rounds its own (through long double)."""
+    return np.asarray(np.longdouble(1) / math.prod(grid), dtype=dtype)
+
+
+def spectral_transforms(grid: tuple[int, ...], m_last: int, dtype):
+    """Mode-pruned ``(rfftn, irfftn)`` over the trailing ``len(grid)`` axes.
+
+    Only the retained bins ``[:m_last]`` of the last (half-spectrum) axis
+    are ever read or written, so the forward runs ``rfft`` on the last
+    axis, keeps ``[:m_last]`` and runs the complex transform over the
+    full axes on that block alone; the inverse runs the complex inverse
+    on the block, writes it into ``pad`` (a zeroed half-spectrum buffer
+    whose other bins stay zero) and finishes with ``irfft`` and the
+    ``1/N`` scale.  Both match the full ``rfftn``/``irfftn`` bit for bit
+    on the retained bins, because pocketfft transforms axis by axis,
+    last axis first, and scales in its last pass.  These call the
+    scipy.fft wrappers (looked up at call time, so the profiling hooks
+    see them); compiled plans replay the same calls at fixed shapes.
+    """
+    d = len(grid)
+    full, n_last = tuple(range(-d, -1)), grid[-1]
+    scale = inverse_scale(grid, dtype)
+
+    def rfftn(x: np.ndarray) -> np.ndarray:
+        X = _fft.rfft(x, axis=-1, workers=_FFT_WORKERS)[..., :m_last]
+        return _fft.fftn(X, axes=full, workers=_FFT_WORKERS) if full else X
+
+    def irfftn(Y: np.ndarray, pad: np.ndarray) -> np.ndarray:
+        pad[..., :m_last] = (_fft.ifftn(Y, axes=full, norm="forward", workers=_FFT_WORKERS)
+                             if full else Y)
+        y = _fft.irfft(pad, n=n_last, axis=-1, norm="forward", workers=_FFT_WORKERS)
+        return np.multiply(y, scale, out=y)
+
+    return rfftn, irfftn
 
 
 def spectral_forward(x, W, idx, rfftn, irfftn, contract, Y) -> tuple[np.ndarray, np.ndarray]:
     """The Fourier layer's forward, shared by the eager op and compiled plans.
 
-    Transforms ``x`` with ``rfftn``, mixes each retained mode block
-    ``idx[b]`` with ``contract(X_block, W[b])`` into ``Y`` (which must be
-    zero outside the blocks), and returns ``(y, X)``: ``irfftn(Y)`` in
-    ``x``'s dtype and the spectrum ``X``.  The eager op passes the scipy wrappers, :func:`_mode_einsum`
-    and a fresh zeroed ``Y``; a plan passes fixed-shape replays of the
-    same calls and its zero-initialised arena buffer.
+    Transforms ``x`` with ``rfftn`` (retained last-axis bins only),
+    mixes each retained mode block ``idx[b]`` with
+    ``contract(X_block, W[b])`` into ``Y`` (which must be zero outside
+    the blocks), and returns ``(y, X)``: ``irfftn(Y)`` in ``x``'s dtype
+    and the pruned spectrum ``X``.  The eager op passes
+    :func:`spectral_transforms`, :func:`_mode_einsum` and a fresh zeroed
+    ``Y``; a plan passes fixed-shape replays of the same calls and its
+    zero-initialised arena buffer.
     """
     X = rfftn(x)
     for b, ix in enumerate(idx):
@@ -237,7 +278,38 @@ def spectral_forward(x, W, idx, rfftn, irfftn, contract, Y) -> tuple[np.ndarray,
     return irfftn(Y).astype(x.dtype, copy=False), X
 
 
-@primitive(spectral_forward, out="spectral")
+def spectral_vjp(g, X, W, idx, rfftn, irfftn, w_last, needs, GX, gW=None):
+    """Cotangents ``(x, W)`` of the Fourier layer, shared by eager and plans.
+
+    ``g`` is the output cotangent, ``X``/``W`` the forward's pruned
+    spectrum and complex weights, ``rfftn``/``irfftn`` the transforms
+    the forward used and ``w_last`` the retained half-spectrum weights
+    (:func:`half_spectrum_weights` ``[:m]``).  With ``N`` the grid size,
+    ``GY = rfftn(g) w/N`` is the adjoint of the inverse transform; the
+    mode mixing's adjoints give ``gW = sum_b GY conj(X)`` and
+    ``GX = GY conj(W)``, and ``x``'s cotangent is ``N irfftn(GX / w)``.
+    ``GX`` must be zero outside the blocks (it is overwritten in place);
+    ``gW`` is filled when given.  ``needs`` says which of ``(x, W)`` to
+    compute; the other comes back as None.
+    """
+    xs, ws, ys = _subscripts(X.ndim - 2)
+    n_total = float(math.prod(g.shape[2:]))
+    GY = rfftn(g)
+    np.multiply(GY, w_last / n_total, out=GY)
+    if needs[1]:
+        gW = np.empty_like(W) if gW is None else gW
+        for b, ix in enumerate(idx):
+            gW[b] = np.einsum(f"{ys},{xs}->{ws}", GY[ix], np.conj(X[ix]), optimize=True)
+    dx = None
+    if needs[0]:
+        for b, ix in enumerate(idx):
+            GX[ix] = np.einsum(f"{ys},{ws}->{xs}", GY[ix], np.conj(W[b]), optimize=True)
+        dx = irfftn(np.divide(GX, w_last, out=GX))
+        np.multiply(dx, n_total, out=dx)
+    return dx, (gW if needs[1] else None)
+
+
+@primitive(spectral_forward, out="spectral", vjp=spectral_vjp)
 def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> Tensor:
     """Differentiable Fourier-layer convolution over the trailing ``len(modes)`` axes.
 
@@ -271,36 +343,34 @@ def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> 
             f"and modes {modes}"
         )
     Cout = wr.data.shape[2]
-    spec = grid[:-1] + (grid[-1] // 2 + 1,)
     xs, ws, ys = _subscripts(d)
-
-    axes = tuple(range(-d, 0))
+    rtype = x.data.dtype
+    ctype = np.complex64 if rtype == np.float32 else np.complex128
+    rfftn, irfftn = spectral_transforms(grid, modes[-1], rtype)
     W = complex_weights(wr.data, wi.data)
-    ctype = np.complex64 if x.data.dtype == np.float32 else np.complex128
     idx = [(slice(None), slice(None)) + blk for blk in blocks]
+    compact = grid[:-1] + (modes[-1],)
+    half = grid[:-1] + (grid[-1] // 2 + 1,)
     y, X = spectral_forward(
-        x.data, W, idx,
-        lambda a: _fft.rfftn(a, axes=axes, workers=_FFT_WORKERS),
-        lambda a: _fft.irfftn(a, s=grid, axes=axes, workers=_FFT_WORKERS),
+        x.data, W, idx, rfftn,
+        lambda Y: irfftn(Y, np.zeros((B, Cout) + half, dtype=ctype)),
         lambda Xb, Wb: _mode_einsum(f"{xs},{ws}->{ys}", Xb, Wb),
-        np.zeros((B, Cout) + spec, dtype=ctype),
+        np.zeros((B, Cout) + compact, dtype=ctype),
     )
+    w_last = half_spectrum_weights(grid[-1], dtype=rtype)[:modes[-1]]
 
     def backward(g: np.ndarray) -> None:
-        GY = irfftn_adjoint(g, axes=axes, s=grid)
-        if wr.requires_grad or wi.requires_grad:
-            gW = np.empty_like(W)
-            for b, ix in enumerate(idx):
-                gW[b] = np.einsum(f"{ys},{xs}->{ws}", GY[ix], np.conj(X[ix]), optimize=True)
-            if wr.requires_grad:
-                wr._accumulate(gW.real)
-            if wi.requires_grad:
-                wi._accumulate(gW.imag)
-        if x.requires_grad:
-            GX = np.zeros((B, Cin) + spec, dtype=ctype)
-            for b, ix in enumerate(idx):
-                GX[ix] = np.einsum(f"{ys},{ws}->{xs}", GY[ix], np.conj(W[b]), optimize=True)
-            x._accumulate(rfftn_adjoint(GX, axes=axes, s=grid))
+        dx, gW = spectral_vjp(
+            g, X, W, idx, rfftn,
+            lambda GX: irfftn(GX, np.zeros((B, Cin) + half, dtype=ctype)),
+            w_last, (x.requires_grad, wr.requires_grad or wi.requires_grad),
+            np.zeros((B, Cin) + compact, dtype=ctype),
+        )
+        if dx is not None:
+            x._accumulate(dx)
+        if gW is not None:
+            wr._accumulate(gW.real)
+            wi._accumulate(gW.imag)
 
     return Tensor.from_op(y, (x, wr, wi), backward)
 

@@ -66,14 +66,26 @@ def _t2(a, b) -> tuple[Tensor, Tensor]:
 # arithmetic
 # ---------------------------------------------------------------------------
 
-@primitive(np.add, arity=2, weak=True, flops=1)
+def _accumulate_all(tensors, grads) -> None:
+    """Hand each operand its cotangent, in operand order (None = skip)."""
+    for t, grad in zip(tensors, grads):
+        if grad is not None:
+            t._accumulate(grad)
+
+
+def _add_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
+    return tuple(unbroadcast(g, np.shape(v)) if need else None
+                 for v, need in zip((a, b), needs))
+
+
+@primitive(np.add, arity=2, weak=True, flops=1, vjp=_add_vjp, vjp_out="view")
 def add(a, b) -> Tensor:
     a, b = _t2(a, b)
     out_data = np.add(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(unbroadcast(g, a.data.shape))
-        b._accumulate(unbroadcast(g, b.data.shape))
+        _accumulate_all((a, b), _add_vjp(g, a.data, b.data,
+                                         needs=(a.requires_grad, b.requires_grad)))
 
     return Tensor.from_op(out_data, (a, b), backward)
 
@@ -299,7 +311,25 @@ def _channel_linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None =
     return out
 
 
-@primitive(_channel_linear, arity=3, flops=lambda out, x, w, bias=None: 2 * x.shape[1] * out.size)
+def _channel_linear_vjp(g, x, weight, bias=None, *, res=(), needs, out=(None,)) -> tuple:
+    """Cotangents of :func:`channel_linear`; ``x``'s goes into ``out[0]``."""
+    batch, cin = x.shape[:2]
+    g_flat = g.reshape(batch, weight.shape[1], -1)
+    dx = dw = db = None
+    if needs[0]:
+        dx = out[0] if out[0] is not None else np.empty(x.shape, dtype=np.result_type(weight, g))
+        np.matmul(weight, g_flat, out=dx.reshape(batch, cin, -1))
+    if needs[1]:
+        # One GEMM per sample against a transposed view, then a sum over
+        # the batch: no operand copies, unlike einsum's (i, b*n) reshape.
+        dw = np.matmul(x.reshape(batch, cin, -1), g_flat.transpose(0, 2, 1)).sum(axis=0)
+    if len(needs) > 2 and needs[2]:
+        db = g_flat.sum(axis=(0, 2))
+    return dx, dw, db
+
+
+@primitive(_channel_linear, arity=3, vjp=_channel_linear_vjp,
+           flops=lambda out, x, w, bias=None: 2 * x.shape[1] * out.size)
 def channel_linear(x, weight, bias=None) -> Tensor:
     """Pointwise channel mix ``y[b,o,...] = sum_i x[b,i,...] w[i,o] (+ bias[o])``.
 
@@ -319,23 +349,16 @@ def channel_linear(x, weight, bias=None) -> Tensor:
         raise ValueError(
             f"channel_linear got {x.data.shape[1]} input channels for weight {weight.data.shape}"
         )
-    batch = x.data.shape[0]
     out_channels = weight.data.shape[1]
     if bias is not None and bias.data.shape != (out_channels,):
         raise ValueError(f"channel_linear bias must have shape ({out_channels},)")
     out_data = _channel_linear(x.data, weight.data, None if bias is None else bias.data)
-    flat = x.data.reshape(batch, x.data.shape[1], -1)
+    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        g_flat = g.reshape(batch, out_channels, -1)
-        if x.requires_grad:
-            x._accumulate(np.matmul(weight.data, g_flat).reshape(x.data.shape))
-        if weight.requires_grad:
-            weight._accumulate(np.einsum("bin,bon->io", flat, g_flat, optimize=True))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g_flat.sum(axis=(0, 2)))
+        _accumulate_all(parents, _channel_linear_vjp(
+            g, x.data, weight.data, needs=tuple(p.requires_grad for p in parents)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor.from_op(out_data, parents, backward)
 
 
@@ -440,24 +463,44 @@ def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # IEEE multiplication is commutative at the bit level, so ``cdf * x``
-    # in place equals the eager op's ``x * cdf``.
+    # in place equals the training forward's ``x * cdf``.
     cdf = _gelu_cdf(x, out)
     return np.multiply(cdf, x, out=cdf)
 
 
-@primitive(_gelu, flops=12)
+def gelu_keep_cdf(x: np.ndarray, out: np.ndarray | None = None,
+                  cdf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The training forward of :func:`gelu`: ``(x * cdf, cdf)``, keeping the
+    CDF for the backward pass instead of multiplying in place."""
+    cdf = _gelu_cdf(x, cdf)
+    return np.multiply(x, cdf, out=out), cdf
+
+
+def _gelu_vjp(g, x, *, res, needs=(True,), out=(None,)) -> tuple:
+    """``g * (cdf + x * pdf(x))`` built in ``out[0]``, the only temporary.
+
+    Each step is the same elementwise op, in the same order, as the
+    expression ``g * (cdf + x * (c * exp(-0.5 * x * x)))``, so the bits
+    equal that expression's with its six temporaries.
+    """
+    (cdf,) = res
+    t = np.multiply(x, -0.5, out=out[0])
+    np.multiply(t, x, out=t)
+    np.exp(t, out=t)
+    np.multiply(t, _INV_SQRT_2PI, out=t)
+    np.multiply(x, t, out=t)
+    np.add(cdf, t, out=t)
+    return (np.multiply(g, t, out=t),)
+
+
+@primitive(_gelu, flops=12, vjp=_gelu_vjp)
 def gelu(a) -> Tensor:
     """Exact Gaussian error linear unit: ``0.5 x (1 + erf(x/sqrt(2)))``."""
     a = _t(a)
-    x = a.data
-    # The backward pass reads the CDF, so eager keeps it instead of
-    # multiplying in place as the plan forward does.
-    cdf = _gelu_cdf(x)
-    out_data = np.multiply(x, cdf)
+    out_data, cdf = gelu_keep_cdf(a.data)
 
     def backward(g: np.ndarray) -> None:
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf))
+        _accumulate_all((a,), _gelu_vjp(g, a.data, res=(cdf,)))
 
     return Tensor.from_op(out_data, (a,), backward)
 
@@ -639,19 +682,25 @@ def pad(a, pad_width, constant_value: float = 0.0) -> Tensor:
     return Tensor.from_op(out_data, (a,), backward)
 
 
-@primitive(np.concatenate)
+def _concatenate_vjp(g, tensors, axis=0, *, res=(), needs, out=()) -> tuple:
+    """Each operand's cotangent is its slab of ``g`` along ``axis`` (a view)."""
+    offsets = np.cumsum([0] + [np.shape(t)[axis] for t in tensors])
+    grads = []
+    for need, start, stop in zip(needs, offsets[:-1], offsets[1:]):
+        idx = [slice(None)] * g.ndim
+        idx[axis] = slice(int(start), int(stop))
+        grads.append(g[tuple(idx)] if need else None)
+    return tuple(grads)
+
+
+@primitive(np.concatenate, vjp=_concatenate_vjp, vjp_out="view")
 def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [_t(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(int(start), int(stop))
-                t._accumulate(g[tuple(idx)])
+        _accumulate_all(tensors, _concatenate_vjp(
+            g, [t.data for t in tensors], axis, needs=[t.requires_grad for t in tensors]))
 
     return Tensor.from_op(out_data, tuple(tensors), backward)
 

@@ -1,4 +1,4 @@
-"""Op-level trace recording for the inference compiler.
+"""Op-level trace recording and the op table for the compiler.
 
 :mod:`repro.compile` builds frozen execution plans by running a model's
 ``forward`` once under a recording context and capturing the linear
@@ -6,8 +6,9 @@ sequence of tensor primitives it executes.  This module owns the hook
 and the op table: every differentiable primitive in
 :mod:`repro.tensor.ops` and every fused spectral op in
 :mod:`repro.tensor.fft_ops` is registered with :func:`primitive` at
-module-definition time, which records its shared forward in
-:data:`PRIMITIVES` and wraps it with :func:`traced`, so the wrapped
+module-definition time, which records its shared forward (and, for the
+ops a training plan supports, its VJP) in :data:`PRIMITIVES` and wraps
+it with :func:`traced`, so the wrapped
 function *is* the public op — ``from repro.tensor import gelu`` and the
 installed ``Tensor`` dunders both resolve to it.
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -51,6 +53,8 @@ class TraceRecord:
     args: tuple
     kwargs: dict
     out: Tensor
+    # The innermost module whose ``forward`` issued the op (None = none).
+    module: Any = None
 
 
 class _ActiveState(threading.local):
@@ -129,6 +133,18 @@ def recording_active() -> bool:
     return _ACTIVE.recorder is not None
 
 
+def _calling_module(frame) -> Any:
+    """The ``self`` of the innermost ``forward`` frame that is a module
+    (has ``_modules``), walking out from ``frame``; None when there is none."""
+    while frame is not None:
+        if frame.f_code.co_name == "forward":
+            owner = frame.f_locals.get("self")
+            if hasattr(owner, "_modules"):
+                return owner
+        frame = frame.f_back
+    return None
+
+
 def traced(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
     """Wrap op ``fn`` so an active recorder captures each call.
 
@@ -145,7 +161,8 @@ def traced(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
         recorder = _ACTIVE.recorder
         out = fn(*args, **kwargs)
         if recorder is not None and isinstance(out, Tensor):
-            recorder.records.append(TraceRecord(name, args, dict(kwargs), out))
+            recorder.records.append(
+                TraceRecord(name, args, dict(kwargs), out, _calling_module(sys._getframe(1))))
         return out
 
     wrapper.__wrapped_op__ = name  # type: ignore[attr-defined]
@@ -158,7 +175,7 @@ def traced(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
 
 @dataclass(frozen=True)
 class Primitive:
-    """One traced op: its array forward and what a plan needs to lower it.
+    """One traced op: its array forward, its VJP and what a plan needs to lower it.
 
     ``forward`` takes the op's arguments in the public op's order, with
     arrays in place of tensors.  It writes into ``out=`` when given a
@@ -171,6 +188,19 @@ class Primitive:
     ``arity`` arguments are array operands, the rest are static; with
     ``weak`` the last two operands follow the weak-scalar rule
     (:func:`repro.tensor.ops.weak_pair`).
+
+    ``vjp`` is the op's vector-Jacobian product, called by the eager
+    backward closure and by compiled training plans alike:
+    ``vjp(g, *args, res=, needs=, out=)`` returns one cotangent per
+    operand tensor (list operands count element by element), None where
+    ``needs`` is false.  ``res`` holds the residuals the forward kept.
+    With ``vjp_out="arena"`` each cotangent is written into its ``out``
+    buffer when one is given; with ``"view"`` the VJP reads only its
+    operands' shapes, its cotangents are views of ``g`` (or fresh when
+    broadcasting is undone) and ``out`` is ignored.  ``spectral_conv``,
+    which has a dedicated plan builder, takes its transforms and
+    residuals explicitly (:func:`repro.tensor.fft_ops.spectral_vjp`).
+    Ops without a ``vjp`` train eagerly only.
     """
 
     name: str
@@ -180,6 +210,8 @@ class Primitive:
     arity: int
     weak: bool
     signature: inspect.Signature
+    vjp: Callable[..., tuple] | None = None
+    vjp_out: str = "arena"
 
     def bind(self, args: tuple, kwargs: dict) -> list:
         """A recorded call's arguments in signature order, defaults filled."""
@@ -191,7 +223,8 @@ class Primitive:
 PRIMITIVES: dict[str, Primitive] = {}
 
 
-def primitive(forward, *, out: str = "arena", flops=0, arity: int = 1, weak: bool = False):
+def primitive(forward, *, out: str = "arena", flops=0, arity: int = 1, weak: bool = False,
+              vjp=None, vjp_out: str = "arena"):
     """Register the decorated public op in :data:`PRIMITIVES` and trace it.
 
     The op is registered under its function name; the returned function
@@ -201,7 +234,7 @@ def primitive(forward, *, out: str = "arena", flops=0, arity: int = 1, weak: boo
 
     def register(fn):
         PRIMITIVES[fn.__name__] = Primitive(
-            fn.__name__, forward, out, flops, arity, weak, inspect.signature(fn)
+            fn.__name__, forward, out, flops, arity, weak, inspect.signature(fn), vjp, vjp_out
         )
         return traced(fn.__name__, fn)
 
