@@ -19,6 +19,9 @@ from repro.core.models import build_model
 from repro.core.training import Trainer
 from repro.data.loader import DataLoader
 from repro.nn import DeepONet2d, FNO1d, FNO2d
+from repro.nn.linear import ChannelLinear
+from repro.nn.module import Module, Parameter
+from repro.tensor import ops
 from repro.tensor.tensor import Tensor
 
 
@@ -152,7 +155,39 @@ class TestCompiledEqualsEager:
         assert all(_same_bits(state_c[k], state_e[k]) for k in state_e)
 
 
+class _Branchy(Module):
+    """Cotangent cases the FNO does not hit: one cotangent handed as a view
+    to two operands, one of which gets more contributions afterwards; one
+    tensor twice in one op; a concatenation of grad-carrying pieces; a
+    broadcast parameter.  ``order`` permutes the concatenation, and so
+    the order in which the backward reaches the branches."""
+
+    def __init__(self, dtype, order=(0, 1, 2)):
+        super().__init__()
+        rng = np.random.default_rng(6)
+        self.order = order
+        self.lin1 = ChannelLinear(3, 4, rng=rng, dtype=dtype)
+        self.lin1b = ChannelLinear(3, 4, rng=rng, dtype=dtype)
+        self.lin2 = ChannelLinear(12, 2, rng=rng, dtype=dtype)
+        self.shift = Parameter(rng.standard_normal((4, 1, 1)).astype(dtype))
+
+    def forward(self, x):
+        h = ops.gelu(self.lin1(x))
+        k = ops.gelu(self.lin1b(x))
+        branches = [ops.add(h, k), ops.gelu(ops.add(h, self.shift)), ops.add(k, k)]
+        return self.lin2(ops.concatenate([branches[i] for i in self.order], axis=1))
+
+
 class TestPlanSafety:
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_views_and_broadcasts_match_eager(self, dtype, order):
+        xs, ys = _data((2, 3, 8, 8), (2, 2, 8, 8), 3, dtype)
+        model, got = _steps(lambda: _Branchy(dtype, order), xs, ys, compiled=True)
+        assert rc.plan_cache().plan_for(model, xs[0], train=True) is not None
+        _, want = _steps(lambda: _Branchy(dtype, order), xs, ys, compiled=False)
+        _assert_same_history(got, want)
+
     def test_second_forward_before_backward_keeps_grads_exact(self):
         dtype = np.float64
         xs, ys = _data((2, 3, 16, 16), (2, 2, 16, 16), 3, dtype)
