@@ -313,6 +313,10 @@ def assign_buffers(builder: PlanBuilder, keep: dict[int, int]) -> tuple[Arena, d
     return arena, buffer_of
 
 
+# Serve workers share a plan, so its step_seconds are merged under a lock.
+_TIMING_LOCK = threading.Lock()
+
+
 def run_steps(runs: list, values: list, step_seconds: list[float], first: int = 0) -> None:
     """Run step closures in order; time each one while profiling is on.
 
@@ -325,10 +329,14 @@ def run_steps(runs: list, values: list, step_seconds: list[float], first: int = 
             run(values)
         return
     clock = time.perf_counter
-    for i, run in enumerate(runs, start=first):
+    seconds = []
+    for run in runs:
         start = clock()
         run(values)
-        step_seconds[i] += clock() - start
+        seconds.append(clock() - start)
+    with _TIMING_LOCK:
+        for i, elapsed in enumerate(seconds, start=first):
+            step_seconds[i] += elapsed
 
 
 class CompiledPlan:

@@ -244,6 +244,46 @@ class TestStepTiming:
         assert not hooks.PROFILING
         assert all(t > 0 for t in plan.step_seconds)
 
+    def test_concurrent_step_timing_loses_no_updates(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.compile import plan as plan_module
+        from repro.obs import hooks
+
+        class _TickPerCall(threading.local):
+            now = 0.0
+
+        ticks = _TickPerCall()
+
+        def perf_counter():  # each step of each thread lasts exactly 1.0
+            ticks.now += 1.0
+            return ticks.now
+
+        monkeypatch.setattr(plan_module, "time", type("T", (), {"perf_counter": perf_counter}))
+        model = _small_fno2d(np.float64)
+        x = np.random.default_rng(4).standard_normal((1, 3, 16, 16))
+        plan, _ = rc.trace_model(model, x)
+        threads, calls = 8, 60
+
+        def work():
+            for _ in range(calls):
+                plan.execute(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with hooks.step_timing():
+                workers = [threading.Thread(target=work) for _ in range(threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert plan.step_seconds == [float(threads * calls)] * len(plan.steps)
+
     def test_training_plan_profile_rows(self):
         from repro.compile.cli import profile_rows
 
