@@ -5,7 +5,7 @@ the op schedule, which intermediates share arena storage, total buffer
 bytes, and a FLOP estimate.  Useful both for verifying that a model
 compiles (DeepONet-style models fall back to eager) and for sizing the
 memory a serving replica pins per ``(model, batch_shape)``.  With
-``--profile N`` it also runs the plan N times with per-step timing on
+``--profile`` it also runs the plan 20 times with per-step timing on
 and prints time, share, ``est_flops`` and GFLOP/s per op and per module
 path (:func:`profile_rows` builds the same rows for any plan, training
 plans included).
@@ -20,6 +20,9 @@ import numpy as np
 
 __all__ = ["add_compile_arguments", "run_compile", "profile_rows", "format_profile"]
 
+# Plan executions timed by ``--profile``.
+PROFILE_CALLS = 20
+
 
 def add_compile_arguments(parser) -> None:
     parser.add_argument("checkpoint", help="path to a model .npz saved by repro train")
@@ -30,8 +33,8 @@ def add_compile_arguments(parser) -> None:
                         help="inference dtype (serving runs float64 plans; training is float32)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the full plan description as JSON")
-    parser.add_argument("--profile", type=int, nargs="?", const=20, default=0, metavar="N",
-                        help="run the plan N times (default 20) and print time, share, "
+    parser.add_argument("--profile", action="store_true",
+                        help=f"run the plan {PROFILE_CALLS} times and print time, share, "
                              "est. flops and GFLOP/s per op and per module path")
 
 
@@ -132,7 +135,7 @@ def run_compile(args) -> int:
     profile = None
     if args.profile:
         example = np.random.default_rng(1).standard_normal(shape).astype(dtype)
-        profile = profile_rows(plan, lambda: plan.execute(example), args.profile)
+        profile = profile_rows(plan, lambda: plan.execute(example), PROFILE_CALLS)
     if args.as_json:
         if profile is not None:
             desc["profile"] = profile

@@ -95,36 +95,12 @@ class PlanCache:
         if not self.enabled:
             return None
         key = (x.shape, x.dtype.str)
-        with self._lock:
-            per_model = self._plans.get(model)
-            entry = None
-            if per_model is not None:
-                entry = per_model.get(key)
-                if entry is None and _UNSUPPORTED in per_model:
-                    entry = _UNSUPPORTED
-                elif entry is not None:
-                    per_model.move_to_end(key)
-
+        entry = self._lookup(model, key, _UNSUPPORTED)
         if entry is _UNSUPPORTED:
             self._count_fallback()
             return None
         if entry is not None:
-            try:
-                out = entry.execute(x)
-            except (PlanMismatchError, ValueError, TypeError):
-                # Defensive: a plan that stopped matching its model (e.g.
-                # weights swapped to a different width) is dropped and the
-                # request served eagerly; the next call retraces.
-                with self._lock:
-                    per_model = self._plans.get(model)
-                    if per_model is not None:
-                        per_model.pop(key, None)
-                self._count_fallback()
-                return None
-            with self._lock:
-                self.hits += 1
-            obs.metric_counter("compile_hits_total")
-            return out
+            return self._run_or_drop(model, key, lambda: entry.execute(x), lambda: None)
 
         # Miss: trace now.  The traced forward *is* this request's eager
         # forward, so the first call costs one forward plus lowering.
@@ -155,15 +131,7 @@ class PlanCache:
         if not (self.enabled and is_grad_enabled()) or x.requires_grad:
             return model(x)
         key = ("train", x.shape, x.dtype.str)
-        with self._lock:
-            per_model = self._plans.get(model)
-            entry = None
-            if per_model is not None:
-                entry = per_model.get(key)
-                if entry is None and _UNSUPPORTED_TRAIN in per_model:
-                    entry = _UNSUPPORTED_TRAIN
-                elif entry is not None:
-                    per_model.move_to_end(key)
+        entry = self._lookup(model, key, _UNSUPPORTED_TRAIN)
         if entry is _UNSUPPORTED_TRAIN:
             self._count_fallback()
             return model(x)
@@ -172,19 +140,8 @@ class PlanCache:
             if entry is _UNSUPPORTED_TRAIN:
                 return model(x)
         if entry is not None:
-            try:
-                out = entry.forward(x.data)
-            except (PlanMismatchError, ValueError, TypeError):
-                with self._lock:
-                    per_model = self._plans.get(model)
-                    if per_model is not None:
-                        per_model.pop(key, None)
-                self._count_fallback()
-                return model(x)
-            with self._lock:
-                self.hits += 1
-            obs.metric_counter("compile_hits_total")
-            return out
+            return self._run_or_drop(model, key, lambda: entry.forward(x.data),
+                                     lambda: model(x))
         # Miss: this step runs eagerly under trace; its own backward
         # completes the trace, and the next call builds the plan.
         try:
@@ -193,6 +150,39 @@ class PlanCache:
             self._mark_unsupported(model, _UNSUPPORTED_TRAIN)
             return model(x)
         self._store(model, key, trace)
+        return out
+
+    def _lookup(self, model, key, sentinel):
+        """The cache entry for ``(model, key)``: ``sentinel`` when the model
+        is negatively cached for this kind of plan, None on a miss."""
+        with self._lock:
+            per_model = self._plans.get(model)
+            if per_model is None:
+                return None
+            entry = per_model.get(key)
+            if entry is None:
+                return sentinel if sentinel in per_model else None
+            per_model.move_to_end(key)
+            return entry
+
+    def _run_or_drop(self, model, key, run, fallback):
+        """``run()`` a cached entry, counting a hit; if it raises a mismatch
+        the entry is dropped and ``fallback()`` serves this call instead."""
+        try:
+            out = run()
+        except (PlanMismatchError, ValueError, TypeError):
+            # Defensive: a plan that stopped matching its model (e.g.
+            # weights swapped to a different width) is dropped and the
+            # call served eagerly; the next call retraces.
+            with self._lock:
+                per_model = self._plans.get(model)
+                if per_model is not None:
+                    per_model.pop(key, None)
+            self._count_fallback()
+            return fallback()
+        with self._lock:
+            self.hits += 1
+        obs.metric_counter("compile_hits_total")
         return out
 
     def _build_train(self, model, key, trace: TrainTrace):
@@ -231,10 +221,9 @@ class PlanCache:
         obs.metric_counter("compile_fallbacks_total")
 
     # ------------------------------------------------------------------
-    def plan_for(self, model, x: np.ndarray, train: bool = False) -> CompiledPlan | None:
-        """The cached inference (or, with ``train``, training) plan for
-        ``(model, x.shape, x.dtype)``, if any."""
-        key = (("train",) if train else ()) + (x.shape, x.dtype.str)
+    def plan_for(self, model, x: np.ndarray) -> CompiledPlan | None:
+        """The cached plan for ``(model, x.shape, x.dtype)``, if any."""
+        key = (x.shape, x.dtype.str)
         with self._lock:
             per_model = self._plans.get(model)
             entry = per_model.get(key) if per_model is not None else None

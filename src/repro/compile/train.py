@@ -194,6 +194,9 @@ class _Cotangents:
         if not first:
             slot = self.slot[key]
             b.read(slot)
+            if owned_slot is not None:
+                # Added in place and never read again: free it after this step.
+                b.read(owned_slot)
 
             def add(values: list, c: np.ndarray) -> None:
                 np.add(values[slot], c, out=values[slot])
@@ -275,6 +278,9 @@ def _reverse_spectral(b: PlanBuilder, rec: TraceRecord, spec: Primitive, g_slot:
     GY_slot, gW_slot = b.new_slot(), b.new_slot()
     b.request_arena(GY_slot, layer.compact_out, layer.ctype)
     b.request_arena(gW_slot, wr.data.shape, layer.ctype)
+    # Step-local: read here only, so both are freed right after this step.
+    b.read(GY_slot)
+    b.read(gW_slot)
     dx_slot = None
     if needs[0]:
         dx_slot = b.new_slot()

@@ -38,7 +38,8 @@ __all__ = ["PROFILING", "profile", "step_timing", "enable_profiling",
 PROFILING = False
 
 _lock = threading.Lock()
-_depth = 0
+_depth = 0  # active profile() contexts (hooks installed while > 0)
+_timing_depth = 0  # active step_timing() contexts
 _original_from_op = None
 _original_fft = None
 
@@ -76,7 +77,7 @@ class _CountingFFT:
 
 
 def _install() -> None:
-    global _depth, _original_from_op, _original_fft, PROFILING
+    global _depth, _original_from_op, _original_fft
     from ..tensor import Tensor
     from ..tensor import fft_ops
 
@@ -99,11 +100,11 @@ def _install() -> None:
         Tensor.from_op = staticmethod(profiled_from_op)
         _original_fft = fft_ops._fft
         fft_ops._fft = _CountingFFT(_original_fft)
-        PROFILING = True
+        _set_flag()
 
 
 def _uninstall() -> None:
-    global _depth, _original_from_op, _original_fft, PROFILING
+    global _depth, _original_from_op, _original_fft
     from ..tensor import Tensor
     from ..tensor import fft_ops
 
@@ -115,7 +116,13 @@ def _uninstall() -> None:
         fft_ops._fft = _original_fft
         _original_from_op = None
         _original_fft = None
-        PROFILING = False
+        _set_flag()
+
+
+def _set_flag() -> None:
+    """Recompute :data:`PROFILING` from both depths (caller holds _lock)."""
+    global PROFILING
+    PROFILING = _depth > 0 or _timing_depth > 0
 
 
 def enable_profiling() -> None:
@@ -139,15 +146,21 @@ def profile():
 
 @contextmanager
 def step_timing():
-    """Set :data:`PROFILING` for a block without installing the hooks."""
-    global PROFILING
+    """Set :data:`PROFILING` for a block without installing the hooks.
+
+    Counted like :func:`profile`: the flag stays set while either kind of
+    context is active, however the two interleave across threads.
+    """
+    global _timing_depth
     with _lock:
-        previous, PROFILING = PROFILING, True
+        _timing_depth += 1
+        _set_flag()
     try:
         yield
     finally:
         with _lock:
-            PROFILING = previous
+            _timing_depth -= 1
+            _set_flag()
 
 
 def record_solver_advance(solver_name: str, n_steps: int, seconds: float) -> None:

@@ -50,6 +50,13 @@ def _data(shape_in, shape_out, steps, dtype, seed=7):
     return xs, ys
 
 
+def _train_plan(model, x: np.ndarray):
+    """The cached training plan for ``(model, x.shape, x.dtype)``, if any."""
+    per_model = rc.plan_cache()._plans.get(model, {})
+    entry = per_model.get(("train", x.shape, x.dtype.str))
+    return entry if isinstance(entry, rc.TrainPlan) else None
+
+
 def _steps(make_model, xs, ys, compiled: bool):
     """Train ``len(xs)`` Adam + StepLR steps; record the loss, every grad and
     every parameter after each step."""
@@ -86,7 +93,7 @@ class TestCompiledEqualsEager:
     def test_small_fno2d(self, dtype):
         xs, ys = _data((2, 3, 16, 16), (2, 2, 16, 16), 3, dtype)
         model, got = _steps(lambda: _small_fno2d(dtype), xs, ys, compiled=True)
-        plan = rc.plan_cache().plan_for(model, xs[0], train=True)
+        plan = _train_plan(model, xs[0])
         assert isinstance(plan, rc.TrainPlan) and plan.executions == 2
         _, want = _steps(lambda: _small_fno2d(dtype), xs, ys, compiled=False)
         _assert_same_history(got, want)
@@ -98,7 +105,7 @@ class TestCompiledEqualsEager:
 
         xs, ys = _data((3, 2, 40), (3, 1, 40), 3, np.float64)
         model, got = _steps(make, xs, ys, compiled=True)
-        assert rc.plan_cache().plan_for(model, xs[0], train=True) is not None
+        assert _train_plan(model, xs[0]) is not None
         _, want = _steps(make, xs, ys, compiled=False)
         _assert_same_history(got, want)
 
@@ -111,7 +118,7 @@ class TestCompiledEqualsEager:
         xs, ys = _data((8, config.in_channels, 64, 64), (8, config.out_channels, 64, 64),
                        3, np.float32)
         model, got = _steps(make, xs, ys, compiled=True)
-        assert rc.plan_cache().plan_for(model, xs[0], train=True).executions == 2
+        assert _train_plan(model, xs[0]).executions == 2
         _, want = _steps(make, xs, ys, compiled=False)
         _assert_same_history(got, want)
 
@@ -122,7 +129,7 @@ class TestCompiledEqualsEager:
 
         xs, ys = _data((2, 2, 8, 8), (2, 1, 8, 8), 3, np.float64)
         model, got = _steps(make, xs, ys, compiled=True)
-        assert rc.plan_cache().plan_for(model, xs[0], train=True) is None
+        assert _train_plan(model, xs[0]) is None
         assert rc.stats()["fallbacks"] >= 1
         _, want = _steps(make, xs, ys, compiled=False)
         _assert_same_history(got, want)
@@ -132,7 +139,7 @@ class TestCompiledEqualsEager:
         before = rc.stats()
         model, _ = _steps(lambda: _small_fno2d(np.float32), xs, ys, compiled=False)
         after = rc.stats()
-        assert rc.plan_cache().plan_for(model, xs[0], train=True) is None
+        assert _train_plan(model, xs[0]) is None
         assert (after["traces"], after["hits"]) == (before["traces"], before["hits"])
         assert after["models"] == 0
 
@@ -184,7 +191,7 @@ class TestPlanSafety:
     def test_shared_views_and_broadcasts_match_eager(self, dtype, order):
         xs, ys = _data((2, 3, 8, 8), (2, 2, 8, 8), 3, dtype)
         model, got = _steps(lambda: _Branchy(dtype, order), xs, ys, compiled=True)
-        assert rc.plan_cache().plan_for(model, xs[0], train=True) is not None
+        assert _train_plan(model, xs[0]) is not None
         _, want = _steps(lambda: _Branchy(dtype, order), xs, ys, compiled=False)
         _assert_same_history(got, want)
 
@@ -210,10 +217,31 @@ class TestPlanSafety:
     def test_param_grads_are_not_arena_storage(self):
         xs, ys = _data((2, 3, 16, 16), (2, 2, 16, 16), 2, np.float32)
         model, _ = _steps(lambda: _small_fno2d(np.float32), xs, ys, compiled=True)
-        plan = rc.plan_cache().plan_for(model, xs[0], train=True)
+        plan = _train_plan(model, xs[0])
         arena = [buf for buf in plan._template() if isinstance(buf, np.ndarray)]
         for p in model.parameters():
             assert not any(np.shares_memory(p.grad, buf) for buf in arena)
+
+    def test_every_step_local_buffer_is_released(self, monkeypatch):
+        # A reusable arena buffer no step reads is never freed, so it
+        # would stay pinned for the rest of the schedule.
+        from repro.compile import train as train_module
+
+        built = []
+        real = train_module.assign_buffers
+
+        def spy(builder, keep):
+            built.append((builder, keep))
+            return real(builder, keep)
+
+        monkeypatch.setattr(train_module, "assign_buffers", spy)
+        xs, ys = _data((2, 3, 16, 16), (2, 2, 16, 16), 2, np.float64)
+        _steps(lambda: _small_fno2d(np.float64), xs, ys, compiled=True)
+        (b, keep), = built
+        read = set(keep).union(*b.step_reads)
+        pinned = [req.slot for reqs in b.step_requests for req in reqs
+                  if req.reusable and req.init is None and b.root(req.slot) not in read]
+        assert pinned == []
 
     def test_steady_paper_step_takes_few_page_faults(self):
         config = ChannelFNOConfig()
@@ -243,6 +271,23 @@ class TestStepTiming:
             plan.execute(x)
         assert not hooks.PROFILING
         assert all(t > 0 for t in plan.step_seconds)
+
+    @pytest.mark.parametrize("profile_exits_first", [True, False])
+    def test_interleaved_profile_and_step_timing(self, profile_exits_first):
+        from repro.obs import hooks
+        from repro.tensor import fft_ops
+
+        original_fft = fft_ops._fft
+        prof, timing = hooks.profile(), hooks.step_timing()
+        prof.__enter__()
+        timing.__enter__()
+        first, second = (prof, timing) if profile_exits_first else (timing, prof)
+        first.__exit__(None, None, None)
+        assert hooks.PROFILING
+        assert (fft_ops._fft is original_fft) == profile_exits_first
+        second.__exit__(None, None, None)
+        assert not hooks.PROFILING
+        assert fft_ops._fft is original_fft
 
     def test_concurrent_step_timing_loses_no_updates(self, monkeypatch):
         import sys
@@ -289,7 +334,7 @@ class TestStepTiming:
 
         xs, ys = _data((2, 3, 16, 16), (2, 2, 16, 16), 2, np.float32)
         model, _ = _steps(lambda: _small_fno2d(np.float32), xs, ys, compiled=True)
-        plan = rc.plan_cache().plan_for(model, xs[0], train=True)
+        plan = _train_plan(model, xs[0])
         loss_fn = Trainer(model, TrainingConfig()).loss
 
         def step():
@@ -305,17 +350,18 @@ class TestStepTiming:
         import json
 
         from repro.cli import main
+        from repro.compile.cli import PROFILE_CALLS
         from repro.core.zoo import save_model
 
         config = ChannelFNOConfig(n_in=1, n_out=1, modes1=4, modes2=4, width=4,
                                   n_layers=2, projection_channels=8)
         path = tmp_path / "model.npz"
         save_model(path, build_model(config, rng=np.random.default_rng(1)), config, None)
-        assert main(["compile", str(path), "--grid", "16", "--profile", "3"]) == 0
+        assert main(["compile", str(path), "--grid", "16", "--profile"]) == 0
         text = capsys.readouterr().out
-        assert "profile    : 3 calls" in text and "GFLOP/s" in text
+        assert f"profile    : {PROFILE_CALLS} calls" in text and "GFLOP/s" in text
         assert "spectral_layers.m0" in text
-        assert main(["compile", str(path), "--grid", "16", "--json", "--profile", "2"]) == 0
+        assert main(["compile", str(path), "--grid", "16", "--json", "--profile"]) == 0
         desc = json.loads(capsys.readouterr().out)
-        assert desc["profile"]["calls"] == 2
+        assert desc["profile"]["calls"] == PROFILE_CALLS
         assert {row["name"] for row in desc["profile"]["by_op"]} >= {"spectral_conv", "gelu"}
