@@ -2,10 +2,14 @@
 
 Two complementary halves:
 
-* **Static** (stdlib ``ast``, zero dependencies): an engine running the
-  RPR rule pack over source trees with per-line suppression comments
-  (``# repro: ignore[RPR001]``), a committed baseline for grandfathered
-  findings, and the ``repro check`` CLI — see :mod:`repro.checks.cli`.
+* **Static** (stdlib ``ast``, zero dependencies): one engine parses the
+  requested files once into a :class:`Project`, runs the per-file rules
+  (RPR001–RPR011) over each file and the whole-program analyses
+  (RPR101–RPR105: dtype/shape flow, lock-aware races, seed provenance)
+  over the project and its call graph, then filters every finding
+  through per-line suppression comments (``# repro: ignore[RPR001]``)
+  and one committed baseline.  ``repro check`` is its CLI — see
+  :mod:`repro.checks.cli`.
 * **Runtime**: :func:`dtype_sanitizer`, a context manager asserting that
   no tensor op silently widens float32 inputs to float64/complex128.
 
@@ -21,15 +25,18 @@ Typical use::
 """
 
 from .baseline import Baseline, load_baseline, prune_baseline, write_baseline
-from .engine import check_paths, classify_zone, iter_python_files
+from .callgraph import build_callgraph
+from .engine import check_paths
 from .findings import CheckResult, Finding
-from .registry import FileContext, RuleSpec, all_rules, get_rule, rule
+from .project import ModuleInfo, Project, classify_zone, iter_python_files
+from .registry import RuleSpec, all_rules, get_rule, rule
 from .sanitizer import DtypePromotionError, SanitizerReport, dtype_sanitizer
 
 __all__ = [
     "Baseline", "load_baseline", "prune_baseline", "write_baseline",
-    "check_paths", "classify_zone", "iter_python_files",
+    "build_callgraph", "check_paths",
     "CheckResult", "Finding",
-    "FileContext", "RuleSpec", "all_rules", "get_rule", "rule",
+    "ModuleInfo", "Project", "classify_zone", "iter_python_files",
+    "RuleSpec", "all_rules", "get_rule", "rule",
     "DtypePromotionError", "SanitizerReport", "dtype_sanitizer",
 ]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .findings import Finding
 
-__all__ = ["Baseline", "load_baseline", "write_baseline", "prune_baseline"]
+__all__ = ["Baseline", "load_baseline", "write_baseline", "prune_baseline", "rebaseline"]
 
 BASELINE_VERSION = 1
 
@@ -69,25 +69,40 @@ class Baseline:
         return payload
 
 
-def prune_baseline(baseline: Baseline,
-                   findings: list[Finding]) -> tuple[Baseline, int]:
+def prune_baseline(baseline: Baseline, findings: list[Finding],
+                   in_scope=None) -> tuple[Baseline, int]:
     """Drop baseline entries whose source sites no longer exist.
 
     ``findings`` must come from a run *without* a baseline, so it is the
-    complete set of live findings.  Each entry's count is clamped to the
-    number of live occurrences of its key; entries that reach zero are
-    removed.  Returns the pruned baseline and how many stale occurrences
-    were dropped.
+    complete set of live findings for the run's scope.  Each in-scope
+    entry's count is clamped to the number of live occurrences of its
+    key; entries that reach zero are removed.  ``in_scope(key)`` limits
+    the pruning to the entries that run could have reproduced (default:
+    all of them); the rest are kept as they are.  Returns the pruned
+    baseline and how many stale occurrences were dropped.
     """
     live = Counter(f.baseline_key() for f in findings)
     kept: dict[str, int] = {}
     removed = 0
     for key, recorded in baseline.counts.items():
-        keep = min(recorded, live.get(key, 0))
+        keep = recorded if in_scope and not in_scope(key) else min(recorded, live[key])
         if keep:
             kept[key] = keep
         removed += recorded - keep
     return Baseline(kept, comment=baseline.comment), removed
+
+
+def rebaseline(baseline: Baseline, findings: list[Finding], in_scope,
+               comment: str = "") -> Baseline:
+    """Replace the in-scope entries of ``baseline`` with ``findings``.
+
+    Entries with ``in_scope(key)`` false — another rule, or a file the
+    run did not scan — are kept, so a narrowed run never drops them.
+    ``comment`` applies when the baseline has none of its own.
+    """
+    counts = Counter({k: v for k, v in baseline.counts.items() if not in_scope(k)})
+    counts.update(f.baseline_key() for f in findings)
+    return Baseline(dict(counts), comment=baseline.comment or comment)
 
 
 def load_baseline(path) -> Baseline:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .project import ClassInfo, FunctionInfo, ModuleInfo, Project, _dotted
+from .project import ClassInfo, FunctionInfo, ModuleInfo, Project, dotted_name
 
 __all__ = ["CallGraph", "build_callgraph", "CallEdge"]
 
@@ -112,7 +112,7 @@ def _is_handler_class(cls: ClassInfo) -> bool:
 def _callable_ref(project: Project, module: ModuleInfo, cls: ClassInfo | None,
                   node: ast.expr) -> str | None:
     """Resolve an expression used as a *value* to a function qualname."""
-    name = _dotted(node)
+    name = dotted_name(node)
     if name is None:
         return None
     if cls is not None and name.startswith("self."):
@@ -194,7 +194,7 @@ def _lock_context(item: ast.withitem, cls: ClassInfo | None) -> bool:
     expr = item.context_expr
     if isinstance(expr, ast.Call):
         expr = expr.func
-    name = _dotted(expr)
+    name = dotted_name(expr)
     if name is None or not name.startswith("self."):
         return False
     attr = name[5:].split(".")[0]
@@ -241,7 +241,7 @@ def build_callgraph(project: Project) -> CallGraph:
         for call, locked in _walk_calls(fn, cls):
             callee_qual = project.resolve_call(fn.module, call.func, cls)
             callee_qual = project.canonical(callee_qual)
-            name = _dotted(call.func) or ""
+            name = dotted_name(call.func) or ""
             tail = name.split(".")[-1]
 
             # -- spawn sites -------------------------------------------
@@ -271,7 +271,7 @@ def build_callgraph(project: Project) -> CallGraph:
 
             # -- instance method calls through local var types ---------
             if callee_qual is None and isinstance(call.func, ast.Attribute):
-                base = _dotted(call.func.value)
+                base = dotted_name(call.func.value)
                 if base and base in local_types:
                     target_cls = project.classes.get(local_types[base])
                     if target_cls is not None and call.func.attr in target_cls.methods:

@@ -1,74 +1,26 @@
-"""The static-analysis engine: walk, parse, run rules, filter, report.
+"""The static-analysis engine: one parsed project, every rule, one filter.
 
-Pipeline per file: read → parse AST → classify zone → run every selected
-rule → drop findings silenced by ``# repro: ignore[...]`` comments →
-match the remainder against the committed baseline.  Whatever survives
-is a *new* finding and fails the run.
+Pipeline: walk and parse every file once into a
+:class:`~repro.checks.project.Project` → run each selected per-file rule
+over each parsed file → build the call graph and run each selected
+whole-program analysis over the same project → drop findings silenced
+by ``# repro: ignore[...]`` comments → match the remainder against the
+committed baseline.  Whatever survives is a *new* finding and fails the
+run.
 """
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 from .baseline import Baseline
+from .callgraph import build_callgraph
 from .findings import CheckResult, Finding
-from .registry import (
-    COMPILE_ZONE,
-    HOT_ZONE,
-    OTHER_ZONE,
-    SOLVER_ZONE,
-    TEST_ZONE,
-    FileContext,
-    all_rules,
-)
-from .suppress import parse_suppressions
+from .project import Project
+from .registry import all_rules
+from .rules.seeds import SeedTaintAnalysis
 
-__all__ = ["check_paths", "classify_zone", "iter_python_files"]
-
-_HOT_PARTS = {"nn", "serve", "tensor"}
-_SOLVER_PARTS = {"ns", "ns3d", "lbm"}
-_SKIP_DIRS = {"__pycache__", ".git", "_cache", "results", ".pytest_cache"}
-
-
-def classify_zone(relpath: str) -> str:
-    """Map a posix-style path onto the rule zones (hot/solver/test/other)."""
-    parts = PurePosixPath(relpath).parts
-    name = parts[-1] if parts else ""
-    if "tests" in parts or name.startswith("test_") or name == "conftest.py":
-        return TEST_ZONE
-    if "compile" in parts:
-        return COMPILE_ZONE
-    if _HOT_PARTS & set(parts):
-        return HOT_ZONE
-    if _SOLVER_PARTS & set(parts):
-        return SOLVER_ZONE
-    return OTHER_ZONE
-
-
-def iter_python_files(paths) -> list[Path]:
-    """Expand files/directories into a sorted, de-duplicated .py file list."""
-    out: set[Path] = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            for candidate in path.rglob("*.py"):
-                if not (_SKIP_DIRS & set(candidate.parts)):
-                    out.add(candidate)
-        elif path.is_file():
-            out.add(path)
-        else:
-            raise FileNotFoundError(f"no such file or directory: {raw}")
-    return sorted(out)
-
-
-def _display_path(path: Path, root: Path) -> str:
-    """Stable posix path for findings/baseline keys (relative when possible)."""
-    try:
-        rel = path.resolve().relative_to(root.resolve())
-    except ValueError:
-        rel = path
-    return rel.as_posix()
+__all__ = ["check_paths"]
 
 
 def check_paths(
@@ -83,7 +35,6 @@ def check_paths(
     grandfathered findings; ``root`` anchors the relative paths used in
     output and baseline keys (default: the current directory).
     """
-    root = Path(root) if root is not None else Path.cwd()
     specs = all_rules()
     if select:
         wanted = set(select)
@@ -91,29 +42,32 @@ def check_paths(
         if unknown:
             raise KeyError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
         specs = [s for s in specs if s.id in wanted]
+    selected = {s.id for s in specs}
 
-    result = CheckResult()
-    match_baseline = (baseline or Baseline()).make_matcher()
-    for path in iter_python_files(paths):
-        result.n_files += 1
-        display = _display_path(path, root)
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            result.errors.append(f"{display}: {exc}")
-            continue
-        lines = source.splitlines()
-        suppressions = parse_suppressions(lines)
-        ctx = FileContext(path=display, tree=tree, lines=lines, zone=classify_zone(display))
-        raw: list[Finding] = []
+    project = Project.load(paths, root=root)
+    graph = build_callgraph(project)
+    result = CheckResult(errors=list(project.errors),
+                         files=[m.path for m in project.files], graph=graph)
+
+    raw: list[Finding] = []
+    for module in project.files:
         for spec in specs:
-            raw.extend(spec.check(ctx))
-        for finding in sorted(raw, key=Finding.sort_key):
-            if suppressions.is_suppressed(finding.rule, finding.line):
-                result.suppressed.append(finding)
-            elif match_baseline(finding):
-                result.baselined.append(finding)
-            else:
-                result.findings.append(finding)
+            if spec.per_file:
+                raw.extend(spec.check(module))
+    # An analysis reports several ids; it runs once if any is selected.
+    for analysis_cls in dict.fromkeys(s.check for s in specs if not s.per_file):
+        analysis = analysis_cls(project, graph)
+        raw.extend(f for f in analysis.run() if f.rule in selected)
+        if isinstance(analysis, SeedTaintAnalysis):
+            result.provenance = analysis.provenance_rows()
+
+    by_path = {module.path: module for module in project.files}
+    match_baseline = (baseline or Baseline()).make_matcher()
+    for finding in sorted(raw, key=Finding.sort_key):
+        if by_path[finding.path].suppressions.is_suppressed(finding.rule, finding.line):
+            result.suppressed.append(finding)
+        elif match_baseline(finding):
+            result.baselined.append(finding)
+        else:
+            result.findings.append(finding)
     return result

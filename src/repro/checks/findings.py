@@ -1,4 +1,4 @@
-"""Finding model shared by the static-analysis engine and its CLI.
+"""Finding and result model shared by the static-analysis engine and its CLI.
 
 A :class:`Finding` pins one rule violation to a file/line and carries the
 stripped source line as its *snippet*.  The snippet — not the line
@@ -9,6 +9,10 @@ grandfathered findings survive unrelated edits that shift line numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .callgraph import CallGraph
 
 
 @dataclass(frozen=True)
@@ -45,13 +49,25 @@ class Finding:
 
 @dataclass
 class CheckResult:
-    """Aggregate outcome of one engine run."""
+    """Aggregate outcome of one engine run.
+
+    ``files`` holds the display path of every file the run parsed;
+    ``errors`` holds one entry per file that failed to parse.  ``graph``
+    is the project's call graph (stats in the JSON report, dot export on
+    request) and ``provenance`` the seed-provenance table of RPR105.
+    """
 
     findings: list[Finding] = field(default_factory=list)
     baselined: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
-    n_files: int = 0
+    files: list[str] = field(default_factory=list)
+    graph: CallGraph | None = None
+    provenance: list[dict] = field(default_factory=list)
+
+    @property
+    def n_files(self) -> int:
+        return len(self.files) + len(self.errors)
 
     @property
     def ok(self) -> bool:
@@ -70,4 +86,6 @@ class CheckResult:
             },
             "findings": [f.to_dict() for f in sorted(self.findings, key=Finding.sort_key)],
             "errors": list(self.errors),
+            "callgraph": self.graph.stats() if self.graph is not None else {},
+            "provenance": self.provenance,
         }

@@ -1,12 +1,13 @@
-"""Whole-program symbol table: modules, imports, classes, functions.
+"""The parsed project: files, zones, modules, imports, classes, functions.
 
-The per-file rules in :mod:`repro.checks` stop at module boundaries; the
-analyses in this package need to follow a value (a dtype, a lock, an RNG
-stream) *across* them.  :class:`Project` is the shared substrate: it
-parses every module under one or more package roots, derives dotted
-module names from ``__init__.py`` chains, resolves import bindings
-(including relative imports and package re-exports), and indexes every
-class and function by fully-qualified name.
+:meth:`Project.load` walks the requested paths, parses every ``.py``
+file once and classifies its zone.  Every parsed file reaches the
+per-file rules through :attr:`Project.files`.  The whole-program
+analyses follow a value (a dtype, a lock, an RNG stream) *across*
+modules, so the project also derives dotted module names from
+``__init__.py`` chains, resolves import bindings (including relative
+imports and package re-exports), and indexes every class and function
+by fully-qualified name.
 
 Name resolution is static and intentionally modest: dotted attribute
 chains through import bindings, local definitions, ``self`` attributes
@@ -19,16 +20,68 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import cached_property
+from pathlib import Path, PurePosixPath
 
-from ..checks.engine import classify_zone, iter_python_files
-from ..checks.suppress import Suppressions, parse_suppressions
+from .findings import Finding
+from .registry import COMPILE_ZONE, HOT_ZONE, OTHER_ZONE, SOLVER_ZONE, TEST_ZONE
+from .suppress import Suppressions, parse_suppressions
 
-__all__ = ["Project", "ModuleInfo", "ClassInfo", "FunctionInfo"]
+__all__ = [
+    "Project", "ModuleInfo", "ClassInfo", "FunctionInfo",
+    "classify_zone", "dotted_name", "iter_python_files",
+]
+
+_HOT_PARTS = {"nn", "serve", "tensor"}
+_SOLVER_PARTS = {"ns", "ns3d", "lbm"}
+_SKIP_DIRS = {"__pycache__", ".git", "_cache", "results", ".pytest_cache"}
 
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
 _EVENT_FACTORIES = {"Event", "Semaphore", "BoundedSemaphore", "Barrier", "Queue"}
 _LOCAL_FACTORIES = {"local"}
+
+
+def classify_zone(relpath: str) -> str:
+    """Map a posix-style path onto the rule zones (hot/solver/test/other)."""
+    parts = PurePosixPath(relpath).parts
+    name = parts[-1] if parts else ""
+    if "tests" in parts or name.startswith("test_") or name == "conftest.py":
+        return TEST_ZONE
+    if "compile" in parts:
+        return COMPILE_ZONE
+    if _HOT_PARTS & set(parts):
+        return HOT_ZONE
+    if _SOLVER_PARTS & set(parts):
+        return SOLVER_ZONE
+    return OTHER_ZONE
+
+
+def iter_python_files(paths) -> list[Path]:
+    """Expand files/directories into a sorted, de-duplicated .py file list."""
+    out: set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            for candidate in path.rglob("*.py"):
+                if not (_SKIP_DIRS & set(candidate.parts)):
+                    out.add(candidate)
+        elif path.is_file():
+            out.add(path)
+        else:
+            raise FileNotFoundError(f"no such file or directory: {raw}")
+    return sorted(out)
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``np.fft.rfft2`` → ``"np.fft.rfft2"`` (None for non-name chains)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 @dataclass
@@ -79,7 +132,7 @@ class ClassInfo:
     def base_names(self) -> list[str]:
         out = []
         for base in self.node.bases:
-            name = _dotted(base)
+            name = dotted_name(base)
             if name:
                 out.append(name)
         return out
@@ -90,7 +143,7 @@ class ModuleInfo:
     """One parsed source file with its import-binding table."""
 
     name: str                 # dotted module name, e.g. repro.serve.registry
-    path: str                 # display path (posix, relative to root)
+    path: str                 # display/baseline path (posix, relative to root)
     tree: ast.Module
     lines: list[str]
     zone: str
@@ -99,30 +152,32 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)  # module-level only
     # module-level instance globals: name -> class qualname
     global_types: dict[str, str] = field(default_factory=dict)
-    _suppressions: Suppressions | None = None
 
-    @property
+    @cached_property
     def suppressions(self) -> Suppressions:
-        if self._suppressions is None:
-            self._suppressions = parse_suppressions(self.lines)
-        return self._suppressions
+        return parse_suppressions(self.lines)
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once for all rules."""
+        return list(ast.walk(self.tree))
 
     def line_at(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
 
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` attribute/name chain as a dotted string, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+    def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
+        """A finding of ``rule_id`` anchored at ``node`` in this file."""
+        lineno = getattr(node, "lineno", 1)
+        return Finding(
+            rule=rule_id,
+            path=self.path,
+            line=lineno,
+            col=getattr(node, "col_offset", 0) + 1,
+            message=message,
+            snippet=self.line_at(lineno),
+        )
 
 
 def _module_name_for(path: Path) -> str | None:
@@ -142,6 +197,7 @@ class Project:
     """Parsed modules + global symbol index + canonical name resolution."""
 
     def __init__(self) -> None:
+        self.files: list[ModuleInfo] = []                  # every parsed file, path order
         self.modules: dict[str, ModuleInfo] = {}           # dotted name -> module
         self.functions: dict[str, FunctionInfo] = {}       # qualname -> function
         self.classes: dict[str, ClassInfo] = {}            # qualname -> class
@@ -150,7 +206,12 @@ class Project:
     # -- construction --------------------------------------------------
     @staticmethod
     def load(paths, root: str | Path | None = None) -> "Project":
-        """Parse every ``.py`` under ``paths`` into one project."""
+        """Parse every ``.py`` under ``paths`` into one project.
+
+        Two files outside any package can derive the same module name
+        (``a/util.py`` and ``b/util.py``).  Both stay in :attr:`files`;
+        the name, and so the whole-program index, goes to the later one.
+        """
         root = Path(root) if root is not None else Path.cwd()
         project = Project()
         for path in iter_python_files(paths):
@@ -171,6 +232,7 @@ class Project:
                 name=mod_name, path=rel, tree=tree,
                 lines=source.splitlines(), zone=classify_zone(rel),
             )
+            project.files.append(info)
             project.modules[mod_name] = info
         for info in project.modules.values():
             project._index_module(info)
@@ -239,7 +301,7 @@ class Project:
         for node in ast.walk(cls.node):
             if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
                 continue
-            name = _dotted(node.value.func)
+            name = dotted_name(node.value.func)
             if not name:
                 continue
             tail = name.split(".")[-1]
@@ -301,7 +363,7 @@ class Project:
         ``ClassName(...)`` (returned as the class qualname; callers map
         it to ``__init__``).
         """
-        name = _dotted(func)
+        name = dotted_name(func)
         if name is None:
             return None
         if cls is not None and name.startswith("self."):
@@ -343,7 +405,7 @@ class Project:
             return None
         if isinstance(node, ast.Subscript):
             return None
-        name = _dotted(node)
+        name = dotted_name(node)
         if name is None:
             return None
         qual = self.resolve_name(module, name)

@@ -1,23 +1,23 @@
-"""Rule registry: rules self-register via the :func:`rule` decorator.
+"""Rule registry: the one catalogue of rule ids, filled by :func:`rule`.
 
-A rule is a callable ``check(ctx: FileContext) -> Iterable[Finding]``.
-The engine runs every selected rule over every parsed file; rules are
-pure functions of the file context, so they compose and test in
-isolation.
+A per-file rule is a function ``check(module: ModuleInfo) ->
+Iterable[Finding]``; the engine runs it over every parsed file, and
+since it is a pure function of that file it composes and tests in
+isolation.  A whole-program analysis is a class constructed as
+``Analysis(project, graph)`` whose ``run()`` returns findings; it
+registers every rule id it reports by stacking :func:`rule` on the
+class, and the engine runs it once over the whole project.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
-from .findings import Finding
-
-__all__ = ["FileContext", "RuleSpec", "rule", "all_rules", "get_rule"]
+__all__ = ["RuleSpec", "rule", "all_rules", "get_rule"]
 
 # Zones let rules scope themselves to the parts of the tree where their
-# hazard actually applies (see classify_zone in engine.py).
+# hazard actually applies (see classify_zone in project.py).
 HOT_ZONE = "hot"        # nn/, serve/, tensor/ — the float32 serving path
 SOLVER_ZONE = "solver"  # ns/, ns3d/, lbm/ — float64 numerics by design
 COMPILE_ZONE = "compile"  # compile/ — plan-executed closures, allocation-free
@@ -25,48 +25,25 @@ TEST_ZONE = "test"
 OTHER_ZONE = "other"
 
 
-@dataclass
-class FileContext:
-    """Everything a rule may inspect about one source file."""
-
-    path: str            # display/baseline path (posix, relative)
-    tree: ast.Module
-    lines: list[str]     # raw source lines, 1-indexed via line_at()
-    zone: str
-
-    def line_at(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-    def finding(self, rule_id: str, node: ast.AST, message: str) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        return Finding(
-            rule=rule_id,
-            path=self.path,
-            line=lineno,
-            col=col + 1,
-            message=message,
-            snippet=self.line_at(lineno),
-        )
-
-
 @dataclass(frozen=True)
 class RuleSpec:
     id: str
     name: str
     description: str
-    check: Callable[[FileContext], Iterable[Finding]]
+    check: Callable  # per-file function, or the whole-program analysis class
+
+    @property
+    def per_file(self) -> bool:
+        return not isinstance(self.check, type)
 
 
 _RULES: dict[str, RuleSpec] = {}
 
 
 def rule(rule_id: str, name: str, description: str):
-    """Register ``check(ctx)`` under ``rule_id`` (e.g. ``RPR001``)."""
+    """Register ``check`` (a rule function or analysis class) under ``rule_id``."""
 
-    def decorator(check: Callable[[FileContext], Iterable[Finding]]):
+    def decorator(check: Callable):
         if rule_id in _RULES:
             raise ValueError(f"duplicate rule id {rule_id}")
         _RULES[rule_id] = RuleSpec(id=rule_id, name=name, description=description, check=check)

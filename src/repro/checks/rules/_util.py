@@ -4,19 +4,7 @@ from __future__ import annotations
 
 import ast
 
-__all__ = ["dotted_name", "is_self_attr", "self_attr_base", "names_from_import"]
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``np.fft.rfft2`` → ``"np.fft.rfft2"`` (None for non-name chains)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+__all__ = ["is_self_attr", "self_attr_base", "names_from_import"]
 
 
 def is_self_attr(node: ast.AST) -> bool:
@@ -41,10 +29,10 @@ def self_attr_base(node: ast.AST) -> str | None:
     return None
 
 
-def names_from_import(tree: ast.Module, module: str) -> set[str]:
+def names_from_import(nodes: list[ast.AST], module: str) -> set[str]:
     """Local names bound by ``from <module> import ...`` statements."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == module:
             for alias in node.names:
                 names.add(alias.asname or alias.name)

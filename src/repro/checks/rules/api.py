@@ -21,8 +21,8 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import TEST_ZONE, FileContext, rule
-from ._util import dotted_name
+from ..project import ModuleInfo, dotted_name
+from ..registry import TEST_ZONE, rule
 
 _MUTABLE_FACTORIES = {
     "list", "dict", "set", "bytearray", "deque", "Counter", "defaultdict",
@@ -63,10 +63,10 @@ def _calls_super_init(fn: ast.FunctionDef) -> bool:
     "Module subclasses missing super().__init__()/forward and mutable default "
     "arguments (shared across calls)",
 )
-def check_api_contracts(ctx: FileContext) -> Iterator[Finding]:
+def check_api_contracts(ctx: ModuleInfo) -> Iterator[Finding]:
     if ctx.zone == TEST_ZONE:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defaults = list(node.args.defaults) + [
                 d for d in node.args.kw_defaults if d is not None

@@ -26,8 +26,8 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import TEST_ZONE, FileContext, rule
-from ._util import dotted_name
+from ..project import ModuleInfo, dotted_name
+from ..registry import TEST_ZONE, rule
 
 _NP_WRITERS = {
     "np.save", "np.savez", "np.savez_compressed",
@@ -69,10 +69,10 @@ def _is_open_call(call: ast.Call) -> bool:
     "raw np.savez/open(..., 'wb') artifact writes that bypass "
     "utils.artifacts atomic publish and manifest sidecars",
 )
-def check_artifact_integrity(ctx: FileContext) -> Iterator[Finding]:
+def check_artifact_integrity(ctx: ModuleInfo) -> Iterator[Finding]:
     if ctx.zone == TEST_ZONE or ctx.path.endswith("utils/artifacts.py"):
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func)

@@ -27,8 +27,8 @@ from pathlib import PurePosixPath
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import FileContext, rule
-from ._util import dotted_name
+from ..project import ModuleInfo, dotted_name
+from ..registry import rule
 
 _ALLOCATORS = {
     "empty", "zeros", "ones", "full",
@@ -59,10 +59,10 @@ def _hot_allocations(fn: ast.AST) -> Iterator[tuple[ast.Call, str]]:
     "fresh numpy allocation or Tensor/tape construction inside a "
     "plan-executed run/execute hot path (write into arena buffers instead)",
 )
-def check_compile_allocations(ctx: FileContext) -> Iterator[Finding]:
+def check_compile_allocations(ctx: ModuleInfo) -> Iterator[Finding]:
     if "compile" not in PurePosixPath(ctx.path).parts:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if node.name not in _HOT_FUNCTIONS:

@@ -18,8 +18,9 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import HOT_ZONE, TEST_ZONE, FileContext, rule
-from ._util import dotted_name, names_from_import
+from ..project import ModuleInfo, dotted_name
+from ..registry import HOT_ZONE, TEST_ZONE, rule
+from ._util import names_from_import
 
 _TRANSFORMS = {
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
@@ -57,11 +58,11 @@ def _is_wide_dtype(node: ast.AST) -> str | None:
     "np.fft transforms and explicit float64/complex128 widenings that break the "
     "float32 policy (use scipy.fft; keep hot paths single precision)",
 )
-def check_dtype_promotion(ctx: FileContext) -> Iterator[Finding]:
+def check_dtype_promotion(ctx: ModuleInfo) -> Iterator[Finding]:
     if ctx.zone == TEST_ZONE:
         return
-    fft_imports = names_from_import(ctx.tree, "numpy.fft")
-    for node in ast.walk(ctx.tree):
+    fft_imports = names_from_import(ctx.nodes, "numpy.fft")
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         transform = _numpy_fft_transform(node.func, fft_imports)

@@ -34,8 +34,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from ..checks.findings import Finding
-from .project import FunctionInfo, Project, _dotted
+from ..callgraph import CallGraph
+from ..findings import Finding
+from ..project import FunctionInfo, Project, dotted_name
+from ..registry import rule
 
 __all__ = ["DtypeShapeAnalysis", "Abstract"]
 
@@ -129,12 +131,16 @@ def _promote(a: str, b: str) -> tuple[str, bool]:
     return ANY, False
 
 
+@rule("RPR101", "dtype-widening", "cross-module implicit f32→f64/c128 widening")
+@rule("RPR102", "shape-contract", "statically provable shape mismatches")
 class DtypeShapeAnalysis:
-    """Run the abstract interpreter over every project function."""
+    """Run the abstract interpreter over every project function.
 
-    def __init__(self, project: Project, max_depth: int = _MAX_DEPTH):
+    The interpreter follows calls itself, so ``graph`` goes unused.
+    """
+
+    def __init__(self, project: Project, graph: CallGraph):
         self.project = project
-        self.max_depth = max_depth
         self.findings: list[Finding] = []
         self._memo: dict[tuple, Abstract] = {}
         self._stack: set[tuple] = set()
@@ -160,18 +166,12 @@ class DtypeShapeAnalysis:
         if key in self._reported:
             return
         self._reported.add(key)
-        self.findings.append(Finding(
-            rule="RPR101",
-            path=fn.module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            message=(
-                f"{value.dtype} value established in {origin_module}:{origin_line} "
-                f"is implicitly widened to {produced} by {what} "
-                f"(cross-module; keep the pipeline narrow or widen explicitly "
-                f"with astype)"
-            ),
-            snippet=fn.module.line_at(getattr(node, "lineno", 1)),
+        self.findings.append(fn.module.finding(
+            "RPR101", node,
+            f"{value.dtype} value established in {origin_module}:{origin_line} "
+            f"is implicitly widened to {produced} by {what} "
+            f"(cross-module; keep the pipeline narrow or widen explicitly "
+            f"with astype)",
         ))
 
     def _report_shape(self, fn: FunctionInfo, node: ast.AST,
@@ -182,14 +182,9 @@ class DtypeShapeAnalysis:
         if key in self._reported:
             return
         self._reported.add(key)
-        self.findings.append(Finding(
-            rule="RPR102",
-            path=fn.module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            message=f"shape contract violated: {what} with inferred shapes "
-                    f"{s1} and {s2}",
-            snippet=fn.module.line_at(getattr(node, "lineno", 1)),
+        self.findings.append(fn.module.finding(
+            "RPR102", node,
+            f"shape contract violated: {what} with inferred shapes {s1} and {s2}",
         ))
 
     # -- interpretation ------------------------------------------------
@@ -204,7 +199,7 @@ class DtypeShapeAnalysis:
         key = (fn.qual, self._argsig(bindings))
         if key in self._memo:
             return self._memo[key]
-        if key in self._stack or depth > self.max_depth:
+        if key in self._stack or depth > _MAX_DEPTH:
             return TOP
         self._stack.add(key)
         env: dict[str, Abstract] = dict(bindings)
@@ -289,7 +284,7 @@ class DtypeShapeAnalysis:
         if isinstance(target, ast.Name):
             env[target.id] = value
         elif isinstance(target, ast.Attribute):
-            name = _dotted(target)
+            name = dotted_name(target)
             if name and name.startswith("self."):
                 env[name] = value
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -300,7 +295,7 @@ class DtypeShapeAnalysis:
         if isinstance(node, ast.Name):
             return env.get(node.id, TOP)
         if isinstance(node, ast.Attribute):
-            name = _dotted(node)
+            name = dotted_name(node)
             if name and name in env:
                 return env[name]
         return TOP
@@ -314,7 +309,7 @@ class DtypeShapeAnalysis:
                 return Abstract(WEAK)
             return TOP
         if isinstance(node, ast.Attribute):
-            name = _dotted(node)
+            name = dotted_name(node)
             if name and name in env:
                 return env[name]
             if isinstance(node.value, ast.AST) and node.attr in ("T", "real", "imag"):
@@ -387,7 +382,7 @@ class DtypeShapeAnalysis:
             return None
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return _DTYPE_NAMES.get(node.value)
-        name = _dotted(node)
+        name = dotted_name(node)
         if name:
             return _DTYPE_NAMES.get(name.split(".")[-1])
         return None
@@ -410,7 +405,7 @@ class DtypeShapeAnalysis:
                 if not isinstance(a, ast.Starred)]
         kwargs = {kw.arg: self._eval(fn, kw.value, env, depth)
                   for kw in node.keywords if kw.arg}
-        name = _dotted(node.func) or ""
+        name = dotted_name(node.func) or ""
         tail = name.split(".")[-1]
         cls = self.project.class_of(fn)
         qual = self.project.canonical(self.project.resolve_call(fn.module, node.func, cls))

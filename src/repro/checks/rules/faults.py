@@ -20,8 +20,8 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import TEST_ZONE, FileContext, rule
-from ._util import dotted_name
+from ..project import ModuleInfo, dotted_name
+from ..registry import TEST_ZONE, rule
 
 
 def _is_forever(test: ast.expr) -> bool:
@@ -52,11 +52,11 @@ def _catches_broad(handler: ast.ExceptHandler) -> bool:
     "unbounded while-True retry loops and except-Exception handlers that "
     "silently continue; use repro.faults retry/backoff policies",
 )
-def check_resilience_hygiene(ctx: FileContext) -> Iterator[Finding]:
+def check_resilience_hygiene(ctx: ModuleInfo) -> Iterator[Finding]:
     if ctx.zone == TEST_ZONE or "faults" in ctx.path.split("/"):
         return
     swallowed_in_loops: set[ast.ExceptHandler] = set()
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not (isinstance(node, ast.While) and _is_forever(node.test)):
             continue
         handlers = [
@@ -71,7 +71,7 @@ def check_resilience_hygiene(ctx: FileContext) -> Iterator[Finding]:
                 "error with no raise/return/break, so persistent failure "
                 "spins forever; use repro.faults.RetryPolicy/call_with_retry",
             )
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if (
             isinstance(node, ast.ExceptHandler)
             and node not in swallowed_in_loops

@@ -18,8 +18,8 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import TEST_ZONE, FileContext, rule
-from ._util import dotted_name
+from ..project import ModuleInfo, dotted_name
+from ..registry import TEST_ZONE, rule
 
 
 def _passes_kwargs(call: ast.Call) -> bool:
@@ -37,10 +37,10 @@ def _dealias_params(fn: ast.FunctionDef) -> list[str]:
     "bare/silent exception handlers, default-NaN nan_to_num, and dealias flags "
     "dropped in solver call chains",
 )
-def check_numerics_hygiene(ctx: FileContext) -> Iterator[Finding]:
+def check_numerics_hygiene(ctx: ModuleInfo) -> Iterator[Finding]:
     if ctx.zone == TEST_ZONE:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.ExceptHandler):
             if node.type is None:
                 yield ctx.finding(

@@ -23,8 +23,9 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import TEST_ZONE, FileContext, rule
-from ._util import dotted_name, names_from_import
+from ..project import ModuleInfo, dotted_name
+from ..registry import TEST_ZONE, rule
+from ._util import names_from_import
 
 
 def _span_call_name(call: ast.Call) -> str | None:
@@ -42,16 +43,16 @@ def _span_call_name(call: ast.Call) -> str | None:
     "time.time() used where a monotonic duration is expected, or an obs "
     "span entered without a with-statement (breaks the span stack)",
 )
-def check_obs_hygiene(ctx: FileContext) -> Iterator[Finding]:
+def check_obs_hygiene(ctx: ModuleInfo) -> Iterator[Finding]:
     if ctx.zone == TEST_ZONE:
         return
 
-    time_aliases = names_from_import(ctx.tree, "time")
+    time_aliases = names_from_import(ctx.nodes, "time")
 
     # Calls that *are* `with` context expressions or returned verbatim
     # are the sanctioned uses of span(); collect them first.
     sanctioned: set[int] = set()
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 if isinstance(item.context_expr, ast.Call):
@@ -59,7 +60,7 @@ def check_obs_hygiene(ctx: FileContext) -> Iterator[Finding]:
         elif isinstance(node, ast.Return) and isinstance(node.value, ast.Call):
             sanctioned.add(id(node.value))
 
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func)

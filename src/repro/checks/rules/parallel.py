@@ -30,8 +30,8 @@ from pathlib import PurePosixPath
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import TEST_ZONE, FileContext, rule
-from ._util import dotted_name
+from ..project import ModuleInfo, dotted_name
+from ..registry import TEST_ZONE, rule
 
 _PROC_MODULES = {"multiprocessing", "multiprocessing.shared_memory",
                  "concurrent.futures"}
@@ -41,11 +41,11 @@ _PROC_NAMES = {
 }
 
 
-def _imported_hazards(tree: ast.Module) -> tuple[set[str], set[str]]:
+def _imported_hazards(nodes: list[ast.AST]) -> tuple[set[str], set[str]]:
     """(module aliases bound to process modules, names imported from them)."""
     aliases: set[str] = set()
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for item in node.names:
                 if item.name in _PROC_MODULES or item.name == "concurrent":
@@ -67,12 +67,12 @@ def _imported_hazards(tree: ast.Module) -> tuple[set[str], set[str]]:
     "repro.parallel; route process fan-out through ProcessPool/ShmArena "
     "so seeding, obs relay and shm cleanup hold",
 )
-def check_parallel_hygiene(ctx: FileContext) -> Iterator[Finding]:
+def check_parallel_hygiene(ctx: ModuleInfo) -> Iterator[Finding]:
     parts = PurePosixPath(ctx.path).parts
     if ctx.zone == TEST_ZONE or "parallel" in parts:
         return
-    aliases, names = _imported_hazards(ctx.tree)
-    for node in ast.walk(ctx.tree):
+    aliases, names = _imported_hazards(ctx.nodes)
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func)

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import ast
 
-from ..checks.findings import Finding
-from .callgraph import CallGraph, _lock_context
-from .project import ClassInfo, FunctionInfo, Project, _dotted
+from ..findings import Finding
+from ..callgraph import CallGraph, _lock_context
+from ..project import ClassInfo, FunctionInfo, Project, dotted_name
+from ..registry import rule
 
 __all__ = ["RaceAnalysis"]
 
@@ -79,7 +80,7 @@ def _walk_attr_access(fn: FunctionInfo, cls: ClassInfo | None):
                        else [node.target])
             for target in targets:
                 if isinstance(target, ast.Attribute):
-                    base = _dotted(target.value)
+                    base = dotted_name(target.value)
                     if base:
                         yield base, target.attr, target, locked, True
                 else:
@@ -94,14 +95,14 @@ def _walk_attr_access(fn: FunctionInfo, cls: ClassInfo | None):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _MUTATORS
                 and isinstance(node.func.value, ast.Attribute)):
-            base = _dotted(node.func.value.value)
+            base = dotted_name(node.func.value.value)
             if base:
                 yield base, node.func.value.attr, node, locked, True
             for child in list(node.args) + [kw.value for kw in node.keywords]:
                 yield from visit(child, locked)
             return
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            base = _dotted(node.value)
+            base = dotted_name(node.value)
             if base:
                 yield base, node.attr, node, locked, False
             yield from visit(node.value, locked)
@@ -113,6 +114,8 @@ def _walk_attr_access(fn: FunctionInfo, cls: ClassInfo | None):
         yield from visit(stmt, False)
 
 
+@rule("RPR103", "unlocked-write", "shared-state writes outside the owning lock")
+@rule("RPR104", "torn-read", "multi-attribute reads without the guarding lock")
 class RaceAnalysis:
     def __init__(self, project: Project, graph: CallGraph):
         self.project = project
@@ -220,17 +223,11 @@ class RaceAnalysis:
                     readers = sorted(accessors.get((owner, attr), ()) - {fn.qual})
                     shown = ", ".join(r.split(".", 2)[-1] for r in readers[:2]) \
                         or "concurrency-reachable code"
-                    self.findings.append(Finding(
-                        rule="RPR103",
-                        path=fn.module.path,
-                        line=node.lineno,
-                        col=node.col_offset + 1,
-                        message=(
-                            f"unlocked write to {owner.rsplit('.', 1)[-1]}.{attr}, "
-                            f"which {shown} accesses on a worker thread; guard it "
-                            f"with the owning lock"
-                        ),
-                        snippet=fn.module.line_at(node.lineno),
+                    self.findings.append(fn.module.finding(
+                        "RPR103", node,
+                        f"unlocked write to {owner.rsplit('.', 1)[-1]}.{attr}, "
+                        f"which {shown} accesses on a worker thread; guard it "
+                        f"with the owning lock",
                     ))
                 elif (not is_write and base == "self"
                         and attr in guarded.get(owner, ())):
@@ -241,16 +238,10 @@ class RaceAnalysis:
             if len(torn_reads) >= 2 and cls is not None:  # RPR104
                 first = min(torn_reads.values(), key=lambda n: n.lineno)
                 attrs = ", ".join(sorted(torn_reads))
-                self.findings.append(Finding(
-                    rule="RPR104",
-                    path=fn.module.path,
-                    line=first.lineno,
-                    col=first.col_offset + 1,
-                    message=(
-                        f"torn snapshot in {cls.name}.{fn.name}: reads {attrs} "
-                        f"without the lock that guards their writes; copy them "
-                        f"under the lock first"
-                    ),
-                    snippet=fn.module.line_at(first.lineno),
+                self.findings.append(fn.module.finding(
+                    "RPR104", first,
+                    f"torn snapshot in {cls.name}.{fn.name}: reads {attrs} "
+                    f"without the lock that guards their writes; copy them "
+                    f"under the lock first",
                 ))
         return self.findings

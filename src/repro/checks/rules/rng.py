@@ -19,8 +19,9 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import TEST_ZONE, FileContext, rule
-from ._util import dotted_name, names_from_import
+from ..project import ModuleInfo, dotted_name
+from ..registry import TEST_ZONE, rule
+from ._util import names_from_import
 
 _LEGACY = {
     "seed", "rand", "randn", "random", "random_sample", "ranf", "sample",
@@ -36,11 +37,11 @@ _LEGACY = {
     "unseeded default_rng() and legacy np.random global-state calls make runs "
     "non-reproducible; pass an explicit seed or Generator",
 )
-def check_reproducibility(ctx: FileContext) -> Iterator[Finding]:
+def check_reproducibility(ctx: ModuleInfo) -> Iterator[Finding]:
     if ctx.zone == TEST_ZONE:
         return
-    local_default_rng = names_from_import(ctx.tree, "numpy.random")
-    for node in ast.walk(ctx.tree):
+    local_default_rng = names_from_import(ctx.nodes, "numpy.random")
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func)

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import ast
 
-from ..checks.findings import Finding
-from .project import FunctionInfo, Project, _dotted
+from ..callgraph import CallGraph
+from ..findings import Finding
+from ..project import FunctionInfo, Project, dotted_name
+from ..registry import rule
 
 __all__ = ["SeedTaintAnalysis"]
 
@@ -61,10 +63,12 @@ _SINK_TAILS = {"atomic_write_npz", "save_samples", "save_model",
 _MAX_DEPTH = 8
 
 
+@rule("RPR105", "seed-provenance", "artifact writes fed by unseeded RNG streams")
 class SeedTaintAnalysis:
-    def __init__(self, project: Project, max_depth: int = _MAX_DEPTH):
+    """Taint RNG streams to artifact sinks; ``graph`` goes unused."""
+
+    def __init__(self, project: Project, graph: CallGraph):
         self.project = project
-        self.max_depth = max_depth
         self.findings: list[Finding] = []
         self.provenance: dict[tuple[str, int], dict] = {}
         self._memo: dict[tuple, int] = {}
@@ -82,7 +86,7 @@ class SeedTaintAnalysis:
 
     # -- classification ------------------------------------------------
     def _is_np_random(self, fn: FunctionInfo, node: ast.expr) -> bool:
-        name = _dotted(node) or ""
+        name = dotted_name(node) or ""
         if ".random." in f".{name}." or name.startswith("random."):
             head = name.split(".")[0]
             target = fn.module.imports.get(head, head)
@@ -125,18 +129,12 @@ class SeedTaintAnalysis:
             return
         self._reported.add(rkey)
         where = f" (stream created at {origin[0]}:{origin[1]})" if origin else ""
-        self.findings.append(Finding(
-            rule="RPR105",
-            path=fn.module.path,
-            line=call.lineno,
-            col=call.col_offset + 1,
-            message=(
-                f"artifact write {tail}() receives data derived from an "
-                f"unseeded RNG stream{where}; thread an explicit seed "
-                f"(as_generator/default_rng(seed)) so the artifact is "
-                f"reproducible"
-            ),
-            snippet=fn.module.line_at(call.lineno),
+        self.findings.append(fn.module.finding(
+            "RPR105", call,
+            f"artifact write {tail}() receives data derived from an "
+            f"unseeded RNG stream{where}; thread an explicit seed "
+            f"(as_generator/default_rng(seed)) so the artifact is "
+            f"reproducible",
         ))
 
     # -- interpretation ------------------------------------------------
@@ -145,7 +143,7 @@ class SeedTaintAnalysis:
         key = (fn.qual, tuple(sorted(bindings.items())))
         if key in self._memo:
             return self._memo[key]
-        if key in self._stack or depth > self.max_depth:
+        if key in self._stack or depth > _MAX_DEPTH:
             return (CLEAN, None)
         self._stack.add(key)
         env: dict[str, tuple] = dict(bindings)
@@ -207,7 +205,7 @@ class SeedTaintAnalysis:
         if isinstance(target, ast.Name):
             env[target.id] = taint
         elif isinstance(target, ast.Attribute):
-            name = _dotted(target)
+            name = dotted_name(target)
             if name and name.startswith("self."):
                 env[name] = taint
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -218,7 +216,7 @@ class SeedTaintAnalysis:
         if isinstance(node, ast.Name):
             return env.get(node.id, (CLEAN, None))
         if isinstance(node, ast.Attribute):
-            name = _dotted(node)
+            name = dotted_name(node)
             if name and name in env:
                 return env[name]
         return (CLEAN, None)
@@ -271,7 +269,7 @@ class SeedTaintAnalysis:
             if taint[0] > worst[0]:
                 worst = taint
 
-        name = _dotted(call.func) or ""
+        name = dotted_name(call.func) or ""
         tail = name.split(".")[-1]
         cls = self.project.class_of(fn)
         qual = self.project.canonical(self.project.resolve_call(fn.module, call.func, cls))

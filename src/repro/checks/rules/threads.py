@@ -25,8 +25,9 @@ from pathlib import PurePosixPath
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import FileContext, rule
-from ._util import dotted_name, is_self_attr, self_attr_base
+from ..project import ModuleInfo, dotted_name
+from ..registry import rule
+from ._util import is_self_attr, self_attr_base
 
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
 _MUTATORS = {
@@ -99,10 +100,10 @@ def _walk_method(node: ast.AST, locks: set[str], locked: bool, out: list[tuple[a
     "writes to shared self./module state in repro.serve outside a held lock "
     "(add a lock or document thread confinement with a suppression)",
 )
-def check_thread_safety(ctx: FileContext) -> Iterator[Finding]:
+def check_thread_safety(ctx: ModuleInfo) -> Iterator[Finding]:
     if "serve" not in PurePosixPath(ctx.path).parts:
         return
-    for cls in ast.walk(ctx.tree):
+    for cls in ctx.nodes:
         if not isinstance(cls, ast.ClassDef):
             continue
         locks = _lock_attrs(cls)
@@ -123,7 +124,7 @@ def check_thread_safety(ctx: FileContext) -> Iterator[Finding]:
                     f"'self.{attr}' outside a held lock; {hint}",
                 )
     # global rebinding from inside functions is never thread-safe here.
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Global):
             yield ctx.finding(
                 "RPR002", node,

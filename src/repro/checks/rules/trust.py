@@ -30,8 +30,8 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import TEST_ZONE, FileContext, rule
-from ._util import dotted_name
+from ..project import ModuleInfo, dotted_name
+from ..registry import TEST_ZONE, rule
 
 # Diagnostic entry points whose array arguments must be served verbatim.
 _DIAGNOSTIC_LEAVES = {
@@ -77,10 +77,10 @@ def _has_step_slice(node: ast.AST) -> bool:
     "the served array at its native dtype/grid — the diagnostic exists to "
     "measure exactly what a cast would hide",
 )
-def check_trust_fidelity(ctx: FileContext) -> Iterator[Finding]:
+def check_trust_fidelity(ctx: ModuleInfo) -> Iterator[Finding]:
     if ctx.zone == TEST_ZONE:
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func) or ""

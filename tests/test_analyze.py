@@ -1,27 +1,21 @@
-"""Tests of the repro.analyze whole-program analysis layer.
+"""Tests of the whole-program analyses in repro.checks (RPR101–RPR105).
 
 Fixture *packages* (with real ``__init__.py`` chains, so dotted module
 names resolve) seed one violation per analysis next to a matching
 negative; the suppression/baseline round-trips pin the grandfathering
-semantics; the meta-tests at the bottom assert the repo itself is clean
-and that the CLI wires through — the same gate CI runs.
+semantics; the CLI tests drive the same ``repro check`` that CI runs.
+The repo-is-clean gate covers both halves and lives in test_checks.py.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analyze import analyze_paths, build_callgraph, Project
-from repro.analyze.cli import main as analyze_main
-from repro.checks import Baseline, load_baseline
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.checks import Baseline, Project, build_callgraph, check_paths
+from repro.checks.cli import main as check_main
 
 
 def _write_pkg(root: Path, files: dict[str, str]) -> Path:
@@ -211,12 +205,12 @@ def fixture_root(tmp_path):
 
 
 def _run(root, **kwargs):
-    return analyze_paths([root / "src"], root=root, **kwargs)
+    return check_paths([root / "src"], root=root, **kwargs)
 
 
-def _rules_at(report, path_fragment):
+def _rules_at(result, path_fragment):
     return sorted(
-        (f.rule, f.line) for f in report.result.findings
+        (f.rule, f.line) for f in result.findings
         if path_fragment in f.path
     )
 
@@ -248,6 +242,21 @@ class TestProject:
         assert len(project.errors) == 1
         assert "repro.fine" in project.modules
 
+    def test_same_module_name_in_two_dirs_keeps_both_files(self, tmp_path):
+        """Two package-less ``util.py`` files both reach the per-file rules."""
+        for name in ("a", "b"):
+            path = tmp_path / name / "util.py"
+            path.parent.mkdir()
+            path.write_text(
+                "import numpy as np\n\ndef f():\n    return np.random.rand(3)\n")
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        project = Project.load(dirs, root=tmp_path)
+        assert [m.path for m in project.files] == ["a/util.py", "b/util.py"]
+        result = check_paths(dirs, root=tmp_path)
+        assert result.n_files == 2
+        assert [(f.rule, f.path) for f in result.findings] == [
+            ("RPR003", "a/util.py"), ("RPR003", "b/util.py")]
+
 
 class TestCallGraph:
     def test_thread_target_is_entry(self, fixture_root):
@@ -277,8 +286,8 @@ class TestCallGraph:
 
 class TestDtypeFlow:
     def test_cross_module_widenings_flagged(self, fixture_root):
-        report = _run(fixture_root, select=["RPR101"])
-        lines = {line for _, line in _rules_at(report, "consumer.py")}
+        result = _run(fixture_root, select=["RPR101"])
+        lines = {line for _, line in _rules_at(result, "consumer.py")}
         source = CONSUMER.splitlines()
         assert source[6].strip() == "return np.fft.rfft2(state)"
         assert 7 in lines        # spectrum: np.fft promotion
@@ -287,8 +296,8 @@ class TestDtypeFlow:
 
     def test_negatives_stay_clean(self, fixture_root):
         """astype, scipy.fft, weak scalars, same-module widening: no findings."""
-        report = _run(fixture_root, select=["RPR101"])
-        flagged = {line for _, line in _rules_at(report, "consumer.py")}
+        result = _run(fixture_root, select=["RPR101"])
+        flagged = {line for _, line in _rules_at(result, "consumer.py")}
         source = CONSUMER.splitlines()
         for marker in ("explicit_ok", "scipy_ok", "weak_scalar_ok",
                        "same_module_widen"):
@@ -297,8 +306,8 @@ class TestDtypeFlow:
                 f"false positive inside {marker}"
 
     def test_shape_contracts(self, fixture_root):
-        report = _run(fixture_root, select=["RPR102"])
-        rules = _rules_at(report, "shapes.py")
+        result = _run(fixture_root, select=["RPR102"])
+        rules = _rules_at(result, "shapes.py")
         lines = {line for _, line in rules}
         assert len(rules) == 2
         source = SHAPES.splitlines()
@@ -310,8 +319,8 @@ class TestDtypeFlow:
 
 class TestRaces:
     def test_unlocked_writes_flagged(self, fixture_root):
-        report = _run(fixture_root, select=["RPR103"])
-        lines = {line for _, line in _rules_at(report, "pool.py")}
+        result = _run(fixture_root, select=["RPR103"])
+        lines = {line for _, line in _rules_at(result, "pool.py")}
         source = POOL.splitlines()
         done_line = next(i for i, l in enumerate(source) if "self.done += 1" in l) + 1
         # last occurrence: the one in reset(), not the __init__ initialiser
@@ -320,20 +329,20 @@ class TestRaces:
         assert reset_line in lines   # main-thread setter racing _run
 
     def test_locked_and_dominated_writes_clean(self, fixture_root):
-        report = _run(fixture_root, select=["RPR103"])
+        result = _run(fixture_root, select=["RPR103"])
         source = POOL.splitlines()
-        flagged = {line for _, line in _rules_at(report, "pool.py")}
+        flagged = {line for _, line in _rules_at(result, "pool.py")}
         for marker in ("self.jobs += 1", "self.total += 1", "self.total = 0"):
             line = next(i for i, l in enumerate(source) if marker in l) + 1
             assert line not in flagged, f"false positive on locked write {marker!r}"
 
     def test_thread_confined_class_clean(self, fixture_root):
-        report = _run(fixture_root, select=["RPR103", "RPR104"])
-        assert _rules_at(report, "confined.py") == []
+        result = _run(fixture_root, select=["RPR103", "RPR104"])
+        assert _rules_at(result, "confined.py") == []
 
     def test_torn_reads(self, fixture_root):
-        report = _run(fixture_root, select=["RPR104"])
-        rules = _rules_at(report, "torn.py")
+        result = _run(fixture_root, select=["RPR104"])
+        rules = _rules_at(result, "torn.py")
         assert len(rules) == 1
         [(rule, line)] = rules
         source = TORN.splitlines()
@@ -343,8 +352,8 @@ class TestRaces:
 
 class TestSeeds:
     def test_unseeded_writes_flagged(self, fixture_root):
-        report = _run(fixture_root, select=["RPR105"])
-        lines = {line for _, line in _rules_at(report, "seeds.py")}
+        result = _run(fixture_root, select=["RPR105"])
+        lines = {line for _, line in _rules_at(result, "seeds.py")}
         source = SEEDS.splitlines()
         unseeded = next(i for i, l in enumerate(source)
                         if "data=_draw(rng)" in l) + 1
@@ -355,8 +364,8 @@ class TestSeeds:
         assert len(lines) == 2   # the seeded write stays clean
 
     def test_provenance_table(self, fixture_root):
-        report = _run(fixture_root)
-        rows = [r for r in report.provenance if "seeds.py" in r["path"]]
+        result = _run(fixture_root)
+        rows = [r for r in result.provenance if "seeds.py" in r["path"]]
         statuses = sorted(r["status"] for r in rows)
         assert statuses == ["seeded", "unseeded", "unseeded"]
         unseeded_rows = [r for r in rows if r["status"] == "unseeded"]
@@ -372,17 +381,17 @@ class TestSuppressionAndBaseline:
                 "np.savez(path, data=np.random.normal(size=4))  # repro: ignore[RPR105]",
             ),
         })
-        report = _run(pkg, select=["RPR105"])
-        assert len(report.result.findings) == 1
-        assert len(report.result.suppressed) == 1
+        result = _run(pkg, select=["RPR105"])
+        assert len(result.findings) == 1
+        assert len(result.suppressed) == 1
 
     def test_baseline_round_trip(self, fixture_root):
         first = _run(fixture_root)
-        assert first.result.findings
-        baseline = Baseline.from_findings(first.result.findings)
+        assert first.findings
+        baseline = Baseline.from_findings(first.findings)
         second = _run(fixture_root, baseline=baseline)
-        assert second.result.findings == []
-        assert len(second.result.baselined) == len(first.result.findings)
+        assert second.findings == []
+        assert len(second.baselined) == len(first.findings)
 
     def test_unknown_select_raises(self, fixture_root):
         with pytest.raises(KeyError):
@@ -391,8 +400,8 @@ class TestSuppressionAndBaseline:
 
 class TestCli:
     def test_exit_codes_and_json(self, fixture_root, capsys):
-        rc = analyze_main([str(fixture_root / "src"), "--format", "json",
-                           "--no-baseline"])
+        rc = check_main([str(fixture_root / "src"), "--format", "json",
+                         "--no-baseline"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
@@ -402,67 +411,39 @@ class TestCli:
         assert any(row["status"] == "unseeded" for row in payload["provenance"])
 
     def test_select_narrows(self, fixture_root, capsys):
-        rc = analyze_main([str(fixture_root / "src"), "--format", "json",
-                           "--no-baseline", "--select", "RPR102"])
+        rc = check_main([str(fixture_root / "src"), "--format", "json",
+                         "--no-baseline", "--select", "RPR102"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert {f["rule"] for f in payload["findings"]} == {"RPR102"}
 
     def test_graph_export(self, fixture_root, tmp_path, capsys):
         dot_path = tmp_path / "callgraph.dot"
-        analyze_main([str(fixture_root / "src"), "--no-baseline",
-                      "--graph", str(dot_path)])
+        check_main([str(fixture_root / "src"), "--no-baseline",
+                    "--graph", str(dot_path)])
         capsys.readouterr()
         dot = dot_path.read_text()
         assert dot.startswith("digraph callgraph {")
         assert "Pool._run" in dot
 
     def test_write_baseline_then_clean(self, fixture_root, tmp_path, capsys):
-        baseline_path = tmp_path / "analyze-baseline.json"
-        rc = analyze_main([str(fixture_root / "src"),
-                           "--baseline", str(baseline_path), "--write-baseline"])
+        baseline_path = tmp_path / "baseline.json"
+        rc = check_main([str(fixture_root / "src"),
+                         "--baseline", str(baseline_path), "--write-baseline"])
         assert rc == 0
-        rc = analyze_main([str(fixture_root / "src"),
-                           "--baseline", str(baseline_path)])
+        rc = check_main([str(fixture_root / "src"),
+                         "--baseline", str(baseline_path)])
         capsys.readouterr()
         assert rc == 0
 
     def test_bad_rule_is_usage_error(self, fixture_root, capsys):
-        rc = analyze_main([str(fixture_root / "src"), "--select", "NOPE"])
+        rc = check_main([str(fixture_root / "src"), "--select", "NOPE"])
         capsys.readouterr()
         assert rc == 2
 
     def test_list_rules(self, capsys):
-        assert analyze_main(["--list-rules"]) == 0
+        assert check_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in ("RPR101", "RPR102", "RPR103", "RPR104", "RPR105"):
             assert rule in out
 
-
-class TestRepoIsClean:
-    def test_src_runs_clean(self):
-        """The CI gate: zero unbaselined whole-program findings across src/."""
-        baseline_path = REPO_ROOT / "analyze-baseline.json"
-        baseline = load_baseline(baseline_path) if baseline_path.is_file() \
-            else Baseline()
-        report = analyze_paths([REPO_ROOT / "src"], baseline=baseline,
-                               root=REPO_ROOT)
-        assert report.result.errors == []
-        assert report.result.findings == [], "new findings:\n" + "\n".join(
-            f.render() for f in report.result.findings
-        )
-
-    def test_cli_subcommand_wires_through(self):
-        """`repro analyze` exits 0 on the repo from the command line."""
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "analyze", "src",
-             "--format", "json"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        payload = json.loads(proc.stdout)
-        assert payload["ok"] is True
-        assert payload["callgraph"]["concurrent"] > 0

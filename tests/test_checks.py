@@ -1,9 +1,11 @@
-"""Tests of the repro.checks static-analysis framework.
+"""Tests of the repro.checks static-analysis framework and its per-file rules.
 
-Fixture files with seeded violations exercise every rule in the pack;
-the suppression and baseline round-trips pin the grandfathering
-semantics; the meta-test at the bottom asserts the repo itself is clean
-under its committed baseline (the same gate CI runs).
+Fixture files with seeded violations exercise every per-file rule; the
+suppression and baseline round-trips pin the grandfathering semantics;
+the meta-tests at the bottom assert the repo itself is clean under its
+committed baseline — per-file rules and whole-program analyses in one
+run, the same gate CI runs.  The analyses' own fixtures live in
+test_analyze.py.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from repro.checks import (
     Baseline,
+    all_rules,
     check_paths,
     classify_zone,
     load_baseline,
@@ -326,6 +329,47 @@ class TestBaseline:
         assert baseline_path.read_text() == after
         assert after != before
 
+    STALE = "RPR001::src/repro/nn/fixture_dtype.py::x = 1"
+
+    def _scoped_fixture(self, tmp_path, monkeypatch):
+        """An RPR001 file and an RPR003 file, their live entries and a stale one."""
+        monkeypatch.chdir(tmp_path)
+        _write_fixture(tmp_path, "RPR001")
+        _write_fixture(tmp_path, "RPR003")
+        live = {f.rule: f.baseline_key()
+                for f in check_paths(["src"], root=tmp_path).findings}
+        baseline_path = tmp_path / "baseline.json"
+        write_baseline(baseline_path, Baseline(
+            {live["RPR001"]: 1, live["RPR003"]: 1, self.STALE: 1}))
+        return baseline_path, live
+
+    def test_cli_prune_keeps_entries_outside_the_run(self, tmp_path, capsys, monkeypatch):
+        baseline_path, live = self._scoped_fixture(tmp_path, monkeypatch)
+        # An unselected rule and an unscanned file keep every entry,
+        # stale ones included.
+        for args in (["src", "--select", "RPR003"], ["src/repro/core"]):
+            assert check_main(args + ["--baseline", str(baseline_path),
+                                      "--prune-baseline"]) == 0
+            assert "pruned 0 stale entries" in capsys.readouterr().out
+            assert set(load_baseline(baseline_path).counts) == {*live.values(), self.STALE}
+        # The run that covers the stale entry drops it, and only it.
+        assert check_main(["src/repro/nn", "--baseline", str(baseline_path),
+                           "--prune-baseline"]) == 0
+        assert "pruned 1 stale entry" in capsys.readouterr().out
+        assert set(load_baseline(baseline_path).counts) == set(live.values())
+
+    def test_cli_write_keeps_entries_outside_the_run(self, tmp_path, capsys, monkeypatch):
+        baseline_path, live = self._scoped_fixture(tmp_path, monkeypatch)
+        for args in (["src", "--select", "RPR003"], ["src/repro/core"]):
+            assert check_main(args + ["--baseline", str(baseline_path),
+                                      "--write-baseline"]) == 0
+            capsys.readouterr()
+            assert set(load_baseline(baseline_path).counts) == {*live.values(), self.STALE}
+        # A full run rewrites every entry from the live findings.
+        assert check_main(["src", "--baseline", str(baseline_path),
+                           "--write-baseline"]) == 0
+        assert set(load_baseline(baseline_path).counts) == set(live.values())
+
 
 class TestCLI:
     def test_exit_codes_and_json_schema(self, tmp_path, capsys, monkeypatch):
@@ -365,10 +409,19 @@ class TestCLI:
         ):
             assert rule_id in out
 
+    def test_readme_lists_every_rule(self, capsys):
+        """The README rule table covers everything `--list-rules` prints."""
+        assert check_main(["--list-rules"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == [spec.id for spec in all_rules()] and len(listed) == 16
+        readme = (REPO_ROOT / "README.md").read_text()
+        missing = [rule_id for rule_id in listed if f"| {rule_id} |" not in readme]
+        assert missing == [], f"README rule table lacks {missing}"
+
 
 class TestRepoIsClean:
     def test_src_runs_clean_under_committed_baseline(self):
-        """The CI gate: zero unbaselined findings across src/."""
+        """The CI gate: zero unbaselined findings across src/, per-file and whole-program."""
         baseline = load_baseline(REPO_ROOT / "checks-baseline.json")
         result = check_paths([REPO_ROOT / "src"], baseline=baseline, root=REPO_ROOT)
         assert result.errors == []
@@ -399,3 +452,5 @@ class TestRepoIsClean:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["ok"] is True and payload["counts"]["findings"] == 0
+        assert payload["callgraph"]["concurrent"] > 0
+        assert payload["provenance"]
