@@ -4,18 +4,32 @@ Fixture *packages* (with real ``__init__.py`` chains, so dotted module
 names resolve) seed one violation per analysis next to a matching
 negative; the suppression/baseline round-trips pin the grandfathering
 semantics; the CLI tests drive the same ``repro check`` that CI runs.
-The repo-is-clean gate covers both halves and lives in test_checks.py.
+The repo-is-clean tests at the bottom run only the whole-program
+analyses over src/; test_checks.py gates both halves together.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.checks import Baseline, Project, build_callgraph, check_paths
+from repro.checks import (
+    Baseline,
+    Project,
+    build_callgraph,
+    check_paths,
+    load_baseline,
+)
 from repro.checks.cli import main as check_main
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+ANALYSES = ["RPR101", "RPR102", "RPR103", "RPR104", "RPR105"]
 
 
 def _write_pkg(root: Path, files: dict[str, str]) -> Path:
@@ -447,3 +461,30 @@ class TestCli:
         for rule in ("RPR101", "RPR102", "RPR103", "RPR104", "RPR105"):
             assert rule in out
 
+
+class TestRepoIsClean:
+    def test_src_runs_clean(self):
+        """Zero unbaselined whole-program findings across src/."""
+        baseline = load_baseline(REPO_ROOT / "checks-baseline.json")
+        result = check_paths([REPO_ROOT / "src"], select=ANALYSES,
+                             baseline=baseline, root=REPO_ROOT)
+        assert result.errors == []
+        assert result.findings == [], "new findings:\n" + "\n".join(
+            f.render() for f in result.findings
+        )
+
+    def test_cli_subcommand_wires_through(self):
+        """`repro check --select` of the analyses exits 0 on the repo."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "check", "src",
+             "--select", ",".join(ANALYSES), "--format", "json"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["ok"] is True
+        assert payload["callgraph"]["concurrent"] > 0
+        assert payload["counts"]["findings"] == 0
