@@ -14,7 +14,7 @@ and the same training protocol.  Checks:
 import numpy as np
 
 from common import print_table, write_results
-from repro.core import Spatial3DChannelsConfig, Trainer, TrainingConfig, build_fno3d_spatial_channels
+from repro.core import Spatial3DChannelsConfig, Trainer, TrainingConfig, build_model
 from repro.data import FieldNormalizer, make_channel_pairs
 from repro.ns3d import SpectralNSSolver3D, kinetic_energy3d, random_solenoidal_velocity
 from repro.tensor import Tensor, no_grad
@@ -58,7 +58,7 @@ def run_3d():
 
     cfg = Spatial3DChannelsConfig(n_in=N_IN, n_out=N_OUT, n_fields=3,
                                   modes1=4, modes2=4, modes3=3, width=8, n_layers=2)
-    model = build_fno3d_spatial_channels(cfg, rng=np.random.default_rng(0))
+    model = build_model(cfg, rng=np.random.default_rng(0))
     trainer = Trainer(model, TrainingConfig(epochs=80, batch_size=4, learning_rate=3e-3,
                                             scheduler_step=30, scheduler_gamma=0.5, seed=0))
     history = trainer.fit(norm.encode(X), norm.encode(Y))

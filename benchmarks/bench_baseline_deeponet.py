@@ -3,7 +3,7 @@
 Paper Sec. II surveys operator-learning families (FNO, DeepONet, …) and
 selects the FNO.  This benchmark makes the comparison concrete on the
 actual workload: predict the next window of decaying-turbulence velocity
-from the previous one, FNO2d vs DeepONet at a comparable parameter
+from the previous one, the 2-D FNO vs DeepONet at a comparable parameter
 budget and identical training protocol.
 
 Claims checked:
@@ -83,7 +83,7 @@ def test_baseline_deeponet(benchmark):
         "Baseline — FNO vs DeepONet on the turbulence one-window task",
         ["model", "params"] + [f"t+{i+1}" for i in range(N_OUT)] + ["mean"],
         [
-            ["FNO2d", res["params_fno"]] + list(res["err_fno"]) + [res["err_fno"].mean()],
+            ["FNO", res["params_fno"]] + list(res["err_fno"]) + [res["err_fno"].mean()],
             ["DeepONet", res["params_deeponet"]] + list(res["err_deeponet"]) + [res["err_deeponet"].mean()],
         ],
     )

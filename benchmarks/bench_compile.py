@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro import compile as rc
-from repro.core import ChannelFNOConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, build_model
 from repro.core.rollout import apply_channels
 from repro.obs import metrics_registry
 from repro.obs.hooks import profile
@@ -67,7 +67,7 @@ def _materializations(fn) -> int:
 
 def run_compile_probe():
     rng = np.random.default_rng(0)
-    model = build_fno2d_channels(MODEL, rng=rng)
+    model = build_model(MODEL, rng=rng)
     x = rng.standard_normal(
         (1, MODEL.in_channels, GRID, GRID)
     ).astype(np.float32)
@@ -109,7 +109,7 @@ def run_compile_probe():
         1 for step in desc["steps"] if step["kind"] not in ("arena", "view")
     ) + (0 if plan.output_fresh else 1)
 
-    print(f"apply_channels, {MODEL.n_layers}-layer FNO2d w{MODEL.width} "
+    print(f"apply_channels, {MODEL.n_layers}-layer 2-D FNO w{MODEL.width} "
           f"{GRID}^2 f32 batch 1 (median of {ROUNDS} interleaved rounds):")
     print(f"  eager      {t_eager * 1e6:8.1f} us/call   "
           f"({alloc_eager} tensor materialisations/call)")

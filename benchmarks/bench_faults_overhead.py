@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.core import ChannelFNOConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, build_model
 from repro.core.rollout import rollout_channels
 from repro.faults import FaultPlan, FaultSpec, injection
 
@@ -46,7 +46,7 @@ def _time_rollout(model, window):
 
 def run_faults_probe():
     rng = np.random.default_rng(0)
-    model = build_fno2d_channels(MODEL, rng=rng)
+    model = build_model(MODEL, rng=rng)
     window = rng.standard_normal(
         (1, MODEL.n_in * MODEL.n_fields, GRID, GRID)
     ).astype(np.float32)

@@ -23,7 +23,7 @@ import urllib.request
 import numpy as np
 from common import print_table, write_results
 
-from repro.core import ChannelFNOConfig, build_fno2d_channels, save_model
+from repro.core import ChannelFNOConfig, build_model, save_model
 from repro.fleet import Coordinator, Gateway, ReplicaSpec
 
 GATE_MAX_OVERHEAD = 0.10  # routed latency <= 1.10x direct latency
@@ -62,7 +62,7 @@ def run_fleet_gateway():
 
     with tempfile.TemporaryDirectory(prefix="bench-fleet-") as workdir:
         ckpt = f"{workdir}/bench_model.npz"
-        save_model(ckpt, build_fno2d_channels(MODEL, rng=rng), MODEL)
+        save_model(ckpt, build_model(MODEL, rng=rng), MODEL)
         spec = ReplicaSpec(checkpoint=ckpt, model_name="bench", workers=1,
                            queue_depth=16, max_batch=1, default_mode=MODE)
         coordinator = Coordinator(spec, 1, f"{workdir}/fleet",

@@ -14,7 +14,7 @@ import numpy as np
 
 from common import print_table, write_results
 from repro.analysis import kinetic_energy_evolution, per_snapshot_relative_l2
-from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model
 from repro.data import (
     DataGenConfig,
     FieldNormalizer,
@@ -50,7 +50,7 @@ def run_forced():
     Xt, Yt = make_channel_pairs(stack_fields(test_s, "velocity"), N_IN, N_OUT, stride=N_OUT)
     norm = FieldNormalizer(n_fields=2).fit(X)
 
-    model = build_fno2d_channels(
+    model = build_model(
         ChannelFNOConfig(n_in=N_IN, n_out=N_OUT, n_fields=2, modes1=8, modes2=8,
                          width=12, n_layers=3),
         rng=np.random.default_rng(1),

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model
 from repro.jobs import Journal
 from repro.utils import artifacts
 
@@ -47,7 +47,7 @@ def _problem(rng, n_examples=24):
 
 
 def _fit_once(x, y, workdir=None, journal=False):
-    model = build_fno2d_channels(MODEL, rng=np.random.default_rng(0))
+    model = build_model(MODEL, rng=np.random.default_rng(0))
     trainer = Trainer(model, TrainingConfig(epochs=EPOCHS, batch_size=8, seed=0))
     kwargs = {}
     if workdir is not None:

@@ -18,7 +18,7 @@ from repro.core import (
     HybridConfig,
     Trainer,
     TrainingConfig,
-    build_fno2d_channels,
+    build_model,
     run_hybrid_batched,
 )
 from repro.core.rollout import rollout_channels
@@ -42,7 +42,7 @@ def run_obs_probe():
     X, Y = make_channel_pairs(data, n_in=MODEL.n_in, n_out=MODEL.n_out)
     normalizer = FieldNormalizer(n_fields=2).fit(X)
 
-    model = build_fno2d_channels(MODEL, rng=np.random.default_rng(0))
+    model = build_model(MODEL, rng=np.random.default_rng(0))
     trainer = Trainer(model, TrainingConfig(epochs=4, batch_size=4, learning_rate=1e-3))
     history = trainer.fit(normalizer.encode(X), normalizer.encode(Y))
 

@@ -29,8 +29,7 @@ from repro.core import (
     SpaceTimeFNOConfig,
     Trainer,
     TrainingConfig,
-    build_fno2d_channels,
-    build_fno3d,
+    build_model,
     parameter_count,
 )
 
@@ -79,8 +78,8 @@ def run_table1():
     # Timing at reduced scale (grid 16), matched width/modes across 2D/3D.
     t2 = ChannelFNOConfig(n_in=10, n_out=5, n_fields=2, width=8, n_layers=4, modes1=6, modes2=6)
     t3 = SpaceTimeFNOConfig(n_fields=2, width=8, n_layers=4, modes1=6, modes2=6, modes3=3)
-    m2 = build_fno2d_channels(t2, rng=np.random.default_rng(0))
-    m3 = build_fno3d(t3, rng=np.random.default_rng(0))
+    m2 = build_model(t2, rng=np.random.default_rng(0))
+    m3 = build_model(t3, rng=np.random.default_rng(0))
     sec2 = _epoch_seconds(m2, (t2.in_channels, 16, 16), (t2.out_channels, 16, 16))
     sec3 = _epoch_seconds(m3, (2, 16, 16, 10), (2, 16, 16, 10))
     return counts, {"sec_2d": sec2, "sec_3d": sec3}

@@ -30,7 +30,7 @@ import time
 import numpy as np
 from common import print_table, write_results
 
-from repro.core import ChannelFNOConfig, build_fno2d_channels, save_model
+from repro.core import ChannelFNOConfig, build_model, save_model
 from repro.serve import BatchPolicy, InferenceService, ModelRegistry
 from repro.trust import TrustPolicy, set_enabled
 
@@ -96,7 +96,7 @@ def run_trust_overhead():
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory(prefix="bench-trust-") as workdir:
         ckpt = os.path.join(workdir, "bench_trust_model.npz")
-        save_model(ckpt, build_fno2d_channels(MODEL, rng=rng), MODEL)
+        save_model(ckpt, build_model(MODEL, rng=rng), MODEL)
         window = rng.standard_normal(
             (MODEL.n_in, MODEL.n_fields, GRID, GRID)
         ).astype(np.float32)

@@ -24,8 +24,7 @@ from repro.core import (
     SpaceTimeFNOConfig,
     Trainer,
     TrainingConfig,
-    build_fno2d_channels,
-    build_fno3d,
+    build_model,
     load_model,
     save_model,
 )
@@ -121,7 +120,7 @@ def cached_channel_model(
     # the decode preserves solenoidality.
     isotropic = getattr(model_config, "divergence_free", False)
     normalizer = FieldNormalizer(n_fields=model_config.n_fields, isotropic=isotropic).fit(X)
-    model = build_fno2d_channels(model_config, rng=np.random.default_rng(train_config.seed))
+    model = build_model(model_config, rng=np.random.default_rng(train_config.seed))
     trainer = Trainer(model, train_config)
     history = trainer.fit(normalizer.encode(X), normalizer.encode(Y))
     meta = {
@@ -173,7 +172,7 @@ def cached_spacetime_model(
     X, Y = make_spacetime_pairs(data, n_in=model_config.n_in, n_out=model_config.n_out)
     # Axis 1 holds exactly the field components here (time is the last axis).
     normalizer = FieldNormalizer(n_fields=model_config.n_fields).fit(X)
-    model = build_fno3d(model_config, rng=np.random.default_rng(train_config.seed))
+    model = build_model(model_config, rng=np.random.default_rng(train_config.seed))
     trainer = Trainer(model, train_config)
     history = trainer.fit(normalizer.encode(X), normalizer.encode(Y))
     meta = {

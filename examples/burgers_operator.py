@@ -8,7 +8,7 @@ miniature: learn the map ``u(x, 0) → u(x, T)`` for
 
     u_t + u u_x = ν u_xx     (periodic)
 
-with an FNO1d, and verify zero-shot resolution transfer by evaluating
+with a 1-D FNO, and verify zero-shot resolution transfer by evaluating
 the trained model on a finer grid than it was trained on.
 
 Usage:
@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from repro.core import Trainer, TrainingConfig
-from repro.nn import FNO1d
+from repro.nn import FNO
 from repro.ns import BurgersSolver1D, random_initial_condition_1d
 from repro.tensor import Tensor, no_grad
 
@@ -59,8 +59,8 @@ def main() -> None:
     Xtr, Ytr = X[: args.train], Y[: args.train]
     Xte, Yte = X[args.train :], Y[args.train :]
 
-    model = FNO1d(1, 1, modes=12, width=24, n_layers=3, rng=np.random.default_rng(1))
-    print(f"FNO1d with {model.num_parameters():,} parameters")
+    model = FNO(1, 1, (12,), width=24, n_layers=3, rng=np.random.default_rng(1))
+    print(f"1-D FNO with {model.num_parameters():,} parameters")
     trainer = Trainer(model, TrainingConfig(
         epochs=args.epochs, batch_size=8, learning_rate=3e-3,
         scheduler_step=max(args.epochs // 3, 1), scheduler_gamma=0.5, seed=1,

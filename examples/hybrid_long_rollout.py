@@ -60,7 +60,7 @@ def main() -> None:
 
     model, config, normalizer = ensure_model(args.model)
     n_in, n_out = config.n_in, config.n_out
-    print(f"loaded FNO2d ({n_in} in → {n_out} out snapshots, "
+    print(f"loaded 2-D FNO ({n_in} in → {n_out} out snapshots, "
           f"{model.num_parameters():,} parameters)")
 
     # A fresh test trajectory (different seed from the training data).

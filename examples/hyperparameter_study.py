@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from repro.analysis import per_snapshot_relative_l2
-from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model
 from repro.data import (
     DataGenConfig,
     FieldNormalizer,
@@ -29,7 +29,7 @@ from repro.tensor import Tensor, no_grad
 
 def train_and_score(model_cfg, train_cfg, X, Y, Xt, Yt):
     normalizer = FieldNormalizer(n_fields=2).fit(X)
-    model = build_fno2d_channels(model_cfg, rng=np.random.default_rng(train_cfg.seed))
+    model = build_model(model_cfg, rng=np.random.default_rng(train_cfg.seed))
     trainer = Trainer(model, train_cfg)
     history = trainer.fit(normalizer.encode(X), normalizer.encode(Y))
     with no_grad():

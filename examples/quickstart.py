@@ -6,7 +6,7 @@ End-to-end in a few minutes on a laptop CPU:
 1. generate a small dataset of decaying-turbulence trajectories with the
    pseudo-spectral Navier–Stokes solver;
 2. window it into (5-snapshot input → 5-snapshot output) velocity pairs;
-3. train an FNO2d with the paper's protocol (Adam + StepLR, relative L2);
+3. train a 2-D FNO with the paper's protocol (Adam + StepLR, relative L2);
 4. evaluate per-snapshot errors on held-out trajectories and compare with
    the persistence baseline;
 5. save the pre-trained model for reuse (see hybrid_long_rollout.py).
@@ -25,7 +25,7 @@ from repro.core import (
     ChannelFNOConfig,
     Trainer,
     TrainingConfig,
-    build_fno2d_channels,
+    build_model,
     save_model,
 )
 from repro.data import (
@@ -86,8 +86,8 @@ def main() -> None:
         n_in=args.n_in, n_out=args.n_out, n_fields=2,
         modes1=8, modes2=8, width=16, n_layers=3,
     )
-    model = build_fno2d_channels(model_config, rng=np.random.default_rng(1))
-    print(f"FNO2d with {model.num_parameters():,} parameters")
+    model = build_model(model_config, rng=np.random.default_rng(1))
+    print(f"2-D FNO with {model.num_parameters():,} parameters")
 
     trainer = Trainer(model, TrainingConfig(
         epochs=args.epochs, batch_size=8, learning_rate=3e-3,

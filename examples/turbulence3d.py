@@ -20,7 +20,7 @@ from repro.core import (
     Spatial3DChannelsConfig,
     Trainer,
     TrainingConfig,
-    build_fno3d_spatial_channels,
+    build_model,
 )
 from repro.data import FieldNormalizer, make_channel_pairs
 from repro.ns3d import (
@@ -74,7 +74,7 @@ def main() -> None:
 
     cfg = Spatial3DChannelsConfig(n_in=args.n_in, n_out=args.n_out, n_fields=3,
                                   modes1=4, modes2=4, modes3=3, width=8, n_layers=2)
-    model = build_fno3d_spatial_channels(cfg, rng=np.random.default_rng(0))
+    model = build_model(cfg, rng=np.random.default_rng(0))
     print(f"3-D spatial FNO with temporal channels: {model.num_parameters():,} parameters")
     trainer = Trainer(model, TrainingConfig(epochs=args.epochs, batch_size=4, learning_rate=3e-3,
                                             scheduler_step=max(args.epochs // 3, 1),

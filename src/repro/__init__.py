@@ -18,7 +18,7 @@ A from-scratch, NumPy-only reproduction of Atif et al. (SC 2024):
 Quickstart::
 
     from repro.data import DataGenConfig, generate_dataset
-    from repro.core import ChannelFNOConfig, TrainingConfig, Trainer, build_fno2d_channels
+    from repro.core import ChannelFNOConfig, TrainingConfig, Trainer, build_model
 
 See ``examples/quickstart.py`` for an end-to-end run.
 """

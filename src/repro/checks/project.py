@@ -19,6 +19,7 @@ see DESIGN.md for the soundness contract.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePosixPath
@@ -209,8 +210,9 @@ class Project:
         """Parse every ``.py`` under ``paths`` into one project.
 
         Two files outside any package can derive the same module name
-        (``a/util.py`` and ``b/util.py``).  Both stay in :attr:`files`;
-        the name, and so the whole-program index, goes to the later one.
+        (``a/util.py`` and ``b/util.py``).  Each file that shares its
+        name is renamed after its relative path (``a.util``, ``b.util``),
+        so the whole-program index keeps them all.
         """
         root = Path(root) if root is not None else Path.cwd()
         project = Project()
@@ -219,21 +221,21 @@ class Project:
                 rel = path.resolve().relative_to(root.resolve()).as_posix()
             except ValueError:
                 rel = path.as_posix()
-            mod_name = _module_name_for(path)
-            if mod_name is None:
-                mod_name = path.stem
             try:
                 source = path.read_text(encoding="utf-8")
                 tree = ast.parse(source, filename=str(path))
             except (SyntaxError, UnicodeDecodeError) as exc:
                 project.errors.append(f"{rel}: {exc}")
                 continue
-            info = ModuleInfo(
-                name=mod_name, path=rel, tree=tree,
+            project.files.append(ModuleInfo(
+                name=_module_name_for(path) or path.stem, path=rel, tree=tree,
                 lines=source.splitlines(), zone=classify_zone(rel),
-            )
-            project.files.append(info)
-            project.modules[mod_name] = info
+            ))
+        shared = Counter(info.name for info in project.files)
+        for info in project.files:
+            if shared[info.name] > 1:
+                info.name = info.path.removesuffix(".py").strip("/").replace("/", ".")
+            project.modules[info.name] = info
         for info in project.modules.values():
             project._index_module(info)
         for info in project.modules.values():

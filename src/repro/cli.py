@@ -227,7 +227,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     from repro.analysis import per_snapshot_relative_l2
-    from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_fno2d_channels, save_model
+    from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model, save_model
     from repro.data import (
         FieldNormalizer,
         load_samples,
@@ -252,8 +252,8 @@ def _cmd_train(args) -> int:
         n_in=args.n_in, n_out=args.n_out, n_fields=2,
         modes1=args.modes, modes2=args.modes, width=args.width, n_layers=args.layers,
     )
-    model = build_fno2d_channels(model_config, rng=np.random.default_rng(args.seed))
-    print(f"training FNO2d ({model.num_parameters():,} parameters) on {X.shape[0]} pairs ...")
+    model = build_model(model_config, rng=np.random.default_rng(args.seed))
+    print(f"training FNO ({model.num_parameters():,} parameters) on {X.shape[0]} pairs ...")
     trainer = Trainer(model, TrainingConfig(
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
         scheduler_step=args.scheduler_step, scheduler_gamma=args.scheduler_gamma,

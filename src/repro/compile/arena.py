@@ -16,7 +16,7 @@ Buffers come in two flavours:
   written once at materialisation time by ``init`` and *not* refreshed
   per call: the zeroed non-retained modes of a spectral convolution, the
   grid channels of the input concatenation, the padding margins of a
-  time-padded FNO3d.  Handing these to another step, or handing another
+  time-padded FNO.  Handing these to another step, or handing another
   step's dirty scratch to them, would corrupt the constant region, so
   they are excluded from reuse in both directions.
 """

@@ -17,13 +17,7 @@ from .hybrid import (
     run_pure_fno_batched,
     run_pure_pde,
 )
-from .models import (
-    build_fno2d_channels,
-    build_fno3d,
-    build_fno3d_spatial_channels,
-    build_model,
-    parameter_count,
-)
+from .models import build_model, parameter_count
 from .rollout import apply_channels, rollout_channels, rollout_spacetime
 from .training import Trainer, TrainingHistory, make_loss
 from .zoo import (
@@ -36,7 +30,7 @@ from .zoo import (
 
 __all__ = [
     "ChannelFNOConfig", "SpaceTimeFNOConfig", "Spatial3DChannelsConfig", "TrainingConfig", "HybridConfig",
-    "build_fno2d_channels", "build_fno3d", "build_fno3d_spatial_channels", "build_model", "parameter_count",
+    "build_model", "parameter_count",
     "Trainer", "TrainingHistory", "make_loss",
     "apply_channels", "rollout_channels", "rollout_spacetime",
     "HybridFNOPDE", "RolloutRecord", "run_pure_fno", "run_pure_fno_batched",

@@ -63,7 +63,7 @@ def rollout_channels(
     Parameters
     ----------
     model:
-        Trained :class:`repro.nn.FNO2d` with ``in_channels = n_in·n_fields``
+        Trained rank-2 :class:`repro.nn.FNO` with ``in_channels = n_in·n_fields``
         and ``out_channels = n_out·n_fields``.
     window:
         Initial input of shape ``(B, n_in·n_fields, n, n)`` in *physical*

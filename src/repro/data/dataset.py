@@ -106,7 +106,7 @@ def make_spacetime_pairs(
 
     Returns ``X`` of shape ``(N, C, n, n, n_in)`` and ``Y`` of shape
     ``(N, C, n, n, n_out)``; the temporal axis is last, matching
-    :class:`repro.nn.FNO3d`.
+    :class:`repro.nn.FNO` built from a ``SpaceTimeFNOConfig``.
     """
     if data.ndim != 5:
         raise ValueError("expected (S, T, C, n, n) data")

@@ -278,7 +278,7 @@ class Pipeline:
         return samples, shard_paths
 
     def _stage_train(self) -> list[Path]:
-        from ..core import Trainer, build_fno2d_channels, save_model
+        from ..core import Trainer, build_model, save_model
         from ..data import (
             FieldNormalizer,
             make_channel_pairs,
@@ -299,7 +299,7 @@ class Pipeline:
         normalizer = FieldNormalizer(n_fields=2).fit(X)
 
         model_config = cfg.model_config()
-        model = build_fno2d_channels(model_config, rng=np.random.default_rng(cfg.seed))
+        model = build_model(model_config, rng=np.random.default_rng(cfg.seed))
         trainer = Trainer(model, cfg.training_config())
 
         # Restart from the newest *valid* epoch checkpoint; a torn or

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..tensor import Tensor, ops
 from ..utils.rng import fallback_rng
+from .activations import activation_op
 from .module import Module, Parameter
 
 __all__ = ["ChannelLinear", "Linear", "ChannelMLP"]
@@ -99,10 +100,8 @@ class ChannelMLP(Module):
     ):
         super().__init__()
         rng = fallback_rng(rng)
-        from .fno import _resolve_activation  # local import: avoids a cycle
-
         self.activation = str(activation)
-        self._act = _resolve_activation(self.activation)
+        self._act = activation_op(self.activation)
         self.fc1 = ChannelLinear(in_channels, hidden_channels, rng=rng, dtype=dtype)
         self.fc2 = ChannelLinear(hidden_channels, out_channels, rng=rng, dtype=dtype)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model
 from repro.data import (
     DataGenConfig,
     FieldNormalizer,
@@ -85,7 +85,7 @@ def trained_channel_model(velocity_data):
     config = ChannelFNOConfig(n_in=5, n_out=2, n_fields=2, modes1=8, modes2=8, width=10, n_layers=3)
     X, Y = make_channel_pairs(velocity_data, n_in=config.n_in, n_out=config.n_out)
     normalizer = FieldNormalizer(n_fields=2).fit(X)
-    model = build_fno2d_channels(config, rng=np.random.default_rng(5))
+    model = build_model(config, rng=np.random.default_rng(5))
     trainer = Trainer(
         model,
         TrainingConfig(

@@ -271,6 +271,31 @@ class TestProject:
         assert [(f.rule, f.path) for f in result.findings] == [
             ("RPR003", "a/util.py"), ("RPR003", "b/util.py")]
 
+    def test_same_module_name_in_two_dirs_indexes_both_files(self, tmp_path):
+        """Colliding package-less names are renamed after their relative
+        paths, so the whole-program analyses see both files."""
+        racy = (
+            "import threading\n\n\n"
+            "class Counter:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self.n = 0\n\n"
+            "    def start(self):\n"
+            "        threading.Thread(target=self._run).start()\n\n"
+            "    def _run(self):\n"
+            "        self.n += 1\n"
+        )
+        for name in ("a", "b"):
+            path = tmp_path / name / "util.py"
+            path.parent.mkdir()
+            path.write_text(racy)
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        project = Project.load(dirs, root=tmp_path)
+        assert sorted(project.modules) == ["a.util", "b.util"]
+        result = check_paths(dirs, root=tmp_path, select=["RPR103"])
+        assert [(f.rule, f.path, f.line) for f in result.findings] == [
+            ("RPR103", "a/util.py", 13), ("RPR103", "b/util.py", 13)]
+
 
 class TestCallGraph:
     def test_thread_target_is_entry(self, fixture_root):

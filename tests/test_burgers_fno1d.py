@@ -1,9 +1,9 @@
-"""Burgers solver and FNO1d (canonical 1-D operator benchmark)."""
+"""Burgers solver and the 1-D FNO (canonical 1-D operator benchmark)."""
 
 import numpy as np
 import pytest
 
-from repro.nn import FNO1d, LpLoss, SpectralConv
+from repro.nn import FNO, LpLoss, SpectralConv
 from repro.ns import BurgersSolver1D, random_initial_condition_1d
 from repro.tensor import Tensor
 from repro.tensor.fft_ops import spectral_conv
@@ -127,12 +127,12 @@ class TestSpectralConv1d:
 
 class TestFNO1d:
     def test_shapes_and_grid(self):
-        m = FNO1d(1, 1, modes=6, width=8, n_layers=2, rng=RNG)
+        m = FNO(1, 1, (6,), width=8, n_layers=2, rng=RNG)
         assert m(Tensor(RNG.standard_normal((2, 1, 32)))).shape == (2, 1, 32)
         assert m.lifting.in_channels == 2  # +1 grid channel
 
     def test_channel_mismatch(self):
-        m = FNO1d(2, 1, modes=4, width=6, n_layers=1, rng=RNG)
+        m = FNO(2, 1, (4,), width=6, n_layers=1, rng=RNG)
         with pytest.raises(ValueError):
             m(Tensor(RNG.standard_normal((1, 1, 16))))
 
@@ -153,7 +153,7 @@ class TestFNO1d:
             solver.advance(horizon)
             X[i, 0] = u0
             Y[i, 0] = solver.u
-        model = FNO1d(1, 1, modes=12, width=20, n_layers=3, rng=np.random.default_rng(0))
+        model = FNO(1, 1, (12,), width=20, n_layers=3, rng=np.random.default_rng(0))
         trainer = Trainer(model, TrainingConfig(epochs=40, batch_size=8, learning_rate=3e-3,
                                                 scheduler_step=15, scheduler_gamma=0.5, seed=0))
         trainer.fit(X[:n_train], Y[:n_train])

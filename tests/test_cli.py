@@ -128,12 +128,12 @@ class TestInspectAndServeCLI:
         assert "must be positive" in capsys.readouterr().err
 
     def test_inspect_prints_config(self, tmp_path, capsys):
-        from repro.core import ChannelFNOConfig, build_fno2d_channels, save_model
+        from repro.core import ChannelFNOConfig, build_model, save_model
 
         cfg = ChannelFNOConfig(n_in=2, n_out=1, n_fields=2, modes1=3, modes2=3,
                                width=6, n_layers=2)
         path = tmp_path / "model.npz"
-        save_model(path, build_fno2d_channels(cfg, rng=np.random.default_rng(0)), cfg)
+        save_model(path, build_model(cfg, rng=np.random.default_rng(0)), cfg)
         assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
         assert "channel_fno" in out

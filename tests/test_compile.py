@@ -13,7 +13,7 @@ import pytest
 from repro import compile as rc
 from repro.compile.plan import PlanMismatchError
 from repro.core.rollout import apply_channels
-from repro.nn import DeepONet2d, FNO1d, FNO2d, FNO3d
+from repro.nn import FNO, DeepONet2d
 from repro.tensor import fft_ops
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -32,12 +32,11 @@ def _eager(model, x):
 
 
 def _fno2d(rng_seed=0, **kw):
-    kw.setdefault("modes1", 6)
-    kw.setdefault("modes2", 6)
+    kw.setdefault("modes", (6, 6))
     kw.setdefault("width", 6)
     kw.setdefault("n_layers", 2)
     kw.setdefault("projection_channels", 12)
-    return FNO2d(3, 2, rng=np.random.default_rng(rng_seed), **kw)
+    return FNO(3, 2, rng=np.random.default_rng(rng_seed), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +47,8 @@ def _fno2d(rng_seed=0, **kw):
 class TestEquivalence:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fno1d_bitwise(self, dtype):
-        model = FNO1d(2, 1, modes=6, width=8, n_layers=2,
-                      rng=np.random.default_rng(1))
+        model = FNO(2, 1, (6,), width=8, n_layers=2,
+                    rng=np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((3, 2, 48)).astype(dtype)
         plan, traced = rc.trace_model(model, x)
         eager = _eager(model, x)
@@ -75,15 +74,15 @@ class TestEquivalence:
         assert np.array_equal(plan.execute(x), _eager(model, x))
 
     def test_fno2d_divergence_free(self):
-        model = FNO2d(2, 2, modes1=4, modes2=4, width=4, n_layers=2,
-                      divergence_free=True, rng=np.random.default_rng(5))
+        model = FNO(2, 2, (4, 4), width=4, n_layers=2,
+                    divergence_free=True, rng=np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal((1, 2, 16, 16)).astype(np.float32)
         plan, _ = rc.trace_model(model, x)
         assert np.array_equal(plan.execute(x), _eager(model, x))
 
     def test_fno3d_bitwise_with_time_padding(self):
-        model = FNO3d(2, 2, modes1=3, modes2=3, modes3=2, width=4, n_layers=2,
-                      time_padding=3, rng=np.random.default_rng(7))
+        model = FNO(2, 2, (3, 3, 2), width=4, n_layers=2,
+                    time_padding=3, rng=np.random.default_rng(7))
         x = np.random.default_rng(8).standard_normal((1, 2, 12, 12, 6)).astype(np.float32)
         plan, _ = rc.trace_model(model, x)
         assert np.array_equal(plan.execute(x), _eager(model, x))
@@ -278,7 +277,7 @@ class TestIntegration:
         model = _fno2d()
         plan = rc.compile_model(model, (2, 3, 16, 16), dtype=np.float32)
         desc = plan.describe()
-        assert desc["model"] == "FNO2d"
+        assert desc["model"] == "FNO"
         assert desc["n_steps"] == len(plan.steps) > 0
         assert desc["arena_bytes"] == plan.nbytes
         assert desc["est_flops"] == plan.flops > 0
@@ -290,9 +289,9 @@ class TestIntegration:
 
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=4, modes2=4,
                                width=4, n_layers=2, projection_channels=8)
-        model = FNO2d(cfg.in_channels, cfg.out_channels, modes1=4, modes2=4,
-                      width=4, n_layers=2, projection_channels=8,
-                      rng=np.random.default_rng(28))
+        model = FNO(cfg.in_channels, cfg.out_channels, (4, 4),
+                    width=4, n_layers=2, projection_channels=8,
+                    rng=np.random.default_rng(28))
         path = tmp_path / "model.npz"
         save_model(path, model, cfg, None)
 

@@ -18,7 +18,7 @@ from repro.core.config import ChannelFNOConfig, TrainingConfig
 from repro.core.models import build_model
 from repro.core.training import Trainer
 from repro.data.loader import DataLoader
-from repro.nn import DeepONet2d, FNO1d, FNO2d
+from repro.nn import FNO, DeepONet2d
 from repro.nn.linear import ChannelLinear
 from repro.nn.module import Module, Parameter
 from repro.tensor import ops
@@ -39,8 +39,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _small_fno2d(dtype):
-    return FNO2d(3, 2, modes1=5, modes2=4, width=6, n_layers=3, projection_channels=10,
-                 rng=np.random.default_rng(3), dtype=dtype)
+    return FNO(3, 2, (5, 4), width=6, n_layers=3, projection_channels=10,
+               rng=np.random.default_rng(3), dtype=dtype)
 
 
 def _data(shape_in, shape_out, steps, dtype, seed=7):
@@ -100,8 +100,8 @@ class TestCompiledEqualsEager:
 
     def test_fno1d_float64(self):
         def make():
-            return FNO1d(2, 1, modes=6, width=8, n_layers=2, projection_channels=8,
-                         rng=np.random.default_rng(1))
+            return FNO(2, 1, (6,), width=8, n_layers=2, projection_channels=8,
+                       rng=np.random.default_rng(1))
 
         xs, ys = _data((3, 2, 40), (3, 1, 40), 3, np.float64)
         model, got = _steps(make, xs, ys, compiled=True)

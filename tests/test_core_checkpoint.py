@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model
 
 RNG = np.random.default_rng(241)
 
@@ -19,7 +19,7 @@ def _problem(n_examples=12, n=8):
 
 def _trainer(epochs, seed=1):
     cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3, width=6, n_layers=2)
-    model = build_fno2d_channels(cfg, rng=np.random.default_rng(0))
+    model = build_model(cfg, rng=np.random.default_rng(0))
     return Trainer(model, TrainingConfig(epochs=epochs, batch_size=4, learning_rate=3e-3,
                                          scheduler_step=3, scheduler_gamma=0.5, seed=seed))
 
@@ -110,7 +110,7 @@ class TestCheckpoint:
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3,
                                width=6, n_layers=2)
         other = Trainer(
-            build_fno2d_channels(cfg, rng=np.random.default_rng(0)),
+            build_model(cfg, rng=np.random.default_rng(0)),
             TrainingConfig(epochs=2, batch_size=4, learning_rate=1e-4, seed=1),
         )  # not the optimisation config that wrote the checkpoint
         with pytest.raises(CheckpointError, match="config hash"):
@@ -127,13 +127,13 @@ class TestCheckpoint:
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3,
                                width=6, n_layers=2)
         training = TrainingConfig(epochs=1, batch_size=4, seed=1)
-        writer = Trainer(build_fno2d_channels(cfg, rng=np.random.default_rng(0),
+        writer = Trainer(build_model(cfg, rng=np.random.default_rng(0),
                                               dtype=np.float64), training)
         writer.fit(X, Y)
         path = tmp_path / "ckpt.npz"
         writer.save_checkpoint(path)
 
-        reader = Trainer(build_fno2d_channels(cfg, rng=np.random.default_rng(0)), training)
+        reader = Trainer(build_model(cfg, rng=np.random.default_rng(0)), training)
         before = {k: v.copy() for k, v in reader.model.state_dict().items()}
         with pytest.raises(CheckpointError, match="float64 but this trainer's model is float32"):
             reader.load_checkpoint(path)

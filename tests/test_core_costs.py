@@ -8,7 +8,7 @@ from repro.core import (
     ComponentCosts,
     HybridConfig,
     HybridCostModel,
-    build_fno2d_channels,
+    build_model,
     measure_component_costs,
 )
 from repro.ns import SpectralNSSolver2D
@@ -86,7 +86,7 @@ class TestMeasuredCosts:
     def test_measurement_positive_and_usable(self):
         cfg = ChannelFNOConfig(n_in=3, n_out=2, n_fields=2, modes1=4, modes2=4,
                                width=8, n_layers=2)
-        model = build_fno2d_channels(cfg, rng=np.random.default_rng(0))
+        model = build_model(cfg, rng=np.random.default_rng(0))
         solver = SpectralNSSolver2D(32, 0.01)
         solver.set_vorticity(np.random.default_rng(1).standard_normal((32, 32)) * 0.1)
         window = np.random.default_rng(2).standard_normal((1, cfg.in_channels, 32, 32))

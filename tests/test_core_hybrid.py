@@ -94,14 +94,14 @@ class TestDivergenceFreeHybrid:
         """With the architectural Leray projection and isotropic
         normalisation, even the FNO-produced hybrid snapshots are
         divergence-free — the end-to-end fix for Fig. 8's failure mode."""
-        from repro.core import ChannelFNOConfig, build_fno2d_channels
+        from repro.core import ChannelFNOConfig, build_model
         from repro.data import FieldNormalizer
 
         window = _initial_window(n_in=3)
         cfg = HybridConfig(n_in=3, n_out=2, n_fields=2, sample_interval=0.01, n_cycles=2)
         model_cfg = ChannelFNOConfig(n_in=3, n_out=2, n_fields=2, modes1=4, modes2=4,
                                      width=8, n_layers=2, divergence_free=True)
-        model = build_fno2d_channels(model_cfg, rng=np.random.default_rng(0), dtype=np.float64)
+        model = build_model(model_cfg, rng=np.random.default_rng(0), dtype=np.float64)
         norm = FieldNormalizer(n_fields=2, isotropic=True)
         norm.fit(window.reshape(1, -1, 32, 32))
         rec = HybridFNOPDE(model, SpectralNSSolver2D(32, 0.01), cfg, normalizer=norm).run(window)

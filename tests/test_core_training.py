@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_fno2d_channels, make_loss
+from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model, make_loss
 from repro.nn import DivergenceLoss, H1Loss, LpLoss, MSELoss
 
 RNG = np.random.default_rng(161)
@@ -23,7 +23,7 @@ def _toy_problem(n_examples=16, n=8):
 
 def _small_model(seed=0):
     cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3, width=8, n_layers=2)
-    return build_fno2d_channels(cfg, rng=np.random.default_rng(seed))
+    return build_model(cfg, rng=np.random.default_rng(seed))
 
 
 class TestMakeLoss:

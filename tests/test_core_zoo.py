@@ -7,8 +7,7 @@ from repro.core import (
     ChannelFNOConfig,
     CheckpointError,
     SpaceTimeFNOConfig,
-    build_fno2d_channels,
-    build_fno3d,
+    build_model,
     checkpoint_fingerprint,
     inspect_checkpoint,
     load_model,
@@ -23,7 +22,7 @@ RNG = np.random.default_rng(191)
 
 def test_channel_model_roundtrip(tmp_path):
     cfg = ChannelFNOConfig(n_in=3, n_out=2, n_fields=2, modes1=4, modes2=4, width=8, n_layers=2)
-    model = build_fno2d_channels(cfg, rng=RNG)
+    model = build_model(cfg, rng=RNG)
     path = tmp_path / "model.npz"
     save_model(path, model, cfg)
     loaded, loaded_cfg, norm = load_model(path)
@@ -39,7 +38,7 @@ def test_load_follows_stored_dtype(tmp_path, dtype):
     """``load_model`` builds the checkpoint's own dtype unless told
     otherwise; ``inspect_checkpoint`` names it."""
     cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=2, modes2=2, width=4, n_layers=1)
-    model = build_fno2d_channels(cfg, rng=RNG, dtype=dtype)
+    model = build_model(cfg, rng=RNG, dtype=dtype)
     path = tmp_path / "model.npz"
     save_model(path, model, cfg)
     assert inspect_checkpoint(path)["dtype"] == np.dtype(dtype).name
@@ -55,7 +54,7 @@ def test_channel_model_activation_roundtrip(tmp_path):
     checkpoints without the key fall back to the dataclass default)."""
     cfg = ChannelFNOConfig(n_in=2, n_out=1, n_fields=2, modes1=2, modes2=2,
                            width=4, n_layers=2, activation="relu")
-    model = build_fno2d_channels(cfg, rng=RNG)
+    model = build_model(cfg, rng=RNG)
     path = tmp_path / "relu.npz"
     save_model(path, model, cfg)
     loaded, loaded_cfg, _ = load_model(path)
@@ -68,7 +67,7 @@ def test_channel_model_activation_roundtrip(tmp_path):
 
 def test_spacetime_model_roundtrip(tmp_path):
     cfg = SpaceTimeFNOConfig(n_fields=1, modes1=2, modes2=2, modes3=2, width=4, n_layers=2)
-    model = build_fno3d(cfg, rng=RNG)
+    model = build_model(cfg, rng=RNG)
     path = tmp_path / "m3.npz"
     save_model(path, model, cfg)
     loaded, loaded_cfg, _ = load_model(path)
@@ -79,7 +78,7 @@ def test_spacetime_model_roundtrip(tmp_path):
 
 def test_normalizer_persisted(tmp_path):
     cfg = ChannelFNOConfig(n_in=2, n_out=1, n_fields=2, modes1=3, modes2=3, width=6, n_layers=2)
-    model = build_fno2d_channels(cfg, rng=RNG)
+    model = build_model(cfg, rng=RNG)
     norm = FieldNormalizer(n_fields=2).fit(RNG.standard_normal((10, 4, 8, 8)) * 3 + 1)
     path = tmp_path / "with_norm.npz"
     save_model(path, model, cfg, norm)
@@ -90,7 +89,7 @@ def test_normalizer_persisted(tmp_path):
 
 def test_creates_parent_dirs(tmp_path):
     cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=1, modes1=2, modes2=2, width=4, n_layers=1)
-    model = build_fno2d_channels(cfg, rng=RNG)
+    model = build_model(cfg, rng=RNG)
     path = tmp_path / "a" / "b" / "model.npz"
     save_model(path, model, cfg)
     assert path.exists()
@@ -100,7 +99,7 @@ def test_unknown_kind_rejected(tmp_path):
     import json
 
     cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=1, modes1=2, modes2=2, width=4, n_layers=1)
-    model = build_fno2d_channels(cfg, rng=RNG)
+    model = build_model(cfg, rng=RNG)
     path = tmp_path / "model.npz"
     save_model(path, model, cfg)
     # Corrupt the header kind.
@@ -122,7 +121,7 @@ class TestCheckpointErrors:
 
     def _save_tiny(self, path):
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=1, modes1=2, modes2=2, width=4, n_layers=1)
-        save_model(path, build_fno2d_channels(cfg, rng=RNG), cfg)
+        save_model(path, build_model(cfg, rng=RNG), cfg)
         return path
 
     def test_missing_file(self, tmp_path):
@@ -171,7 +170,7 @@ class TestInspect:
         from repro.data import FieldNormalizer
 
         cfg = ChannelFNOConfig(n_in=2, n_out=1, n_fields=2, modes1=3, modes2=3, width=6, n_layers=2)
-        model = build_fno2d_channels(cfg, rng=RNG)
+        model = build_model(cfg, rng=RNG)
         norm = FieldNormalizer(n_fields=2).fit(RNG.standard_normal((4, 4, 8, 8)))
         path = tmp_path / "model.npz"
         save_model(path, model, cfg, norm)
@@ -186,7 +185,7 @@ class TestInspect:
     def test_no_normalizer(self, tmp_path):
         path = tmp_path / "plain.npz"
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=1, modes1=2, modes2=2, width=4, n_layers=1)
-        save_model(path, build_fno2d_channels(cfg, rng=RNG), cfg)
+        save_model(path, build_model(cfg, rng=RNG), cfg)
         assert inspect_checkpoint(path)["normalizer"] is None
 
 
@@ -196,7 +195,7 @@ class TestFingerprint:
 
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=1, modes1=2, modes2=2, width=4, n_layers=1)
         path = tmp_path / "model.npz"
-        save_model(path, build_fno2d_channels(cfg, rng=RNG), cfg)
+        save_model(path, build_model(cfg, rng=RNG), cfg)
         before = checkpoint_fingerprint(path)
         st = os.stat(path)
         os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1))

@@ -112,13 +112,13 @@ class TestStreamingNormalizer:
 
     def test_trains_a_model_from_shards(self, shards):
         """End-to-end: stream batches into the training loop."""
-        from repro.core import ChannelFNOConfig, build_fno2d_channels
+        from repro.core import ChannelFNOConfig, build_model
         from repro.nn import LpLoss
         from repro.optim import Adam
 
         ds = ShardedWindowDataset(shards, n_in=2, n_out=1, batch_size=4, shuffle=True, rng=1)
         norm = ds.fit_normalizer(FieldNormalizer(n_fields=2))
-        model = build_fno2d_channels(
+        model = build_model(
             ChannelFNOConfig(n_in=2, n_out=1, n_fields=2, modes1=3, modes2=3,
                              width=6, n_layers=2),
             rng=np.random.default_rng(0),

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model
 from repro.data.generation import TrajectorySample
 from repro.data.io import load_samples, save_samples
 from repro.data.sharded import ShardedWindowDataset
@@ -408,7 +408,7 @@ class TestAtomicArtifacts:
 
     def test_trainer_checkpoint_corruption_is_typed(self, tmp_path):
         trainer = Trainer(
-            build_fno2d_channels(MODEL, rng=np.random.default_rng(0)),
+            build_model(MODEL, rng=np.random.default_rng(0)),
             TrainingConfig(epochs=1, batch_size=4),
         )
         path = tmp_path / "ckpt.npz"
@@ -451,7 +451,7 @@ class TestDisabledIsNoOp:
         # rollout.step
         from repro.core.rollout import rollout_channels
 
-        model = build_fno2d_channels(MODEL, rng=np.random.default_rng(0))
+        model = build_model(MODEL, rng=np.random.default_rng(0))
         window = rng.standard_normal((1, MODEL.n_in * MODEL.n_fields, GRID, GRID))
         out = rollout_channels(model, window, n_snapshots=2)
         assert out.shape[1] == 2 * MODEL.n_fields

@@ -11,10 +11,10 @@ import pytest
 from repro.checks import dtype_sanitizer
 from repro.compile import runtime
 from repro.core import ChannelFNOConfig, Trainer, TrainingConfig
-from repro.core.models import build_fno2d_channels
+from repro.core.models import build_model
 from repro.core.rollout import apply_channels
 from repro.data import FieldNormalizer, make_channel_pairs
-from repro.nn import FNO2d, LpLoss
+from repro.nn import FNO, LpLoss
 from repro.optim import Adam
 from repro.tensor import Tensor, no_grad
 
@@ -22,8 +22,8 @@ RNG = np.random.default_rng(281)
 
 
 def _f32_model():
-    return FNO2d(2, 2, modes1=4, modes2=4, width=8, n_layers=2,
-                 dtype=np.float32, rng=np.random.default_rng(0))
+    return FNO(2, 2, (4, 4), width=8, n_layers=2,
+               dtype=np.float32, rng=np.random.default_rng(0))
 
 
 class TestFloat32:
@@ -62,8 +62,8 @@ class TestFloat32:
     def test_loss_decreases_in_float32(self):
         x32 = RNG.standard_normal((12, 2, 8, 8)).astype(np.float32)
         y32 = np.fft.irfft2(np.fft.rfft2(x32) * 0.5, s=(8, 8)).astype(np.float32)
-        model = FNO2d(2, 2, modes1=3, modes2=3, width=6, n_layers=2,
-                      dtype=np.float32, rng=np.random.default_rng(1))
+        model = FNO(2, 2, (3, 3), width=6, n_layers=2,
+                    dtype=np.float32, rng=np.random.default_rng(1))
         opt = Adam(model.parameters(), lr=3e-3)
         losses = []
         for _ in range(12):
@@ -78,8 +78,8 @@ class TestFloat32:
         """Same weights cast down: forward passes agree to single precision."""
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=4, modes2=4,
                                width=8, n_layers=2)
-        m64 = build_fno2d_channels(cfg, rng=np.random.default_rng(3), dtype=np.float64)
-        m32 = build_fno2d_channels(cfg, rng=np.random.default_rng(3), dtype=np.float32)
+        m64 = build_model(cfg, rng=np.random.default_rng(3), dtype=np.float64)
+        m32 = build_model(cfg, rng=np.random.default_rng(3), dtype=np.float32)
         m32.load_state_dict({k: v.astype(np.float32) for k, v in m64.state_dict().items()})
         x = RNG.standard_normal((1, 2, 16, 16))
         with no_grad():
@@ -106,7 +106,7 @@ class TestFloat32Training:
         curves = {}
         for dtype in (None, np.float64):
             kwargs = {} if dtype is None else {"dtype": dtype}
-            model = build_fno2d_channels(config, rng=np.random.default_rng(5), **kwargs)
+            model = build_model(config, rng=np.random.default_rng(5), **kwargs)
             curves[dtype] = Trainer(model, training).fit(x, y).train_loss
             assert next(model.parameters()).dtype == (dtype or np.float32)
         np.testing.assert_allclose(curves[None], curves[np.float64], rtol=1e-4)
@@ -130,7 +130,7 @@ class TestFloat32Training:
     def test_fit_on_float64_arrays_stays_float32(self, tmp_path):
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3,
                                width=6, n_layers=2)
-        trainer = Trainer(build_fno2d_channels(cfg, rng=np.random.default_rng(0)),
+        trainer = Trainer(build_model(cfg, rng=np.random.default_rng(0)),
                           TrainingConfig(epochs=1, batch_size=4, seed=1))
         x = RNG.standard_normal((8, 2, 8, 8))
         y = RNG.standard_normal((8, 2, 8, 8))

@@ -69,7 +69,7 @@ class TestLearning:
     def test_fno_outperforms_deeponet_at_matched_budget(self):
         """On a translation-equivariant task, the FNO's inductive bias wins
         at a matched parameter budget — the Sec.-II comparison in miniature."""
-        from repro.core import ChannelFNOConfig, build_fno2d_channels
+        from repro.core import ChannelFNOConfig, build_model
 
         n = 16
         X = RNG.standard_normal((32, 1, n, n))
@@ -81,7 +81,7 @@ class TestLearning:
         Xt, Yt = X[24:], Y[24:]
         X, Y = X[:24], Y[:24]
 
-        fno = build_fno2d_channels(
+        fno = build_model(
             ChannelFNOConfig(n_in=1, n_out=1, n_fields=1, modes1=6, modes2=6,
                              width=8, n_layers=2),
             rng=np.random.default_rng(2),

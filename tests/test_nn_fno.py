@@ -1,11 +1,10 @@
-"""FNO architectures: shapes, grid features, resolution transfer, counts."""
+"""The rank-generic FNO: shapes, grid features, resolution transfer, counts."""
 
 import numpy as np
 import pytest
 
-from repro.core import ChannelFNOConfig, SpaceTimeFNOConfig, parameter_count
-from repro.core.models import build_fno2d_channels, build_fno3d
-from repro.nn import FNO2d, FNO3d
+from repro.core import ChannelFNOConfig, SpaceTimeFNOConfig, build_model, parameter_count
+from repro.nn import FNO
 from repro.tensor import Tensor
 
 RNG = np.random.default_rng(31)
@@ -13,23 +12,29 @@ RNG = np.random.default_rng(31)
 
 class TestFNO2d:
     def test_output_shape(self):
-        model = FNO2d(in_channels=4, out_channels=6, modes1=4, modes2=4, width=8, n_layers=2, rng=RNG)
+        model = FNO(in_channels=4, out_channels=6, modes=(4, 4), width=8, n_layers=2, rng=RNG)
         out = model(Tensor(RNG.standard_normal((3, 4, 16, 16))))
         assert out.shape == (3, 6, 16, 16)
 
     def test_accepts_ndarray(self):
-        model = FNO2d(2, 2, 3, 3, width=6, n_layers=2, rng=RNG)
+        model = FNO(2, 2, (3, 3), width=6, n_layers=2, rng=RNG)
         assert model(RNG.standard_normal((1, 2, 8, 8))).shape == (1, 2, 8, 8)
 
     def test_channel_mismatch_raises(self):
-        model = FNO2d(2, 2, 3, 3, width=6, n_layers=2, rng=RNG)
+        model = FNO(2, 2, (3, 3), width=6, n_layers=2, rng=RNG)
         with pytest.raises(ValueError):
             model(Tensor(RNG.standard_normal((1, 5, 8, 8))))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 8), (1, 2, 8, 8, 4)])
+    def test_wrong_rank_input_raises(self, shape):
+        model = FNO(2, 2, (3, 3), width=6, n_layers=2, rng=RNG)
+        with pytest.raises(ValueError, match=r"\(B, C, \*grid\) input with 4 axes"):
+            model(Tensor(np.ones(shape)))
 
     def test_resolution_transfer(self):
         """Train-at-coarse, evaluate-at-fine: the discretisation-agnostic
         property that motivates neural operators."""
-        model = FNO2d(1, 1, 3, 3, width=6, n_layers=2, rng=RNG)
+        model = FNO(1, 1, (3, 3), width=6, n_layers=2, rng=RNG)
         out8 = model(Tensor(RNG.standard_normal((1, 1, 8, 8))))
         out32 = model(Tensor(RNG.standard_normal((1, 1, 32, 32))))
         assert out8.shape == (1, 1, 8, 8)
@@ -44,8 +49,8 @@ class TestFNO2d:
         with subsampling; nonlinearities *before* a spectral layer would
         alias differently at each resolution).
         """
-        model = FNO2d(
-            1, 1, 3, 3, width=6, n_layers=1, append_grid=False,
+        model = FNO(
+            1, 1, (3, 3), width=6, n_layers=1, append_grid=False,
             rng=np.random.default_rng(0),
         )
         # Build a band-limited signal on a coarse grid, then upsample it
@@ -69,13 +74,13 @@ class TestFNO2d:
         assert np.allclose(y_fine[::2, ::2], y_coarse, atol=1e-6)
 
     def test_grid_features_change_output(self):
-        with_grid = FNO2d(1, 1, 2, 2, width=4, n_layers=1, append_grid=True, rng=np.random.default_rng(1))
-        without = FNO2d(1, 1, 2, 2, width=4, n_layers=1, append_grid=False, rng=np.random.default_rng(1))
+        with_grid = FNO(1, 1, (2, 2), width=4, n_layers=1, append_grid=True, rng=np.random.default_rng(1))
+        without = FNO(1, 1, (2, 2), width=4, n_layers=1, append_grid=False, rng=np.random.default_rng(1))
         assert with_grid.lifting.in_channels == 3
         assert without.lifting.in_channels == 1
 
     def test_gradients_reach_all_parameters(self):
-        model = FNO2d(2, 2, 3, 3, width=6, n_layers=2, rng=RNG)
+        model = FNO(2, 2, (3, 3), width=6, n_layers=2, rng=RNG)
         out = model(Tensor(RNG.standard_normal((2, 2, 8, 8))))
         (out * out).sum().backward()
         for name, p in model.named_parameters():
@@ -83,7 +88,7 @@ class TestFNO2d:
             assert np.any(p.grad != 0), name
 
     def test_float32(self):
-        model = FNO2d(1, 1, 2, 2, width=4, n_layers=1, dtype=np.float32, rng=RNG)
+        model = FNO(1, 1, (2, 2), width=4, n_layers=1, dtype=np.float32, rng=RNG)
         out = model(Tensor(RNG.standard_normal((1, 1, 8, 8)).astype(np.float32)))
         assert out.dtype == np.float32
 
@@ -91,8 +96,8 @@ class TestFNO2d:
         x = RNG.standard_normal((1, 2, 8, 8))
         outs = []
         for act in ("gelu", "relu", "tanh"):
-            model = FNO2d(2, 2, 3, 3, width=6, n_layers=2, activation=act,
-                          rng=np.random.default_rng(7))
+            model = FNO(2, 2, (3, 3), width=6, n_layers=2, activation=act,
+                        rng=np.random.default_rng(7))
             assert model.activation == act
             outs.append(model(Tensor(x)).numpy())
         assert not np.allclose(outs[0], outs[1])
@@ -100,36 +105,46 @@ class TestFNO2d:
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="unknown activation"):
-            FNO2d(2, 2, 3, 3, width=6, n_layers=2, activation="swish", rng=RNG)
+            FNO(2, 2, (3, 3), width=6, n_layers=2, activation="swish", rng=RNG)
 
 
 class TestFNO3d:
     def test_output_shape(self):
-        model = FNO3d(2, 2, modes1=3, modes2=3, modes3=2, width=6, n_layers=2, rng=RNG)
+        model = FNO(2, 2, (3, 3, 2), width=6, n_layers=2, time_padding=4, rng=RNG)
         out = model(Tensor(RNG.standard_normal((2, 2, 8, 8, 10))))
         assert out.shape == (2, 2, 8, 8, 10)
 
     def test_time_padding_crops_back(self):
-        model = FNO3d(1, 1, modes1=2, modes2=2, modes3=2, width=4, n_layers=1, time_padding=3, rng=RNG)
+        model = FNO(1, 1, (2, 2, 2), width=4, n_layers=1, time_padding=3, rng=RNG)
         out = model(Tensor(RNG.standard_normal((1, 1, 8, 8, 5))))
         assert out.shape == (1, 1, 8, 8, 5)
 
     def test_zero_padding_works(self):
-        model = FNO3d(1, 1, modes1=2, modes2=2, modes3=2, width=4, n_layers=1, time_padding=0, rng=RNG)
+        model = FNO(1, 1, (2, 2, 2), width=4, n_layers=1, time_padding=0, rng=RNG)
         out = model(Tensor(RNG.standard_normal((1, 1, 8, 8, 6))))
         assert out.shape == (1, 1, 8, 8, 6)
 
     def test_gradients_reach_all_parameters(self):
-        model = FNO3d(1, 1, modes1=2, modes2=2, modes3=2, width=4, n_layers=2, rng=RNG)
+        model = FNO(1, 1, (2, 2, 2), width=4, n_layers=2, time_padding=4, rng=RNG)
         out = model(Tensor(RNG.standard_normal((1, 1, 6, 6, 5))))
         (out * out).sum().backward()
         for name, p in model.named_parameters():
             assert p.grad is not None, name
 
     def test_channel_mismatch(self):
-        model = FNO3d(2, 1, modes1=2, modes2=2, modes3=2, width=4, n_layers=1, rng=RNG)
+        model = FNO(2, 1, (2, 2, 2), width=4, n_layers=1, time_padding=4, rng=RNG)
         with pytest.raises(ValueError):
             model(Tensor(RNG.standard_normal((1, 3, 8, 8, 5))))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 8, 8), (1, 2, 8, 8, 5, 2)])
+    def test_wrong_rank_input_raises(self, shape):
+        model = FNO(2, 1, (2, 2, 2), width=4, n_layers=1, time_padding=4, rng=RNG)
+        with pytest.raises(ValueError, match=r"\(B, C, \*grid\) input with 5 axes"):
+            model(Tensor(np.ones(shape)))
+
+    def test_divergence_free_needs_rank_2(self):
+        with pytest.raises(ValueError, match="rank-2"):
+            FNO(2, 2, (2, 2, 2), width=4, n_layers=1, divergence_free=True, rng=RNG)
 
 
 class TestParameterCountFormula:
@@ -139,7 +154,7 @@ class TestParameterCountFormula:
         ChannelFNOConfig(n_in=5, n_out=5, n_fields=1, modes1=3, modes2=3, width=6, n_layers=2, append_grid=False),
     ])
     def test_channel_formula_matches_instance(self, cfg):
-        model = build_fno2d_channels(cfg, rng=np.random.default_rng(0))
+        model = build_model(cfg, rng=np.random.default_rng(0))
         assert model.num_parameters() == parameter_count(cfg)
 
     @pytest.mark.parametrize("cfg", [
@@ -147,7 +162,7 @@ class TestParameterCountFormula:
         SpaceTimeFNOConfig(n_fields=1, modes1=2, modes2=2, modes3=2, width=6, n_layers=4, append_grid=False),
     ])
     def test_spacetime_formula_matches_instance(self, cfg):
-        model = build_fno3d(cfg, rng=np.random.default_rng(0))
+        model = build_model(cfg, rng=np.random.default_rng(0))
         assert model.num_parameters() == parameter_count(cfg)
 
     def test_count_grows_with_modes(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ChannelFNOConfig, build_fno2d_channels
+from repro.core import ChannelFNOConfig, build_model
 from repro.data import band_limited_vorticity
 from repro.nn import SolenoidalProjection2d
 from repro.ns import divergence, velocity_from_vorticity
@@ -78,7 +78,7 @@ class TestDivergenceFreeFNO:
     def test_outputs_divergence_free(self):
         cfg = ChannelFNOConfig(n_in=2, n_out=2, n_fields=2, modes1=4, modes2=4,
                                width=8, n_layers=2, divergence_free=True)
-        model = build_fno2d_channels(cfg, rng=np.random.default_rng(0))
+        model = build_model(cfg, rng=np.random.default_rng(0))
         x = RNG.standard_normal((2, 4, 16, 16))
         with no_grad():
             out = model(Tensor(x)).numpy()
@@ -92,7 +92,7 @@ class TestDivergenceFreeFNO:
 
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3,
                                width=6, n_layers=2, divergence_free=True)
-        model = build_fno2d_channels(cfg, rng=np.random.default_rng(1))
+        model = build_model(cfg, rng=np.random.default_rng(1))
         # Targets: solenoidal fields (so the projection does not fight the data).
         targets = np.stack([
             velocity_from_vorticity(band_limited_vorticity(8, np.random.default_rng(s)))
@@ -104,17 +104,17 @@ class TestDivergenceFreeFNO:
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_odd_out_channels_rejected(self):
-        from repro.nn import FNO2d
+        from repro.nn import FNO
 
         with pytest.raises(ValueError):
-            FNO2d(2, 3, 3, 3, width=4, n_layers=1, divergence_free=True)
+            FNO(2, 3, (3, 3), width=4, n_layers=1, divergence_free=True)
 
     def test_zoo_roundtrip_with_flag(self, tmp_path):
         from repro.core import load_model, save_model
 
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=3, modes2=3,
                                width=6, n_layers=1, divergence_free=True)
-        model = build_fno2d_channels(cfg, rng=np.random.default_rng(2))
+        model = build_model(cfg, rng=np.random.default_rng(2))
         save_model(tmp_path / "m.npz", model, cfg)
         loaded, loaded_cfg, _ = load_model(tmp_path / "m.npz")
         assert loaded_cfg.divergence_free

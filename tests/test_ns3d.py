@@ -126,12 +126,12 @@ class TestSolver3D:
 
 class TestSpatial3DModel:
     def test_builder_and_zoo_roundtrip(self, tmp_path):
-        from repro.core import Spatial3DChannelsConfig, build_fno3d_spatial_channels, load_model, save_model
+        from repro.core import Spatial3DChannelsConfig, build_model, load_model, save_model
         from repro.tensor import Tensor, no_grad
 
         cfg = Spatial3DChannelsConfig(n_in=2, n_out=1, n_fields=3, modes1=2, modes2=2,
                                       modes3=2, width=4, n_layers=2)
-        model = build_fno3d_spatial_channels(cfg, rng=np.random.default_rng(0))
+        model = build_model(cfg, rng=np.random.default_rng(0))
         x = RNG.standard_normal((1, cfg.in_channels, 8, 8, 8))
         with no_grad():
             out = model(Tensor(x))

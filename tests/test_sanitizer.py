@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.checks import DtypePromotionError, dtype_sanitizer
-from repro.nn import FNO2d, LpLoss
+from repro.nn import FNO, LpLoss
 from repro.tensor import Tensor, no_grad
 from repro.tensor import ops
 
@@ -84,8 +84,8 @@ class TestSanitizerCore:
 class TestSanitizerEndToEnd:
     def test_f32_fno_forward_backward_is_promotion_free(self):
         """The hot serving path: a float32 FNO must never widen."""
-        model = FNO2d(2, 2, modes1=4, modes2=4, width=8, n_layers=2,
-                      dtype=np.float32, rng=np.random.default_rng(0))
+        model = FNO(2, 2, (4, 4), width=8, n_layers=2,
+                    dtype=np.float32, rng=np.random.default_rng(0))
         x = Tensor(_f32(2, 2, 16, 16))
         y = Tensor(_f32(2, 2, 16, 16))
         with dtype_sanitizer() as report:

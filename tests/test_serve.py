@@ -15,7 +15,7 @@ from repro.core import (
     ChannelFNOConfig,
     Trainer,
     TrainingConfig,
-    build_fno2d_channels,
+    build_model,
     save_model,
 )
 from repro.data import FieldNormalizer
@@ -43,7 +43,7 @@ RNG = np.random.default_rng(7)
 def checkpoint(tmp_path_factory):
     """A tiny *trained* checkpoint (one epoch on synthetic pairs)."""
     rng = np.random.default_rng(0)
-    model = build_fno2d_channels(CFG, rng=rng)
+    model = build_model(CFG, rng=rng)
     X = rng.standard_normal((6, CFG.in_channels, GRID, GRID))
     Y = rng.standard_normal((6, CFG.out_channels, GRID, GRID))
     normalizer = FieldNormalizer(n_fields=2).fit(X)
@@ -83,7 +83,7 @@ class TestRegistry:
 
     def test_lru_eviction(self, checkpoint, tmp_path):
         other = tmp_path / "other.npz"
-        model = build_fno2d_channels(CFG, rng=np.random.default_rng(3))
+        model = build_model(CFG, rng=np.random.default_rng(3))
         save_model(other, model, CFG)
         reg = ModelRegistry(capacity=1)
         reg.register("a", checkpoint)
@@ -502,7 +502,7 @@ class TestHTTP:
     def test_float32_registry_decodes_to_the_widened_values(self, tmp_path):
         # No normalizer: its float64 statistics would widen the output.
         path = tmp_path / "bare.npz"
-        save_model(path, build_fno2d_channels(CFG, rng=np.random.default_rng(4)), CFG)
+        save_model(path, build_model(CFG, rng=np.random.default_rng(4)), CFG)
         reg = ModelRegistry(dtype=np.float32)
         reg.register("tiny", path)
         w = window(seed=6)
