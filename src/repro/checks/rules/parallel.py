@@ -1,15 +1,16 @@
 """RPR010 — process-parallel hygiene: raw multiprocessing outside repro.parallel.
 
 :mod:`repro.parallel` is the repo's one process boundary: it pins the
-spawn start method, derives per-task seeds so results are independent of
-worker count, relays obs metrics/spans back to the parent, survives
-SIGKILLed workers, and guarantees shared-memory segments are unlinked
-exactly once.  A raw ``multiprocessing.Process``/``Pool``, a
+spawn start method, passes arrays as task arguments and results over the
+pool's pipes, derives per-task seeds so results are independent of
+worker count, relays obs metrics/spans back to the parent, and survives
+SIGKILLed workers.  A raw ``multiprocessing.Process``/``Pool``, a
 ``concurrent.futures.ProcessPoolExecutor``, a bare
 ``SharedMemory(...)`` allocation or an ``os.fork()`` anywhere else
 silently forfeits all of that — fork-started children deadlock on
-inherited locks, unseeded workers break bitwise reproducibility, and
-unmanaged segments leak ``/dev/shm`` on crash.
+inherited locks, unseeded workers break bitwise reproducibility, and a
+raw segment has no owner to unlink it, so it leaks ``/dev/shm`` on
+crash.
 
 Flags, outside ``repro/parallel`` and outside tests:
 
@@ -64,8 +65,8 @@ def _imported_hazards(nodes: list[ast.AST]) -> tuple[set[str], set[str]]:
     "RPR010",
     "parallel-hygiene",
     "raw multiprocessing/ProcessPoolExecutor/SharedMemory use outside "
-    "repro.parallel; route process fan-out through ProcessPool/ShmArena "
-    "so seeding, obs relay and shm cleanup hold",
+    "repro.parallel; route process fan-out through ProcessPool/parallel_map "
+    "with arrays as task arguments and results, so seeding and obs relay hold",
 )
 def check_parallel_hygiene(ctx: ModuleInfo) -> Iterator[Finding]:
     parts = PurePosixPath(ctx.path).parts
@@ -90,6 +91,6 @@ def check_parallel_hygiene(ctx: ModuleInfo) -> Iterator[Finding]:
             yield ctx.finding(
                 "RPR010", node,
                 f"direct {name}(...) call bypasses repro.parallel; use "
-                f"ProcessPool/parallel_map for workers and ShmArena for "
-                f"shared memory (seeding, obs relay and cleanup come free)",
+                f"ProcessPool/parallel_map and pass arrays as task arguments "
+                f"and results (seeding, obs relay and crash recovery come free)",
             )

@@ -74,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--loss", choices=["l2", "mse", "h1", "divergence"], default="l2")
     t.add_argument("--test-fraction", type=float, default=0.25)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--batch-workers", type=int, default=0,
-                   help="assemble training batches in a process pool "
-                        "(>=2 enables it; bitwise-identical to serial)")
     t.add_argument("--out", default="model.npz")
 
     r = sub.add_parser("rollout", help="roll a trained model out (pure or hybrid)")
@@ -261,8 +258,7 @@ def _cmd_train(args) -> int:
     ))
     trainer.fit(normalizer.encode(X), normalizer.encode(Y),
                 normalizer.encode(Xt), normalizer.encode(Yt),
-                log_every=max(args.epochs // 6, 1),
-                batch_workers=args.batch_workers)
+                log_every=max(args.epochs // 6, 1))
 
     with no_grad():
         pred = normalizer.decode(model(Tensor(normalizer.encode(Xt))).numpy())

@@ -300,7 +300,6 @@ class Trainer:
         checkpoint_path=None,
         checkpoint_every: int = 0,
         checkpoint_retry: RetryPolicy | None = None,
-        batch_workers: int = 0,
     ) -> TrainingHistory:
         """Train until ``config.epochs`` epochs are completed in total.
 
@@ -312,37 +311,11 @@ class Trainer:
         ``checkpoint_path`` (e.g. ``ckpt_{epoch:05d}.npz``) yields
         epoch-numbered checkpoints — each write is a fresh file, so a
         crash during epoch N's save can never damage epoch N-1's.
-
-        ``batch_workers > 1`` assembles batches in a
-        :class:`repro.parallel.ParallelBatchLoader` process pool
-        (shared-memory gather overlapping the optimiser step); the batch
-        sequence is bitwise-identical to the serial loader, so the
-        trained weights do not depend on this switch.
         """
-        loader_rng = self.config.seed if rng is None else rng
-        if batch_workers > 1:
-            from ..parallel import ParallelBatchLoader
-
-            loader = ParallelBatchLoader(
-                x_train, y_train, batch_size=self.config.batch_size,
-                shuffle=True, rng=loader_rng, n_workers=batch_workers,
-            )
-        else:
-            loader = DataLoader(
-                x_train, y_train, batch_size=self.config.batch_size,
-                shuffle=True, rng=loader_rng,
-            )
-        try:
-            return self._fit_epochs(
-                loader, x_train, x_val, y_val, log_every,
-                checkpoint_path, checkpoint_every, checkpoint_retry,
-            )
-        finally:
-            if batch_workers > 1:
-                loader.close()
-
-    def _fit_epochs(self, loader, x_train, x_val, y_val, log_every,
-                    checkpoint_path, checkpoint_every, checkpoint_retry) -> TrainingHistory:
+        loader = DataLoader(
+            x_train, y_train, batch_size=self.config.batch_size,
+            shuffle=True, rng=self.config.seed if rng is None else rng,
+        )
         # Replay the shuffle stream so a resumed run sees the same batch
         # order it would have seen uninterrupted.
         for _ in range(self.epochs_completed):

@@ -236,9 +236,10 @@ def generate_sample(config: DataGenConfig, rng=None, sample_id: int = 0) -> Traj
     """Generate one trajectory according to ``config``.
 
     Each sample is one ``datagen.sample`` span with ``datagen.warmup``
-    and ``datagen.sampling`` children (tracing is per process: with
-    ``n_workers > 1`` only samples generated in an obs-configured
-    process appear in its trace).
+    and ``datagen.sampling`` children.  When the parent traces, samples
+    generated in pool workers reach its trace too: the pool relays each
+    worker's spans under their ``parallel.task`` span
+    (:func:`repro.parallel.relay.merge_traces`).
     """
     rng = as_generator(rng)
     with obs.span(
@@ -265,4 +266,4 @@ def generate_dataset(config: DataGenConfig, n_workers: int | None = 1) -> list[T
         (config, entropy, i)
         for i, entropy in enumerate(task_seeds(config.seed, config.n_samples))
     ]
-    return parallel_map(_worker, jobs, n_workers=n_workers, seed=config.seed)
+    return parallel_map(_worker, jobs, n_workers=n_workers)

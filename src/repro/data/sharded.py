@@ -86,9 +86,7 @@ def generate_sharded_dataset(
             paths.append(path)
             continue
         jobs = [(config, entropies[i], i) for i in range(start, stop)]
-        shard_samples = parallel_map(
-            _shard_worker, jobs, n_workers=n_workers, seed=config.seed
-        )
+        shard_samples = parallel_map(_shard_worker, jobs, n_workers=n_workers)
         save_samples(
             path, shard_samples,
             metadata={

@@ -548,42 +548,35 @@ def supervisor_kill(seed: int, workdir: Path) -> list[dict]:
 def _proc_shard_task(args):
     """Pool task for :func:`proc_worker_kill`: one seeded synthetic shard.
 
-    Reads the shared base field out of the attached arena tensor so the
-    scenario also exercises attach-after-respawn, and returns a
-    ``(sample_id, digest)`` pair the parent can audit for lost or
-    duplicated work.
+    The task carries its own seed and ``base`` row over the pool's pipe,
+    exactly as datagen tasks do, and returns a ``(sample_id, digest)``
+    pair the parent can audit for lost or duplicated work.
     """
-    from ..parallel.pool import attached_tensor
-
-    entropy, sample_id = args
-    base = attached_tensor("base")
-    rng = np.random.default_rng(entropy)
-    field = rng.standard_normal((GRID, GRID)) + base[sample_id % base.shape[0]]
+    entropy, sample_id, base = args
+    field = np.random.default_rng(entropy).standard_normal((GRID, GRID)) + base
     digest = hashlib.sha256(np.ascontiguousarray(field).tobytes()).hexdigest()
     return (int(sample_id), digest)
 
 
 def proc_worker_kill(seed: int, workdir: Path) -> list[dict]:
     """SIGKILLing process-pool workers mid-shard loses nothing: the pool
-    respawns, resubmits orphaned tasks, the shard set comes back bitwise
-    identical to a serial run, and no ``/dev/shm`` segment leaks."""
+    respawns, resubmits orphaned tasks, and the shard set comes back
+    bitwise identical to a serial run."""
     import json as _json
-    import os
 
-    from ..parallel import ProcessPool, ShmArena, task_seeds
+    from ..parallel import ProcessPool, task_seeds
 
     checks = []
     n_samples = 6
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((4, GRID, GRID))
     entropies = task_seeds(seed, n_samples)
-    jobs = [(entropy, i) for i, entropy in enumerate(entropies)]
+    jobs = [(entropy, i, base[i % base.shape[0]]) for i, entropy in enumerate(entropies)]
 
     # Serial reference: same math, no pool, no faults.
     reference = []
-    for entropy, i in jobs:
-        field = np.random.default_rng(entropy).standard_normal((GRID, GRID))
-        field = field + base[i % base.shape[0]]
+    for entropy, i, row in jobs:
+        field = np.random.default_rng(entropy).standard_normal((GRID, GRID)) + row
         digest = hashlib.sha256(np.ascontiguousarray(field).tobytes()).hexdigest()
         reference.append((i, digest))
 
@@ -591,25 +584,16 @@ def proc_worker_kill(seed: int, workdir: Path) -> list[dict]:
     # SIGKILLed on its second hit (hit counters are per process), so each
     # respawn makes at least one shard of forward progress and the run
     # converges within the restart budget.
-    arena = ShmArena(name="chaos-kill")
-    segments = []
-    try:
-        shared = arena.put(base)
-        segments = list(arena.live_segments())
-        env = {
-            "REPRO_FAULTS": _json.dumps(
-                {"seed": seed,
-                 "faults": [{"site": "parallel.worker.task",
-                             "kind": "kill", "at": 2}]}
-            )
-        }
-        with ProcessPool(2, seed=seed, attach={"base": shared.handle},
-                         env=env, max_restarts=16,
-                         name="repro-chaos") as pool:
-            results = pool.map(_proc_shard_task, jobs)
-            stats = pool.stats()
-    finally:
-        arena.close()
+    env = {
+        "REPRO_FAULTS": _json.dumps(
+            {"seed": seed,
+             "faults": [{"site": "parallel.worker.task",
+                         "kind": "kill", "at": 2}]}
+        )
+    }
+    with ProcessPool(2, env=env, max_restarts=16, name="repro-chaos") as pool:
+        results = pool.map(_proc_shard_task, jobs)
+        stats = pool.stats()
 
     checks.append(_check("kill-recovery-bitwise-identical",
                          results == reference))
@@ -618,10 +602,6 @@ def proc_worker_kill(seed: int, workdir: Path) -> list[dict]:
     sample_ids = sorted(sid for sid, _ in results)
     checks.append(_check("no-lost-or-duplicated-samples",
                          sample_ids == list(range(n_samples))))
-    leaked = [name for name in segments
-              if os.path.exists(os.path.join("/dev/shm", name))]
-    checks.append(_check("no-shm-leaks", not leaked,
-                         "" if not leaked else f"leaked {leaked}"))
     return checks
 
 

@@ -6,7 +6,7 @@ fallback for ``n_workers <= 1`` — but backed by :class:`ProcessPool`,
 which adds crash recovery, fault-site injection, and obs relay.
 
 :func:`task_seeds` is the single home of the determinism-by-sharding
-contract used by data generation and batch production: the parent
+contract used by data generation and calibration: the parent
 derives one integer seed per task from the root seed (via
 ``SeedSequence.spawn``), tasks carry their seed with them, and results
 are keyed by task index.  Nothing about worker count, scheduling, or
@@ -42,7 +42,7 @@ def task_seeds(seed: int, n: int) -> list[int]:
     return [int(np.random.default_rng(s).integers(0, 2**63)) for s in spawned]
 
 
-def parallel_map(fn, items, n_workers: int | None = None, seed: int = 0,
+def parallel_map(fn, items, n_workers: int | None = None,
                  pool: ProcessPool | None = None) -> list:
     """Apply ``fn`` to every item, preserving input order.
 
@@ -60,5 +60,5 @@ def parallel_map(fn, items, n_workers: int | None = None, seed: int = 0,
         n_workers = default_workers()
     if n_workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPool(min(n_workers, len(items)), seed=seed) as owned:
+    with ProcessPool(min(n_workers, len(items))) as owned:
         return owned.map(fn, items)

@@ -1,4 +1,4 @@
-"""A deterministic process pool with seeded workers and crash recovery.
+"""A deterministic process pool with crash recovery.
 
 ``ProcessPool`` runs N long-lived ``spawn`` children, each executing
 tasks named by *dotted function path* (``"pkg.mod:fn"``) — tasks cross
@@ -6,13 +6,15 @@ the boundary as small picklable tuples, never as pickled closures, so
 any module-level function in the repo is a valid task regardless of how
 the parent was started (pytest, CLI, another pool).
 
+Tasks, their array arguments and their results cross the process
+boundary over the pool's pipes; nothing is shared between processes.
+
 Determinism contract: the pool guarantees **result order** (results are
-keyed by submission index, not completion order) and the caller supplies
-**per-task seeds** (see :func:`repro.parallel.task_seeds`), so the output
+keyed by submission index, not completion order) and each task carries
+**its own seed** (see :func:`repro.parallel.task_seeds`), so the output
 of a pool map is a pure function of the task list — independent of
-worker count, scheduling, and crash/restart history.  Worker-local RNG
-streams (:func:`worker_rng`) exist for *non-result-bearing* uses only
-(jitter, sampling diagnostics).
+worker count, scheduling, and crash/restart history.  Workers hold no
+RNG of their own.
 
 Crash recovery: a worker that dies (segfault, OOM-kill, injected
 ``kill`` fault) is detected through its process sentinel; its in-flight
@@ -41,13 +43,9 @@ from collections import deque
 from multiprocessing import connection, get_context
 from pathlib import Path
 
-import numpy as np
-
 from . import relay
-from .shm import ShmHandle, ShmTensor
 
-__all__ = ["ProcessPool", "RemoteTaskError", "WorkerCrashed", "worker_rng",
-           "current_worker_id"]
+__all__ = ["ProcessPool", "RemoteTaskError", "WorkerCrashed"]
 
 
 class RemoteTaskError(RuntimeError):
@@ -92,56 +90,19 @@ def task_spec(fn) -> str:
 # worker side
 # ---------------------------------------------------------------------------
 
-# Populated inside worker processes by _worker_main; None in the parent.
-_WORKER: dict | None = None
-
-
-def current_worker_id() -> int | None:
-    """The pool worker index in a worker process, None in the parent."""
-    return None if _WORKER is None else _WORKER["id"]
-
-
-def worker_rng() -> np.random.Generator:
-    """This worker's private seeded stream (parent: the default stream).
-
-    Streams are spawned from the pool seed per (worker, incarnation), so
-    they are reproducible but **scheduling-dependent across restarts** —
-    never derive result-bearing randomness from them; pass per-task
-    seeds instead (:func:`repro.parallel.task_seeds`).
-    """
-    if _WORKER is None:
-        from ..utils.rng import as_generator
-
-        return as_generator(None)
-    return _WORKER["rng"]
-
 
 def _worker_main(conn, worker_id: int, init: dict) -> None:
     """Entry point of one pool child (spawned; module-level for pickling)."""
-    global _WORKER
     if init.get("env"):
         os.environ.update(init["env"])
 
     from .. import faults, obs
+    from ..faults import injection as _faults
 
     faults.configure_from_env()
     if init.get("obs_trace"):
         obs.configure(trace_path=init["obs_trace"], keep_records=False)
-
-    seed_seq = np.random.SeedSequence(
-        entropy=init["seed"], spawn_key=(worker_id, init["incarnation"])
-    )
-    attached: dict[str, ShmTensor] = {
-        label: ShmTensor.attach(handle)
-        for label, handle in (init.get("attach") or {}).items()
-    }
-    _WORKER = {
-        "id": worker_id,
-        "rng": np.random.default_rng(seed_seq),
-        "attached": attached,
-        "metrics_seen": {},
-    }
-    from ..faults import injection as _faults
+    metrics_seen: dict = {}
 
     try:
         while True:  # repro: ignore[RPR007] -- task-serving loop: errors are transported to the parent, not retried; exits on the None sentinel
@@ -154,8 +115,7 @@ def _worker_main(conn, worker_id: int, init: dict) -> None:
                     _faults.fire("parallel.worker.task", task=spec, worker=worker_id)
                 with obs.span("parallel.task", task=spec, worker=worker_id):
                     result = resolve_task(spec)(*args, **kwargs)
-                delta = relay.metrics_delta(obs.metrics_registry(),
-                                            _WORKER["metrics_seen"])
+                delta = relay.metrics_delta(obs.metrics_registry(), metrics_seen)
                 conn.send(("ok", task_id, result, delta))
             except Exception as exc:  # noqa: BLE001 — transported to the parent
                 conn.send(("err", task_id,
@@ -164,16 +124,7 @@ def _worker_main(conn, worker_id: int, init: dict) -> None:
     except (EOFError, KeyboardInterrupt):  # repro: ignore[RPR005] -- parent went away / Ctrl-C: exit the worker quietly
         pass
     finally:
-        for tensor in attached.values():
-            tensor.close()
         obs.shutdown()
-
-
-def attached_tensor(label: str) -> np.ndarray:
-    """Worker-side access to an arena tensor attached at pool start."""
-    if _WORKER is None or label not in _WORKER["attached"]:
-        raise KeyError(f"no attached shm tensor {label!r} in this worker")
-    return _WORKER["attached"][label].array
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +164,6 @@ class ProcessPool:
     ----------
     n_workers:
         Child process count (>= 1).
-    seed:
-        Root of the per-worker RNG streams (:func:`worker_rng`).
-    attach:
-        ``{label: ShmHandle}`` shared tensors every worker maps at
-        startup (datasets, weights); workers read them through
-        :func:`attached_tensor`.
     env:
         Extra environment applied in the children before repro imports —
         the ``REPRO_FAULTS`` / ``REPRO_OBS`` contracts work per worker.
@@ -229,16 +174,13 @@ class ProcessPool:
 
     _CTX = get_context("spawn")  # fork would duplicate parent threads/locks
 
-    def __init__(self, n_workers: int, seed: int = 0,
-                 attach: dict | None = None, env: dict | None = None,
+    def __init__(self, n_workers: int, env: dict | None = None,
                  max_restarts: int = 8, name: str = "repro-pool"):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
-        self.seed = int(seed)
         self.name = name
         self.max_restarts = int(max_restarts)
-        self._attach = dict(attach or {})
         self._env = dict(env or {})
         self._lock = threading.Lock()
         self._tasks: dict[int, _Task] = {}
@@ -269,13 +211,7 @@ class ProcessPool:
             trace_path = str(
                 self._relay_dir / f"worker-{worker_id}-{incarnation}.jsonl"
             )
-        init = {
-            "seed": self.seed,
-            "incarnation": incarnation,
-            "attach": self._attach,
-            "env": self._env,
-            "obs_trace": trace_path,
-        }
+        init = {"env": self._env, "obs_trace": trace_path}
         process = self._CTX.Process(
             target=_worker_main, args=(child_conn, worker_id, init),
             name=f"{self.name}-{worker_id}", daemon=True,

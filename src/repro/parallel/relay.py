@@ -78,16 +78,19 @@ def merge_traces(tracer, paths) -> int:
             records = load_trace(path)
         except (OSError, ValueError):
             continue  # a worker that died before its first full record
-        id_map: dict[int, int] = {}
+        # A worker writes each span as it closes, so children precede
+        # their parents in the file: assign every new id first, then
+        # remap parents.
+        id_map = {record["id"]: next(tracer._ids)
+                  for record in records if record.get("id") is not None}
         pid = None
         for record in records:
             if record.get("type") == "meta":
                 pid = record.get("pid")
                 continue
             out = dict(record)
-            old_id = out.get("id")
-            if old_id is not None:
-                id_map[old_id] = out["id"] = next(tracer._ids)
+            if out.get("id") is not None:
+                out["id"] = id_map[out["id"]]
             out["parent"] = id_map.get(out.get("parent"))
             if pid is not None:
                 out["pid"] = pid

@@ -127,7 +127,7 @@ def calibrate(
         job.update(model_path=model_path, members=int(members),
                    sigma=float(sigma), member_seed=member_seed)
 
-    results = parallel_map(_calibrate_window_task, jobs, n_workers=n_workers, seed=seed)
+    results = parallel_map(_calibrate_window_task, jobs, n_workers=n_workers)
 
     metrics: dict = {}
     thresholds: dict = {}
