@@ -3,8 +3,8 @@
 The static RPR001 rule catches the promotions it can see; this context
 manager catches the ones it can't — any :class:`repro.tensor.Tensor`
 operation whose float32 inputs yield a float64/complex128 result at
-runtime.  It wraps ``Tensor.from_op`` (the funnel every primitive's
-output passes through), so one patch covers the whole op surface::
+runtime.  It observes ``Tensor.from_op`` (the funnel every primitive's
+output passes through), so one observer covers the whole op surface::
 
     with dtype_sanitizer():
         model(Tensor(x32))     # raises DtypePromotionError on any widening
@@ -12,8 +12,8 @@ output passes through), so one patch covers the whole op surface::
 Opt-in and cheap (one dtype comparison per op).  ``mode="record"``
 collects violations instead of raising — used by the benchmark
 ``--sanitize`` flag to report every widening in one run.  Nested
-contexts compose; the patch is reference-counted and restored when the
-outermost context exits.
+contexts compose; the observer is registered with a count and removed
+when the outermost context exits.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class SanitizerReport:
 
 
 _state = threading.local()
-_patch_lock = threading.Lock()
-_patch_depth = 0
-_original_from_op = None
 
 
 def _active_reports() -> list[SanitizerReport]:
@@ -77,42 +74,16 @@ def _check_promotion(out_dtype, parent_dtypes) -> str | None:
     return None
 
 
-def _install():
-    """Patch ``Tensor.from_op`` (refcounted; idempotent under nesting)."""
-    global _patch_depth, _original_from_op
-    from ..tensor import Tensor
-
-    with _patch_lock:
-        _patch_depth += 1
-        if _patch_depth > 1:
-            return
-        _original_from_op = Tensor.from_op
-
-        def checked_from_op(data, parents, backward):
-            reports = _active_reports()
-            if reports:
-                message = _check_promotion(
-                    data.dtype.type, [p.data.dtype.type for p in parents]
-                )
-                if message is not None:
-                    for report in reports:
-                        report.violations.append(message)
-                    if getattr(_state, "raise_on_violation", True):
-                        raise DtypePromotionError(message)
-            return _original_from_op(data, parents, backward)
-
-        Tensor.from_op = staticmethod(checked_from_op)
-
-
-def _uninstall():
-    global _patch_depth, _original_from_op
-    from ..tensor import Tensor
-
-    with _patch_lock:
-        _patch_depth -= 1
-        if _patch_depth == 0:
-            Tensor.from_op = staticmethod(_original_from_op)
-            _original_from_op = None
+def _check(out, parents) -> None:
+    """The ``Tensor.from_op`` observer: check this thread's op outputs."""
+    reports = _active_reports()
+    if reports:
+        message = _check_promotion(out.data.dtype.type, [p.data.dtype.type for p in parents])
+        if message is not None:
+            for report in reports:
+                report.violations.append(message)
+            if getattr(_state, "raise_on_violation", True):
+                raise DtypePromotionError(message)
 
 
 @contextmanager
@@ -131,7 +102,9 @@ def dtype_sanitizer(mode: str = "raise"):
     if reports is None:
         reports = _state.reports = []
     previous_raise = getattr(_state, "raise_on_violation", True)
-    _install()
+    from ..tensor.tensor import add_observer, remove_observer
+
+    add_observer(_check)
     reports.append(report)
     _state.raise_on_violation = mode == "raise"
     try:
@@ -139,4 +112,4 @@ def dtype_sanitizer(mode: str = "raise"):
     finally:
         reports.remove(report)
         _state.raise_on_violation = previous_raise
-        _uninstall()
+        remove_observer(_check)

@@ -1,7 +1,7 @@
 """repro.compile — an inference and training compiler for the FNO.
 
 Eager inference pays the full autograd machinery on every call: one
-Python dispatch, tape bookkeeping, and a fresh allocation per primitive.
+Python dispatch, graph bookkeeping, and a fresh allocation per primitive.
 For the paper's headline use — FNO surrogates replacing DNS timesteps in
 long rollouts (Fig. 9) — that overhead dominates small-batch forwards.
 This package removes it:
@@ -17,9 +17,10 @@ This package removes it:
 * :mod:`~repro.compile.runtime` caches plans per
   ``(model, batch_shape, dtype)`` with eager fallback for anything it
   cannot compile (``repro.compile.forward(model, x) -> array | None``).
-* :mod:`~repro.compile.train` builds training plans: one eager step
-  under trace, then a forward + backward plan whose reverse steps call
-  the op table's VJPs in the order eager ran them
+* :mod:`~repro.compile.train` builds training plans from one eager
+  forward under trace: a forward + backward plan whose reverse steps
+  call the op table's VJPs in the order eager backward runs them, read
+  from the output's graph
   (``repro.compile.train_forward(model, x) -> Tensor``, used by
   ``Trainer``).
 

@@ -11,13 +11,14 @@ execution failure).
 :func:`train_forward` is the training counterpart, called by
 ``core.training.Trainer`` for every model call: it always returns the
 model output as a Tensor.  The first call for a ``(batch_shape, dtype)``
-is the eager forward under trace (its caller's ``backward()`` completes
-the trace), the next builds a :class:`~repro.compile.train.TrainPlan`,
-and from then on the forward and the output's backward run compiled.
-Training plans live in the same per-model cache under a
-``("train", batch_shape, dtype)`` key, with their own negative entry so
-a model that serves compiled but cannot train compiled (an op without a
-VJP) keeps its inference plans.
+runs the eager forward under trace, builds a
+:class:`~repro.compile.train.TrainPlan` from the recorded ops and the
+output's graph, and returns the eager output (its caller's
+``backward()`` runs eagerly); from then on the forward and the output's
+backward run compiled.  Training plans live in the same per-model cache
+under a ``("train", batch_shape, dtype)`` key, with their own negative
+entry so a model that serves compiled but cannot train compiled (a
+gradient through ``einsum`` or an untraced op) keeps its inference plans.
 
 Cache structure and coherence:
 
@@ -48,10 +49,11 @@ from collections import OrderedDict
 import numpy as np
 
 from .. import obs
+from ..tensor.recording import Recorder
 from ..tensor.tensor import Tensor, is_grad_enabled
 from .plan import CompiledPlan, PlanMismatchError, UnsupportedOpError
 from .tracer import module_paths, trace_model
-from .train import TrainPlan, TrainTrace, build_train_plan, trace_train_step
+from .train import TrainPlan, build_train_plan
 
 __all__ = [
     "PlanCache",
@@ -121,12 +123,11 @@ class PlanCache:
         """``model(x)`` for a training step: compiled when possible.
 
         The first call for a ``(batch_shape, dtype)`` runs the eager
-        forward under a recorder; its caller's ``backward()`` logs the
-        closure order, and the next call lowers that step into a
-        :class:`TrainPlan` and runs it.  The output's backward then runs
-        the plan's reverse steps.  Uncompilable models, disabled
-        compilation, grad mode off and inputs that require grad all get
-        the eager ``model(x)``.
+        forward under a recorder, lowers it into a :class:`TrainPlan`
+        and returns the eager output; later calls run the plan, and the
+        output's backward runs the plan's reverse steps.  Uncompilable
+        models, disabled compilation, grad mode off and inputs that
+        require grad all get the eager ``model(x)``.
         """
         if not (self.enabled and is_grad_enabled()) or x.requires_grad:
             return model(x)
@@ -135,21 +136,27 @@ class PlanCache:
         if entry is _UNSUPPORTED_TRAIN:
             self._count_fallback()
             return model(x)
-        if isinstance(entry, TrainTrace):
-            entry = self._build_train(model, key, entry) if entry.complete else None
-            if entry is _UNSUPPORTED_TRAIN:
-                return model(x)
         if entry is not None:
             return self._run_or_drop(model, key, lambda: entry.forward(x.data),
                                      lambda: model(x))
-        # Miss: this step runs eagerly under trace; its own backward
-        # completes the trace, and the next call builds the plan.
-        try:
-            trace, out = trace_train_step(model, x)
-        except UnsupportedOpError:
-            self._mark_unsupported(model, _UNSUPPORTED_TRAIN)
-            return model(x)
-        self._store(model, key, trace)
+        # Miss: this step's forward runs eagerly under trace, and the
+        # plan is built from it now; the step's own backward runs eagerly.
+        with Recorder() as recorder:
+            out = model(x)
+        with obs.span("compile.trace", model=type(model).__name__,
+                      shape=str(key[1]), dtype=key[2], mode="train"):
+            try:
+                if not isinstance(out, Tensor):
+                    raise UnsupportedOpError("model forward did not return a Tensor")
+                plan = build_train_plan(recorder, x, out, type(model).__name__,
+                                        module_paths(model))
+            except UnsupportedOpError:
+                self._mark_unsupported(model, _UNSUPPORTED_TRAIN)
+                return out
+        self._store(model, key, plan)
+        with self._lock:
+            self.traces += 1
+        obs.metric_counter("compile_traces_total")
         return out
 
     def _lookup(self, model, key, sentinel):
@@ -185,20 +192,6 @@ class PlanCache:
         obs.metric_counter("compile_hits_total")
         return out
 
-    def _build_train(self, model, key, trace: TrainTrace):
-        with obs.span("compile.trace", model=type(model).__name__,
-                      shape=str(key[1]), dtype=key[2], mode="train"):
-            try:
-                plan = build_train_plan(trace, type(model).__name__, module_paths(model))
-            except UnsupportedOpError:
-                self._mark_unsupported(model, _UNSUPPORTED_TRAIN, drop=key)
-                return _UNSUPPORTED_TRAIN
-        self._store(model, key, plan)
-        with self._lock:
-            self.traces += 1
-        obs.metric_counter("compile_traces_total")
-        return plan
-
     def _store(self, model, key, entry) -> None:
         with self._lock:
             per_model = self._plans.setdefault(model, OrderedDict())
@@ -208,10 +201,9 @@ class PlanCache:
                 per_model.popitem(last=False)
                 self.shape_evictions += 1
 
-    def _mark_unsupported(self, model, sentinel, drop=None) -> None:
+    def _mark_unsupported(self, model, sentinel) -> None:
         with self._lock:
             per_model = self._plans.setdefault(model, OrderedDict())
-            per_model.pop(drop, None)
             per_model[sentinel] = True
         self._count_fallback()
 

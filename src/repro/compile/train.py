@@ -2,35 +2,31 @@
 
 A :class:`TrainPlan` is the training counterpart of
 :class:`~repro.compile.plan.CompiledPlan`, built per
-``(model, batch_shape, dtype)`` from one eager training step:
-
-1. :func:`trace_train_step` runs the model's forward eagerly *with*
-   autograd under a :class:`~repro.tensor.recording.Recorder` and wraps
-   each recorded op's backward closure so that the step's own
-   ``loss.backward()`` logs the order in which :meth:`Tensor.backward`
-   ran them.  That eager step *is* the caller's training step.
-2. :func:`build_train_plan` lowers the records into forward steps that
-   also keep each VJP's residuals (GELU's CDF, the layer spectrum and
-   complex weights) in arena slots, then appends one reverse step per
-   logged closure, in the logged order.  Each reverse step calls the
-   op's VJP from the primitive table — the function the eager closure
-   calls — with arena buffers as ``out=``, and hands every cotangent on
-   in operand order, so each cotangent sum adds the same terms in the
-   same order as eager.  Liveness runs over the whole forward + reverse
-   schedule, so residuals stay live until their VJP has run and freed
-   buffers are reused by later steps of either direction.
+``(model, batch_shape, dtype)`` from one eager training forward, run
+with autograd under a :class:`~repro.tensor.recording.Recorder`.
+:func:`build_train_plan` lowers the records into forward steps that also
+keep each VJP's residuals (GELU's CDF, the outputs ``exp``/``sqrt``/
+``tanh``/``sigmoid`` differentiate through, the layer spectrum and
+complex weights) in arena slots, then appends one reverse step per op
+in the output's graph, in the reverse of
+:func:`~repro.tensor.tensor.topological_order` — the order in which
+:meth:`Tensor.backward` runs the same VJPs.  Each reverse step calls the
+op's VJP from the primitive table with arena buffers as ``out=`` and
+hands every cotangent on in operand order, so each cotangent sum adds
+the same terms in the same order as eager.  Liveness runs over the whole
+forward + reverse schedule, so residuals stay live until their VJP has
+run and freed buffers are reused by later steps of either direction.
 
 Cotangents of intermediates live in the arena: the first contribution
-becomes the cotangent (the VJP's own output buffer, or a view of the
-incoming cotangent when it is the only one), later ones are added in
-place.  Parameter gradients go through ``Parameter._accumulate``, which
-copies on first store, so ``p.grad`` is never arena storage.
+becomes the cotangent (the VJP's own output, or a view of the incoming
+cotangent when it is the only one), later ones are added in place.
+Parameter gradients go through ``Parameter._accumulate``, which copies
+on first store, so ``p.grad`` is never arena storage.
 
-:meth:`TrainPlan.forward` returns a Tensor whose backward closure runs
-the reverse steps; the loss stays eager.  Only ops with a VJP in the
-table (and the dedicated GELU and spectral lowerings) are supported;
-anything else raises :class:`UnsupportedOpError` and the model trains
-eagerly.
+:meth:`TrainPlan.forward` returns a Tensor whose backward runs the
+reverse steps; the loss stays eager.  Every op in the table has a VJP;
+``einsum`` and gradients that cross a dtype or an untraced op raise
+:class:`UnsupportedOpError`, and the model trains eagerly.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import numpy as np
 from ..nn.module import Parameter
 from ..tensor import fft_ops, ops
 from ..tensor.recording import PRIMITIVES, Primitive, Recorder, TraceRecord
-from ..tensor.tensor import Tensor
+from ..tensor.tensor import Tensor, topological_order
 from .kernels import SpectralLayer, _operand_getter, _out_meta, lower
 from .plan import (
     CompiledPlan,
@@ -52,45 +48,7 @@ from .plan import (
     run_steps,
 )
 
-__all__ = ["TrainTrace", "TrainPlan", "trace_train_step", "build_train_plan"]
-
-
-class TrainTrace:
-    """One eager training step under trace: its records, and the order in
-    which ``Tensor.backward`` runs their closures (filled in when the
-    step's own backward runs)."""
-
-    def __init__(self, recorder: Recorder, inp: Tensor, out: Tensor):
-        self.recorder, self.inp, self.out = recorder, inp, out
-        self.order: list[int] = []
-        for k, rec in enumerate(recorder.records):
-            if rec.out.requires_grad and rec.out._backward is not None:
-                rec.out._backward = self._logged(k, rec.out._backward)
-
-    def _logged(self, k: int, backward):
-        def run(g: np.ndarray) -> None:
-            self.order.append(k)
-            backward(g)
-
-        return run
-
-    @property
-    def complete(self) -> bool:
-        """Whether the step's backward has run (the output's closure runs first)."""
-        return bool(self.order)
-
-
-def trace_train_step(model, x: Tensor) -> tuple[TrainTrace, Tensor]:
-    """Run ``model(x)`` eagerly with autograd under a recorder.
-
-    Returns the trace and the ordinary eager output; the caller's loss
-    and ``backward()`` on that output complete the trace.
-    """
-    with Recorder() as recorder:
-        out = model(x)
-    if not isinstance(out, Tensor):
-        raise UnsupportedOpError("model forward did not return a Tensor")
-    return TrainTrace(recorder, x, out), out
+__all__ = ["TrainPlan", "build_train_plan"]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +96,16 @@ def _forward_spectral(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slo
     return step, (X_slot, W_slot, layer)
 
 
-_FORWARD = {"gelu": _forward_gelu, "spectral_conv": _forward_spectral}
+def _forward_keep_output(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int):
+    """Ops whose VJP reads their own output keep the output slot as residual."""
+    return lower(b, rec, out_slot), (out_slot,)
+
+
+_FORWARD = {
+    "gelu": _forward_gelu,
+    "spectral_conv": _forward_spectral,
+    **dict.fromkeys(("exp", "sqrt", "tanh", "sigmoid"), _forward_keep_output),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +204,16 @@ def _reverse_generic(b: PlanBuilder, rec: TraceRecord, spec: Primitive, g_slot: 
         gets = [lambda values, s=s: s for s in stand_ins]
         outs = [None] * len(flat)
     else:
+        # Cotangents the VJP writes ("arena") or allocates ("fresh") are
+        # its own: later contributions are added into them in place.
         gets = [_operand_getter(b, value) for value in operands]
         outs = []
         for t, need in zip(flat, needs):
             slot = None
             if need and not isinstance(t, Parameter):
                 slot = b.new_slot()
-                b.request_arena(slot, t.data.shape, t.data.dtype)
+                if spec.vjp_out == "arena":
+                    b.request_arena(slot, t.data.shape, t.data.dtype)
             outs.append(slot)
     gget = b.read(g_slot)
     rgets = [b.read(slot) for slot in res]
@@ -288,7 +258,7 @@ def _reverse_spectral(b: PlanBuilder, rec: TraceRecord, spec: Primitive, g_slot:
     put_x = cts.put(x, dx_slot, g_slot) if needs[0] else None
     put_wr = cts.put(wr, None, g_slot) if _needs(wr) else None
     put_wi = cts.put(wi, None, g_slot) if _needs(wi) else None
-    vjp, fwd, inv = spec.vjp, layer.fwd, layer.inv
+    vjp, fwd, inv = fft_ops.spectral_vjp, layer.fwd, layer.inv
     idx, w_last = layer.idx, layer.w_last
 
     def run(values: list) -> None:
@@ -318,20 +288,18 @@ _REVERSE = {"spectral_conv": _reverse_spectral}
 # plan assembly
 # ---------------------------------------------------------------------------
 
-def _check_supported(trace: TrainTrace, builder: PlanBuilder) -> None:
-    dtype = trace.out.data.dtype
-    for rec in trace.recorder.records:
+def _check_supported(records: list, out: Tensor, builder: PlanBuilder) -> None:
+    dtype = out.data.dtype
+    for rec in records:
         spec = PRIMITIVES[rec.op]
         if not rec.out.requires_grad:
             continue
-        if spec.vjp is None:
-            raise UnsupportedOpError(f"op {rec.op!r} has no VJP in the op table")
         for t in _flat(spec.bind(rec.args, rec.kwargs)[:spec.arity]):
             if not _needs(t):
                 continue
             if t.data.dtype != dtype:
                 raise UnsupportedOpError("mixed-dtype gradients are not compiled")
-            if t is trace.out:
+            if t is out:
                 raise UnsupportedOpError("the model output feeds another traced op")
             if not isinstance(t, Parameter) and builder.slot_for(t) in (None, builder.input_slot):
                 raise UnsupportedOpError(
@@ -340,14 +308,18 @@ def _check_supported(trace: TrainTrace, builder: PlanBuilder) -> None:
                 )
 
 
-def build_train_plan(trace: TrainTrace, model_name: str = "model",
+def build_train_plan(recorder: Recorder, inp: Tensor, out: Tensor, model_name: str = "model",
                      module_paths: dict[int, str] | None = None) -> "TrainPlan":
-    """Lower a completed :class:`TrainTrace` into a :class:`TrainPlan`."""
-    records = trace.recorder.records
-    if not records or not trace.complete:
-        raise UnsupportedOpError("training trace has no completed backward")
+    """Lower a recorded training forward of ``inp`` into a :class:`TrainPlan`.
+
+    ``out`` is the forward's output, still carrying its graph: the
+    reverse steps follow ``topological_order(out)``.
+    """
+    records = recorder.records
+    if not records or not out.requires_grad:
+        raise UnsupportedOpError("training trace has no gradient to compute")
     module_paths = module_paths or {}
-    b = PlanBuilder(trace.recorder, trace.inp)
+    b = PlanBuilder(recorder, inp)
     residuals: dict[int, tuple] = {}
     for k, rec in enumerate(records):
         out_slot = b.new_slot(rec.out)
@@ -361,15 +333,17 @@ def build_train_plan(trace: TrainTrace, model_name: str = "model",
             step = lower(b, rec, out_slot)
         step.module = module_paths.get(id(rec.module), "")
         b.end_step(step)
-    output_slot = b.slot_for(trace.out)
+    output_slot = b.slot_for(out)
     if output_slot is None:
         raise UnsupportedOpError("model output was not produced by a traced op")
-    _check_supported(trace, b)
+    _check_supported(records, out, b)
     n_forward = len(b.steps)
 
-    # Contributions per tensor over the logged backward, for aliasing.
+    index = {id(rec.out): k for k, rec in enumerate(records)}
+    order = [index[id(t)] for t in reversed(topological_order(out)) if id(t) in index]
+    # Contributions per tensor over the whole backward, for aliasing.
     total: dict[int, int] = {}
-    for k in trace.order:
+    for k in order:
         rec = records[k]
         spec = PRIMITIVES[rec.op]
         for t in _flat(spec.bind(rec.args, rec.kwargs)[:spec.arity]):
@@ -377,10 +351,10 @@ def build_train_plan(trace: TrainTrace, model_name: str = "model",
                 total[id(t)] = total.get(id(t), 0) + 1
     cts = _Cotangents(b, total)
     seed_slot = b.new_slot()
-    cts.slot[id(trace.out)] = seed_slot
-    cts.seen[id(trace.out)] = 1
+    cts.slot[id(out)] = seed_slot
+    cts.seen[id(out)] = 1
     params: dict[int, Parameter] = {}
-    for k in trace.order:
+    for k in order:
         rec = records[k]
         spec = PRIMITIVES[rec.op]
         for t in _flat(spec.bind(rec.args, rec.kwargs)[:spec.arity]):
@@ -396,8 +370,8 @@ def build_train_plan(trace: TrainTrace, model_name: str = "model",
     arena, buffer_of = assign_buffers(b, {b.root(output_slot): n_forward - 1})
     return TrainPlan(
         model_name=model_name,
-        input_shape=tuple(trace.inp.data.shape),
-        input_dtype=np.dtype(trace.inp.data.dtype),
+        input_shape=tuple(inp.data.shape),
+        input_dtype=np.dtype(inp.data.dtype),
         steps=b.steps,
         arena=arena,
         buffer_of=buffer_of,
@@ -452,11 +426,13 @@ class TrainPlan(CompiledPlan):
         out = np.empty_like(values[self.output_slot])
         np.copyto(out, values[self.output_slot])
 
-        def backward(g: np.ndarray) -> None:
+        def backward(g: np.ndarray, res: tuple, needs: tuple) -> tuple:
+            # The reverse steps hand the parameters their gradients.
             nonlocal values
             if counter[0] != generation:
                 values = self._run_forward(x)[0]
             values[self.seed_slot] = g
             run_steps(self._reverse_runs, values, self.step_seconds, first=self.n_forward)
+            return ()
 
         return Tensor.from_op(out, self.params, backward)

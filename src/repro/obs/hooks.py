@@ -4,10 +4,11 @@ Three hook points, chosen so the disabled state leaves the hot paths
 untouched:
 
 * **Tensor op dispatch** — ``Tensor.from_op`` (the funnel every autodiff
-  primitive's output passes through) is monkey-patched to count ops and
-  output elements, exactly like :func:`repro.checks.dtype_sanitizer`
-  patches it for dtype checks.  When profiling is off the original
-  method is in place, so the per-op cost is literally zero.
+  primitive's output passes through) calls the observers registered
+  with :func:`repro.tensor.tensor.add_observer`.  While profiling is on,
+  one of them counts ops and output elements (the dtype sanitizer
+  registers its check the same way); when it is off, the per-op cost is
+  one read of an empty tuple.
 * **FFT calls** — :mod:`repro.tensor.fft_ops` resolves ``_fft.rfftn`` /
   ``_fft.irfftn`` at call time, so swapping the module's ``_fft``
   attribute for a counting proxy intercepts every spectral transform.
@@ -40,7 +41,7 @@ PROFILING = False
 _lock = threading.Lock()
 _depth = 0  # active profile() contexts (hooks installed while > 0)
 _timing_depth = 0  # active step_timing() contexts
-_original_from_op = None
+_count_ops = None
 _original_fft = None
 
 
@@ -77,9 +78,8 @@ class _CountingFFT:
 
 
 def _install() -> None:
-    global _depth, _original_from_op, _original_fft
-    from ..tensor import Tensor
-    from ..tensor import fft_ops
+    global _depth, _count_ops, _original_fft
+    from ..tensor import fft_ops, tensor
 
     with _lock:
         _depth += 1
@@ -88,33 +88,29 @@ def _install() -> None:
         registry = _registry()
         op_counter = registry.counter("tensor_ops_total")
         elem_counter = registry.counter("tensor_op_elements_total")
-        _original_from_op = Tensor.from_op
 
-        original = _original_from_op
-
-        def profiled_from_op(data, parents, backward):
+        def count_ops(out, parents) -> None:
             op_counter.inc()
-            elem_counter.inc(data.size)
-            return original(data, parents, backward)
+            elem_counter.inc(out.data.size)
 
-        Tensor.from_op = staticmethod(profiled_from_op)
+        _count_ops = count_ops
+        tensor.add_observer(count_ops)
         _original_fft = fft_ops._fft
         fft_ops._fft = _CountingFFT(_original_fft)
         _set_flag()
 
 
 def _uninstall() -> None:
-    global _depth, _original_from_op, _original_fft
-    from ..tensor import Tensor
-    from ..tensor import fft_ops
+    global _depth, _count_ops, _original_fft
+    from ..tensor import fft_ops, tensor
 
     with _lock:
         _depth -= 1
         if _depth > 0:
             return
-        Tensor.from_op = staticmethod(_original_from_op)
+        tensor.remove_observer(_count_ops)
         fft_ops._fft = _original_fft
-        _original_from_op = None
+        _count_ops = None
         _original_fft = None
         _set_flag()
 

@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`Tensor` — array wrapper with a backward tape.
+* :class:`Tensor` — array wrapper that keeps its backward graph.
 * :mod:`repro.tensor.ops` — differentiable primitives (also installed as
   Tensor dunders).
 * :mod:`repro.tensor.fft_ops` — fused spectral-convolution ops used by the

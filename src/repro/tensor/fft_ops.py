@@ -309,7 +309,33 @@ def spectral_vjp(g, X, W, idx, rfftn, irfftn, w_last, needs, GX, gW=None):
     return dx, (gW if needs[1] else None)
 
 
-@primitive(spectral_forward, out="spectral", vjp=spectral_vjp)
+def _layer(x_shape: tuple[int, ...], modes: tuple[int, ...], rtype):
+    """Per-call set-up of one Fourier layer: ``(rfftn, irfftn, idx, ctype,
+    half)`` for an input of ``x_shape``, shared by the op and its VJP."""
+    grid = x_shape[2:]
+    rfftn, irfftn = spectral_transforms(grid, modes[-1], rtype)
+    idx = [(slice(None), slice(None)) + blk for blk in mode_blocks(grid, modes)]
+    ctype = np.complex64 if rtype == np.float32 else np.complex128
+    return rfftn, irfftn, idx, ctype, grid[:-1] + (grid[-1] // 2 + 1,)
+
+
+def _spectral_conv_vjp(g, x, wr, wi, modes, *, res, needs, out=()) -> tuple:
+    """Cotangents ``(x, wr, wi)`` of :func:`spectral_conv` through
+    :func:`spectral_vjp`; ``res`` is the forward's ``(X, W)``."""
+    X, W = res
+    B, Cin = x.shape[:2]
+    rfftn, irfftn, idx, ctype, half = _layer(x.shape, modes, x.dtype)
+    w_last = half_spectrum_weights(x.shape[-1], dtype=x.dtype)[:modes[-1]]
+    dx, gW = spectral_vjp(
+        g, X, W, idx, rfftn,
+        lambda GX: irfftn(GX, np.zeros((B, Cin) + half, dtype=ctype)),
+        w_last, (needs[0], needs[1] or needs[2]),
+        np.zeros(X.shape, dtype=ctype),
+    )
+    return dx, (gW.real if needs[1] else None), (gW.imag if needs[2] else None)
+
+
+@primitive(spectral_forward, out="spectral", vjp=_spectral_conv_vjp)
 def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> Tensor:
     """Differentiable Fourier-layer convolution over the trailing ``len(modes)`` axes.
 
@@ -335,44 +361,23 @@ def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> 
     if x.data.ndim != d + 2:
         raise ValueError(f"input shape {x.data.shape} does not have {d} grid axes for modes {modes}")
     B, Cin = x.data.shape[:2]
-    grid = x.data.shape[2:]
-    blocks = mode_blocks(grid, modes)
-    if wr.data.shape[:2] != (len(blocks), Cin):
+    rfftn, irfftn, idx, ctype, half = _layer(x.data.shape, modes, x.data.dtype)
+    if wr.data.shape[:2] != (len(idx), Cin):
         raise ValueError(
             f"weight shape {wr.data.shape} incompatible with input {x.data.shape} "
             f"and modes {modes}"
         )
     Cout = wr.data.shape[2]
     xs, ws, ys = _subscripts(d)
-    rtype = x.data.dtype
-    ctype = np.complex64 if rtype == np.float32 else np.complex128
-    rfftn, irfftn = spectral_transforms(grid, modes[-1], rtype)
     W = complex_weights(wr.data, wi.data)
-    idx = [(slice(None), slice(None)) + blk for blk in blocks]
-    compact = grid[:-1] + (modes[-1],)
-    half = grid[:-1] + (grid[-1] // 2 + 1,)
     y, X = spectral_forward(
         x.data, W, idx, rfftn,
         lambda Y: irfftn(Y, np.zeros((B, Cout) + half, dtype=ctype)),
         lambda Xb, Wb: _mode_einsum(f"{xs},{ws}->{ys}", Xb, Wb),
-        np.zeros((B, Cout) + compact, dtype=ctype),
+        np.zeros((B, Cout) + half[:-1] + (modes[-1],), dtype=ctype),
     )
-    w_last = half_spectrum_weights(grid[-1], dtype=rtype)[:modes[-1]]
-
-    def backward(g: np.ndarray) -> None:
-        dx, gW = spectral_vjp(
-            g, X, W, idx, rfftn,
-            lambda GX: irfftn(GX, np.zeros((B, Cin) + half, dtype=ctype)),
-            w_last, (x.requires_grad, wr.requires_grad or wi.requires_grad),
-            np.zeros((B, Cin) + compact, dtype=ctype),
-        )
-        if dx is not None:
-            x._accumulate(dx)
-        if gW is not None:
-            wr._accumulate(gW.real)
-            wi._accumulate(gW.imag)
-
-    return Tensor.from_op(y, (x, wr, wi), backward)
+    return Tensor.from_op(y, (x, wr, wi), _spectral_conv_vjp,
+                          (x.data, wr.data, wi.data, modes), (X, W))
 
 
 def _projection_multipliers(n1: int, n2: int, length: float, dtype):
@@ -440,7 +445,12 @@ def _solenoidal_forward(x: np.ndarray, length: float = 2.0 * np.pi) -> np.ndarra
     return solenoidal_apply_2d(x, *projection_multipliers(*x.shape[2:], length, x.dtype))
 
 
-@primitive(_solenoidal_forward, out="spectral",
+def _solenoidal_vjp(g, x, length=2.0 * np.pi, *, res=(), needs, out=()) -> tuple:
+    # Self-adjoint: the cotangent is projected like the input was.
+    return (solenoidal_apply_2d(g, *projection_multipliers(*g.shape[2:], length, g.dtype)),)
+
+
+@primitive(_solenoidal_forward, out="spectral", vjp=_solenoidal_vjp, vjp_out="view",
            flops=lambda out, x, length=None: 2 * fft_flops(*x.shape[:2], x.shape[2:]))
 def solenoidal_projection_2d(x: Tensor, length: float = 2.0 * np.pi) -> Tensor:
     """Differentiable Leray projection of velocity pairs.
@@ -455,14 +465,8 @@ def solenoidal_projection_2d(x: Tensor, length: float = 2.0 * np.pi) -> Tensor:
     the very same projection to the cotangent (verified by gradcheck in
     the test suite).
     """
-    B, C, n1, n2 = x.data.shape
-    if C % 2 != 0:
+    _, channels, _, _ = x.data.shape
+    if channels % 2 != 0:
         raise ValueError("channel axis must hold (u_x, u_y) pairs")
-    kx, ky, inv_k2 = projection_multipliers(n1, n2, length, x.data.dtype)
-
-    y = solenoidal_apply_2d(x.data, kx, ky, inv_k2)
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(solenoidal_apply_2d(g, kx, ky, inv_k2))
-
-    return Tensor.from_op(y, (x,), backward)
+    return Tensor.from_op(_solenoidal_forward(x.data, length), (x,), _solenoidal_vjp,
+                          (x.data, length))

@@ -1,8 +1,9 @@
 """Differentiable primitives for :class:`repro.tensor.Tensor`.
 
 Every function here takes tensors (or array-likes) and returns a Tensor
-wired into the tape.  Gradient formulas are standard; all of them are
-checked against central finite differences in the test suite.
+wired into the graph.  Each op's gradient is the one VJP registered next
+to its forward in the op table; the formulas are standard, and all of
+them are checked against central finite differences in the test suite.
 
 The module also installs the arithmetic dunders (``+``, ``*``, ``@``,
 slicing, …) on :class:`Tensor` at import time.
@@ -65,13 +66,12 @@ def _t2(a, b) -> tuple[Tensor, Tensor]:
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
-
-def _accumulate_all(tensors, grads) -> None:
-    """Hand each operand its cotangent, in operand order (None = skip)."""
-    for t, grad in zip(tensors, grads):
-        if grad is not None:
-            t._accumulate(grad)
-
+#
+# Every op hands ``Tensor.from_op`` its VJP from the op table, the VJP's
+# arguments (operand arrays in signature order, then the static ones) and
+# its residuals.  ``vjp(g, *args, res=, needs=, out=)`` returns one
+# cotangent per operand, None where ``needs`` is false; VJPs of unary ops
+# run only when their operand needs one, so they do not check.
 
 def _add_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
     return tuple(unbroadcast(g, np.shape(v)) if need else None
@@ -81,136 +81,119 @@ def _add_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
 @primitive(np.add, arity=2, weak=True, flops=1, vjp=_add_vjp, vjp_out="view")
 def add(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = np.add(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate_all((a, b), _add_vjp(g, a.data, b.data,
-                                         needs=(a.requires_grad, b.requires_grad)))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    return Tensor.from_op(np.add(a.data, b.data), (a, b), _add_vjp, (a.data, b.data))
 
 
-@primitive(np.subtract, arity=2, weak=True, flops=1)
+def _sub_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
+    return (unbroadcast(g, np.shape(a)) if needs[0] else None,
+            unbroadcast(-g, np.shape(b)) if needs[1] else None)
+
+
+@primitive(np.subtract, arity=2, weak=True, flops=1, vjp=_sub_vjp, vjp_out="view")
 def sub(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = np.subtract(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(unbroadcast(g, a.data.shape))
-        b._accumulate(unbroadcast(-g, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    return Tensor.from_op(np.subtract(a.data, b.data), (a, b), _sub_vjp, (a.data, b.data))
 
 
-@primitive(np.multiply, arity=2, weak=True, flops=1)
+def _mul_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
+    return (unbroadcast(g * b, np.shape(a)) if needs[0] else None,
+            unbroadcast(g * a, np.shape(b)) if needs[1] else None)
+
+
+@primitive(np.multiply, arity=2, weak=True, flops=1, vjp=_mul_vjp)
 def mul(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = np.multiply(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    return Tensor.from_op(np.multiply(a.data, b.data), (a, b), _mul_vjp, (a.data, b.data))
 
 
-@primitive(np.divide, arity=2, weak=True, flops=1)
+def _div_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
+    return (unbroadcast(g / b, np.shape(a)) if needs[0] else None,
+            unbroadcast(-g * a / (b * b), np.shape(b)) if needs[1] else None)
+
+
+@primitive(np.divide, arity=2, weak=True, flops=1, vjp=_div_vjp)
 def div(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = np.divide(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    return Tensor.from_op(np.divide(a.data, b.data), (a, b), _div_vjp, (a.data, b.data))
 
 
-@primitive(np.negative, flops=1)
+def _neg_vjp(g, a, *, res=(), needs, out=()) -> tuple:
+    return (-g,)
+
+
+@primitive(np.negative, flops=1, vjp=_neg_vjp, vjp_out="view")
 def neg(a) -> Tensor:
     a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(-g)
-
-    return Tensor.from_op(np.negative(a.data), (a,), backward)
+    return Tensor.from_op(np.negative(a.data), (a,), _neg_vjp, (a.data,))
 
 
-@primitive(np.power, flops=8)
+def _pow_vjp(g, a, exponent, *, res=(), needs, out=()) -> tuple:
+    exponent = float(exponent)
+    return (g * exponent * a ** (exponent - 1.0),)
+
+
+@primitive(np.power, flops=8, vjp=_pow_vjp)
 def pow_(a, exponent: float) -> Tensor:
     """Elementwise power with a *scalar* exponent."""
     a = _t(a)
     exponent = float(exponent)
-    out_data = np.power(a.data, exponent)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(np.power(a.data, exponent), (a,), _pow_vjp, (a.data, exponent))
 
 
 def _square(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(x, x, out=out)
 
 
-@primitive(_square, flops=1)
+def _square_vjp(g, a, *, res=(), needs, out=()) -> tuple:
+    return (2.0 * g * a,)
+
+
+@primitive(_square, flops=1, vjp=_square_vjp)
 def square(a) -> Tensor:
     a = _t(a)
-    out_data = _square(a.data)
+    return Tensor.from_op(_square(a.data), (a,), _square_vjp, (a.data,))
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(2.0 * g * a.data)
 
-    return Tensor.from_op(out_data, (a,), backward)
+def _matmul_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
+    ga = gb = None
+    if needs[0]:
+        if np.ndim(b) == 1:
+            ga = np.multiply.outer(g, b) if np.ndim(a) > 1 else g * b
+        else:
+            ga = g @ np.swapaxes(b, -1, -2)
+        ga = unbroadcast(np.asarray(ga), np.shape(a))
+    if needs[1]:
+        if np.ndim(a) == 1:
+            gb = np.multiply.outer(a, g) if np.ndim(b) > 1 else a * g
+        else:
+            gb = np.swapaxes(a, -1, -2) @ g
+        gb = unbroadcast(np.asarray(gb), np.shape(b))
+    return ga, gb
 
 
 # Kept transient (a fresh result per plan call): BLAS may pick a different
 # accumulation path when handed an ``out=`` buffer of unusual layout, and
 # matmul is off the FNO hot path anyway.
-@primitive(np.matmul, out="fresh", arity=2, weak=True,
+@primitive(np.matmul, out="fresh", arity=2, weak=True, vjp=_matmul_vjp,
            flops=lambda out, a, b: 2 * np.shape(a)[-1] * out.size)
 def matmul(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            if b.data.ndim == 1:
-                ga = np.multiply.outer(g, b.data) if a.data.ndim > 1 else g * b.data
-            else:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(unbroadcast(np.asarray(ga), a.data.shape))
-        if b.requires_grad:
-            if a.data.ndim == 1:
-                gb = np.multiply.outer(a.data, g) if b.data.ndim > 1 else a.data * g
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(unbroadcast(np.asarray(gb), b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    return Tensor.from_op(np.matmul(a.data, b.data), (a, b), _matmul_vjp, (a.data, b.data))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.asarray(np.vdot(x, y))
 
 
-@primitive(_dot, out="fresh", arity=2, weak=True)
+def _dot_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
+    return (g * b if needs[0] else None, g * a if needs[1] else None)
+
+
+@primitive(_dot, out="fresh", arity=2, weak=True, vjp=_dot_vjp)
 def dot(a, b) -> Tensor:
     """Inner product of two flattened tensors."""
     a, b = _t2(a, b)
-    out_data = _dot(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    return Tensor.from_op(_dot(a.data, b.data), (a, b), _dot_vjp, (a.data, b.data))
 
 
 def _indices(term: str) -> str:
@@ -234,9 +217,37 @@ def _parse_einsum(subscripts: str, n_ops: int) -> tuple[list[str], str]:
     return terms, out
 
 
+def _einsum_operand_grad(g: np.ndarray, other: np.ndarray, other_term: str, self_term: str,
+                         out_subs: str) -> np.ndarray:
+    if "..." in self_term or "..." not in out_subs:
+        return np.einsum(f"{out_subs},{other_term}->{self_term}", g, other, optimize=True)
+    # The output carries broadcast (ellipsis) axes that this operand
+    # does not have: route them to the front, then sum them away.
+    res = np.einsum(f"{out_subs},{other_term}->...{self_term}", g, other, optimize=True)
+    extra = res.ndim - len(_indices(self_term))
+    return res.sum(axis=tuple(range(extra))) if extra else res
+
+
+def _einsum_vjp(g, subscripts, *operands, res=(), needs, out=()) -> tuple:
+    terms, out_subs = _parse_einsum(subscripts, len(operands))
+    if len(operands) == 1:
+        (a,), (ta,) = operands, terms
+        kept = [c for c in ta if c in out_subs]
+        ga = np.einsum(f"{out_subs}->{''.join(kept)}", g, optimize=True)
+        if set(ta) - set(out_subs):
+            # Indices summed away: broadcast the cotangent back.
+            size_map = dict(zip(ta, np.shape(a)))
+            ga = np.broadcast_to(_expand_missing(ga, ta, kept, size_map),
+                                 [size_map[c] for c in ta])
+        return (np.ascontiguousarray(ga),)
+    (a, b), (ta, tb) = operands, terms
+    return (_einsum_operand_grad(g, b, tb, ta, out_subs) if needs[0] else None,
+            _einsum_operand_grad(g, a, ta, tb, out_subs) if needs[1] else None)
+
+
 # Registered for tracing only: plans refuse it (see repro.compile.kernels),
 # so models built on it (DeepONet) run eagerly.
-@primitive(np.einsum, out="fresh")
+@primitive(np.einsum, out="fresh", vjp=_einsum_vjp)
 def einsum(subscripts: str, *operands) -> Tensor:
     """Differentiable einsum for one or two operands.
 
@@ -248,54 +259,18 @@ def einsum(subscripts: str, *operands) -> Tensor:
     """
     tensors = [_t(op) for op in operands]
     terms, out_subs = _parse_einsum(subscripts, len(tensors))
-    out_data = np.einsum(subscripts, *[t.data for t in tensors])
-
     if len(tensors) == 1:
-        (a,) = tensors
-        (ta,) = terms
-        if "..." in ta:
+        if "..." in terms[0]:
             raise NotImplementedError("ellipsis is not supported for single-operand einsum gradients")
-        missing = set(ta) - set(out_subs)
-        size_map = dict(zip(ta, a.data.shape))
-
-        def backward(g: np.ndarray) -> None:
-            if not a.requires_grad:
-                return
-            kept = [c for c in ta if c in out_subs]
-            ga = np.einsum(f"{out_subs}->{''.join(kept)}", g, optimize=True)
-            if missing:
-                # Indices summed away: broadcast the cotangent back.
-                ga = np.broadcast_to(
-                    _expand_missing(ga, ta, kept, size_map),
-                    [size_map[c] for c in ta],
-                )
-            a._accumulate(np.ascontiguousarray(ga))
-
-        return Tensor.from_op(out_data, (a,), backward)
-
-    a, b = tensors
-    ta, tb = terms
-    for term, other in ((ta, tb), (tb, ta)):
-        uncovered = set(_indices(term)) - set(_indices(out_subs)) - set(_indices(other))
-        if uncovered:
-            raise ValueError(f"einsum indices {uncovered} of one operand appear nowhere else; gradient undefined")
-
-    def _operand_grad(g: np.ndarray, other: np.ndarray, other_term: str, self_term: str) -> np.ndarray:
-        if "..." in self_term or "..." not in out_subs:
-            return np.einsum(f"{out_subs},{other_term}->{self_term}", g, other, optimize=True)
-        # The output carries broadcast (ellipsis) axes that this operand
-        # does not have: route them to the front, then sum them away.
-        res = np.einsum(f"{out_subs},{other_term}->...{self_term}", g, other, optimize=True)
-        extra = res.ndim - len(_indices(self_term))
-        return res.sum(axis=tuple(range(extra))) if extra else res
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_operand_grad(g, b.data, tb, ta))
-        if b.requires_grad:
-            b._accumulate(_operand_grad(g, a.data, ta, tb))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    else:
+        ta, tb = terms
+        for term, other in ((ta, tb), (tb, ta)):
+            uncovered = set(_indices(term)) - set(_indices(out_subs)) - set(_indices(other))
+            if uncovered:
+                raise ValueError(f"einsum indices {uncovered} of one operand appear nowhere else; gradient undefined")
+    arrays = [t.data for t in tensors]
+    return Tensor.from_op(np.einsum(subscripts, *arrays), tuple(tensors), _einsum_vjp,
+                          (subscripts, *arrays))
 
 
 def _channel_linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
@@ -328,7 +303,7 @@ def _channel_linear_vjp(g, x, weight, bias=None, *, res=(), needs, out=(None,)) 
     return dx, dw, db
 
 
-@primitive(_channel_linear, arity=3, vjp=_channel_linear_vjp,
+@primitive(_channel_linear, arity=3, vjp=_channel_linear_vjp, vjp_out="arena",
            flops=lambda out, x, w, bias=None: 2 * x.shape[1] * out.size)
 def channel_linear(x, weight, bias=None) -> Tensor:
     """Pointwise channel mix ``y[b,o,...] = sum_i x[b,i,...] w[i,o] (+ bias[o])``.
@@ -354,12 +329,7 @@ def channel_linear(x, weight, bias=None) -> Tensor:
         raise ValueError(f"channel_linear bias must have shape ({out_channels},)")
     out_data = _channel_linear(x.data, weight.data, None if bias is None else bias.data)
     parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate_all(parents, _channel_linear_vjp(
-            g, x.data, weight.data, needs=tuple(p.requires_grad for p in parents)))
-
-    return Tensor.from_op(out_data, parents, backward)
+    return Tensor.from_op(out_data, parents, _channel_linear_vjp, (x.data, weight.data))
 
 
 def _expand_missing(g: np.ndarray, term: str, kept: list[str], size_map: dict[str, int]) -> np.ndarray:
@@ -378,74 +348,78 @@ def _expand_missing(g: np.ndarray, term: str, kept: list[str], size_map: dict[st
 # ---------------------------------------------------------------------------
 # elementwise functions
 # ---------------------------------------------------------------------------
+#
+# ``exp``, ``sqrt``, ``tanh`` and ``sigmoid`` keep their output as the
+# VJP's residual (a training plan keeps the output's slot for it).
 
-@primitive(np.exp, flops=8)
+def _exp_vjp(g, a, *, res, needs, out=()) -> tuple:
+    return (g * res[0],)
+
+
+@primitive(np.exp, flops=8, vjp=_exp_vjp)
 def exp(a) -> Tensor:
     a = _t(a)
     out_data = np.exp(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * out_data)
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(out_data, (a,), _exp_vjp, (a.data,), (out_data,))
 
 
-@primitive(np.log, flops=8)
+def _log_vjp(g, a, *, res=(), needs, out=()) -> tuple:
+    return (g / a,)
+
+
+@primitive(np.log, flops=8, vjp=_log_vjp)
 def log(a) -> Tensor:
     a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g / a.data)
-
-    return Tensor.from_op(np.log(a.data), (a,), backward)
+    return Tensor.from_op(np.log(a.data), (a,), _log_vjp, (a.data,))
 
 
-@primitive(np.sqrt, flops=4)
+def _sqrt_vjp(g, a, *, res, needs, out=()) -> tuple:
+    return (g * 0.5 / res[0],)
+
+
+@primitive(np.sqrt, flops=4, vjp=_sqrt_vjp)
 def sqrt(a) -> Tensor:
     a = _t(a)
     out_data = np.sqrt(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * 0.5 / out_data)
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(out_data, (a,), _sqrt_vjp, (a.data,), (out_data,))
 
 
-@primitive(np.tanh, flops=8)
+def _tanh_vjp(g, a, *, res, needs, out=()) -> tuple:
+    (y,) = res
+    return (g * (1.0 - y * y),)
+
+
+@primitive(np.tanh, flops=8, vjp=_tanh_vjp)
 def tanh(a) -> Tensor:
     a = _t(a)
     out_data = np.tanh(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * (1.0 - out_data * out_data))
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(out_data, (a,), _tanh_vjp, (a.data,), (out_data,))
 
 
-@primitive(_sp_special.expit, flops=8)
+def _sigmoid_vjp(g, a, *, res, needs, out=()) -> tuple:
+    (y,) = res
+    return (g * y * (1.0 - y),)
+
+
+@primitive(_sp_special.expit, flops=8, vjp=_sigmoid_vjp)
 def sigmoid(a) -> Tensor:
     a = _t(a)
     out_data = _sp_special.expit(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * out_data * (1.0 - out_data))
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(out_data, (a,), _sigmoid_vjp, (a.data,), (out_data,))
 
 
 def _relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-@primitive(_relu, flops=1)
+def _relu_vjp(g, a, *, res=(), needs, out=()) -> tuple:
+    return (g * (a > 0),)
+
+
+@primitive(_relu, flops=1, vjp=_relu_vjp)
 def relu(a) -> Tensor:
     a = _t(a)
-    out_data = _relu(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * (a.data > 0))
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(_relu(a.data), (a,), _relu_vjp, (a.data,))
 
 
 def _gelu_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -493,143 +467,138 @@ def _gelu_vjp(g, x, *, res, needs=(True,), out=(None,)) -> tuple:
     return (np.multiply(g, t, out=t),)
 
 
-@primitive(_gelu, flops=12, vjp=_gelu_vjp)
+@primitive(_gelu, flops=12, vjp=_gelu_vjp, vjp_out="arena")
 def gelu(a) -> Tensor:
     """Exact Gaussian error linear unit: ``0.5 x (1 + erf(x/sqrt(2)))``."""
     a = _t(a)
     out_data, cdf = gelu_keep_cdf(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate_all((a,), _gelu_vjp(g, a.data, res=(cdf,)))
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(out_data, (a,), _gelu_vjp, (a.data,), (cdf,))
 
 
-@primitive(np.absolute, flops=1)
+def _abs_vjp(g, a, *, res=(), needs, out=()) -> tuple:
+    return (g * np.sign(a),)
+
+
+@primitive(np.absolute, flops=1, vjp=_abs_vjp)
 def abs_(a) -> Tensor:
     a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * np.sign(a.data))
-
-    return Tensor.from_op(np.absolute(a.data), (a,), backward)
+    return Tensor.from_op(np.absolute(a.data), (a,), _abs_vjp, (a.data,))
 
 
-@primitive(np.sin, flops=8)
+def _sin_vjp(g, a, *, res=(), needs, out=()) -> tuple:
+    return (g * np.cos(a),)
+
+
+@primitive(np.sin, flops=8, vjp=_sin_vjp)
 def sin(a) -> Tensor:
     a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * np.cos(a.data))
-
-    return Tensor.from_op(np.sin(a.data), (a,), backward)
+    return Tensor.from_op(np.sin(a.data), (a,), _sin_vjp, (a.data,))
 
 
-@primitive(np.cos, flops=8)
+def _cos_vjp(g, a, *, res=(), needs, out=()) -> tuple:
+    return (-g * np.sin(a),)
+
+
+@primitive(np.cos, flops=8, vjp=_cos_vjp)
 def cos(a) -> Tensor:
     a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(-g * np.sin(a.data))
-
-    return Tensor.from_op(np.cos(a.data), (a,), backward)
+    return Tensor.from_op(np.cos(a.data), (a,), _cos_vjp, (a.data,))
 
 
-@primitive(np.clip, flops=2)
+def _clip_vjp(g, a, lo, hi, *, res=(), needs, out=()) -> tuple:
+    return (g * ((a >= lo) & (a <= hi)),)
+
+
+@primitive(np.clip, flops=2, vjp=_clip_vjp)
 def clip(a, lo: float, hi: float) -> Tensor:
     a = _t(a)
-    out_data = np.clip(a.data, lo, hi)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * ((a.data >= lo) & (a.data <= hi)))
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(np.clip(a.data, lo, hi), (a,), _clip_vjp, (a.data, lo, hi))
 
 
-@primitive(np.maximum, arity=2, weak=True, flops=1)
+def _select_vjp(g, mask, a, b, needs) -> tuple:
+    """Cotangents of an elementwise choice: ``a`` where ``mask``, else ``b``."""
+    return (unbroadcast(g * mask, np.shape(a)) if needs[0] else None,
+            unbroadcast(g * ~mask, np.shape(b)) if needs[1] else None)
+
+
+def _maximum_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
+    return _select_vjp(g, a >= b, a, b, needs)
+
+
+@primitive(np.maximum, arity=2, weak=True, flops=1, vjp=_maximum_vjp)
 def maximum(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = np.maximum(a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        mask = a.data >= b.data
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g * mask, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g * ~mask, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    return Tensor.from_op(np.maximum(a.data, b.data), (a, b), _maximum_vjp, (a.data, b.data))
 
 
-@primitive(np.minimum, arity=2, weak=True, flops=1)
+def _minimum_vjp(g, a, b, *, res=(), needs, out=()) -> tuple:
+    return _select_vjp(g, a <= b, a, b, needs)
+
+
+@primitive(np.minimum, arity=2, weak=True, flops=1, vjp=_minimum_vjp)
 def minimum(a, b) -> Tensor:
     a, b = _t2(a, b)
-    out_data = np.minimum(a.data, b.data)
+    return Tensor.from_op(np.minimum(a.data, b.data), (a, b), _minimum_vjp, (a.data, b.data))
 
-    def backward(g: np.ndarray) -> None:
-        mask = a.data <= b.data
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g * mask, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g * ~mask, b.data.shape))
 
-    return Tensor.from_op(out_data, (a, b), backward)
+def _where_vjp(g, cond, a, b, *, res=(), needs, out=()) -> tuple:
+    # A plan passes ``cond`` as stored; any nonzero element selects ``a``.
+    return (None, *_select_vjp(g, np.asarray(cond, dtype=bool), a, b, needs[1:]))
 
 
 # A plan passes ``cond`` as stored (float for a tensor); np.where reads
 # any nonzero element as true, exactly like the bool cast eager keeps.
-@primitive(np.where, out="fresh", arity=3, weak=True, flops=1)
+@primitive(np.where, out="fresh", arity=3, weak=True, flops=1, vjp=_where_vjp)
 def where(cond, a, b) -> Tensor:
     cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
     a, b = _t2(a, b)
-    out_data = np.where(cond, a.data, b.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g * cond, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g * ~cond, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
+    # ``cond`` takes no gradient; ``a`` fills its parent slot, whose
+    # cotangent is always None, so the parents line up with the operands.
+    return Tensor.from_op(np.where(cond, a.data, b.data), (a, a, b), _where_vjp,
+                          (cond, a.data, b.data))
 
 
 # ---------------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------------
+#
+# These VJPs read only their operands' shapes (``vjp_out="view"``): a
+# training plan hands them shape stand-ins, not the operands' buffers.
 
-@primitive(np.reshape, out="view")
+def _reshape_vjp(g, a, shape, *, res=(), needs, out=()) -> tuple:
+    return (g.reshape(np.shape(a)),)
+
+
+@primitive(np.reshape, out="view", vjp=_reshape_vjp, vjp_out="view")
 def reshape(a, shape) -> Tensor:
     a = _t(a)
-    in_shape = a.data.shape
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g.reshape(in_shape))
-
-    return Tensor.from_op(np.reshape(a.data, shape), (a,), backward)
+    return Tensor.from_op(np.reshape(a.data, shape), (a,), _reshape_vjp, (a.data, shape))
 
 
-@primitive(np.transpose, out="view")
+def _transpose_vjp(g, a, axes=None, *, res=(), needs, out=()) -> tuple:
+    if axes is None:
+        axes = tuple(reversed(range(np.ndim(a))))
+    return (g.transpose(np.argsort(tuple(axes))),)
+
+
+@primitive(np.transpose, out="view", vjp=_transpose_vjp, vjp_out="view")
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     a = _t(a)
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
-    inv = np.argsort(axes)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g.transpose(inv))
-
-    return Tensor.from_op(np.transpose(a.data, axes), (a,), backward)
+    return Tensor.from_op(np.transpose(a.data, axes), (a,), _transpose_vjp, (a.data, axes))
 
 
-@primitive(np.moveaxis, out="view")
+def _moveaxis_vjp(g, a, source, destination, *, res=(), needs, out=()) -> tuple:
+    return (np.moveaxis(g, destination, source),)
+
+
+@primitive(np.moveaxis, out="view", vjp=_moveaxis_vjp, vjp_out="view")
 def moveaxis(a, source, destination) -> Tensor:
     a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(np.moveaxis(g, destination, source))
-
-    return Tensor.from_op(np.moveaxis(a.data, source, destination), (a,), backward)
+    return Tensor.from_op(np.moveaxis(a.data, source, destination), (a,), _moveaxis_vjp,
+                          (a.data, source, destination))
 
 
 def _getitem(x: np.ndarray, index, out: np.ndarray | None = None) -> np.ndarray:
@@ -639,16 +608,16 @@ def _getitem(x: np.ndarray, index, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-@primitive(_getitem)
+def _getitem_vjp(g, a, index, *, res=(), needs, out=()) -> tuple:
+    ga = np.zeros(np.shape(a), dtype=g.dtype)
+    np.add.at(ga, index, g)
+    return (ga,)
+
+
+@primitive(_getitem, vjp=_getitem_vjp, vjp_out="view")
 def getitem(a, index) -> Tensor:
     a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, index, g)
-        a._accumulate(ga)
-
-    return Tensor.from_op(_getitem(a.data, index), (a,), backward)
+    return Tensor.from_op(_getitem(a.data, index), (a,), _getitem_vjp, (a.data, index))
 
 
 def pad_interior(pad_width, shape: tuple[int, ...]) -> tuple[slice, ...]:
@@ -669,17 +638,16 @@ def _pad(x: np.ndarray, pad_width, constant_value: float = 0.0,
     return out
 
 
-@primitive(_pad)
+def _pad_vjp(g, a, pad_width, constant_value=0.0, *, res=(), needs, out=()) -> tuple:
+    return (g[pad_interior(pad_width, np.shape(a))],)
+
+
+@primitive(_pad, vjp=_pad_vjp, vjp_out="view")
 def pad(a, pad_width, constant_value: float = 0.0) -> Tensor:
     """Constant-pad; ``pad_width`` follows :func:`numpy.pad` conventions."""
     a = _t(a)
-    slices = pad_interior(pad_width, a.data.shape)
-    out_data = _pad(a.data, pad_width, constant_value)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g[slices])
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(_pad(a.data, pad_width, constant_value), (a,), _pad_vjp,
+                          (a.data, pad_width))
 
 
 def _concatenate_vjp(g, tensors, axis=0, *, res=(), needs, out=()) -> tuple:
@@ -696,53 +664,48 @@ def _concatenate_vjp(g, tensors, axis=0, *, res=(), needs, out=()) -> tuple:
 @primitive(np.concatenate, vjp=_concatenate_vjp, vjp_out="view")
 def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [_t(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate_all(tensors, _concatenate_vjp(
-            g, [t.data for t in tensors], axis, needs=[t.requires_grad for t in tensors]))
-
-    return Tensor.from_op(out_data, tuple(tensors), backward)
+    arrays = [t.data for t in tensors]
+    return Tensor.from_op(np.concatenate(arrays, axis=axis), tuple(tensors), _concatenate_vjp,
+                          (arrays, axis))
 
 
-@primitive(np.stack)
+def _stack_vjp(g, tensors, axis=0, *, res=(), needs, out=()) -> tuple:
+    return tuple(piece if need else None
+                 for piece, need in zip(np.moveaxis(g, axis, 0), needs))
+
+
+@primitive(np.stack, vjp=_stack_vjp, vjp_out="view")
 def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [_t(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        pieces = np.moveaxis(g, axis, 0)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    return Tensor.from_op(out_data, tuple(tensors), backward)
+    arrays = [t.data for t in tensors]
+    return Tensor.from_op(np.stack(arrays, axis=axis), tuple(tensors), _stack_vjp, (arrays, axis))
 
 
-@primitive(np.roll, out="fresh")
+def _roll_vjp(g, a, shift, axis, *, res=(), needs, out=()) -> tuple:
+    back = tuple(-s for s in shift) if isinstance(shift, tuple) else -shift
+    return (np.roll(g, back, axis=axis),)
+
+
+@primitive(np.roll, out="fresh", vjp=_roll_vjp, vjp_out="view")
 def roll(a, shift, axis) -> Tensor:
     """Periodic roll along ``axis`` (differentiable; adjoint rolls back)."""
     a = _t(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(np.roll(g, -shift if not isinstance(shift, tuple) else tuple(-s for s in shift), axis=axis))
-
-    return Tensor.from_op(np.roll(a.data, shift, axis=axis), (a,), backward)
+    return Tensor.from_op(np.roll(a.data, shift, axis=axis), (a,), _roll_vjp,
+                          (a.data, shift, axis))
 
 
 def _broadcast_to(x: np.ndarray, shape) -> np.ndarray:
     return np.broadcast_to(x, shape).copy()
 
 
-@primitive(_broadcast_to, out="fresh")
+def _broadcast_to_vjp(g, a, shape, *, res=(), needs, out=()) -> tuple:
+    return (unbroadcast(g, np.shape(a)),)
+
+
+@primitive(_broadcast_to, out="fresh", vjp=_broadcast_to_vjp, vjp_out="view")
 def broadcast_to(a, shape) -> Tensor:
     a = _t(a)
-    in_shape = a.data.shape
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(unbroadcast(g, in_shape))
-
-    return Tensor.from_op(_broadcast_to(a.data, shape), (a,), backward)
+    return Tensor.from_op(_broadcast_to(a.data, shape), (a,), _broadcast_to_vjp, (a.data, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -768,31 +731,32 @@ def _mean(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
     return np.asarray(x.mean(axis=axis, keepdims=keepdims))
 
 
-@primitive(_sum, out="fresh")
+def _sum_vjp(g, a, axis=None, keepdims=False, *, res=(), needs, out=()) -> tuple:
+    # Materialised: a plan may hand a lone cotangent on as it is, and a
+    # zero-stride one would move its consumer's matmul off BLAS.
+    return (_restore_reduced(g, np.shape(a), axis, keepdims).copy(),)
+
+
+@primitive(_sum, out="fresh", vjp=_sum_vjp, vjp_out="view")
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _t(a)
-    in_shape = a.data.shape
-    out_data = _sum(a.data, axis, keepdims)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(_restore_reduced(g, in_shape, axis, keepdims))
-
-    return Tensor.from_op(out_data, (a,), backward)
+    return Tensor.from_op(_sum(a.data, axis, keepdims), (a,), _sum_vjp, (a.data, axis, keepdims))
 
 
-@primitive(_mean, out="fresh")
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _t(a)
-    in_shape = a.data.shape
-    out_data = _mean(a.data, axis, keepdims)
-    count = a.data.size if axis is None else np.prod(
+def _mean_vjp(g, a, axis=None, keepdims=False, *, res=(), needs, out=()) -> tuple:
+    in_shape = np.shape(a)
+    count = np.size(a) if axis is None else np.prod(
         [in_shape[ax % len(in_shape)] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
+    # The integer count is a NumPy scalar, which widens float32: cast back.
+    grad = _restore_reduced(g, in_shape, axis, keepdims) / count
+    return (grad.astype(g.dtype, copy=False),)
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(_restore_reduced(g, in_shape, axis, keepdims) / count)
 
-    return Tensor.from_op(out_data, (a,), backward)
+@primitive(_mean, out="fresh", vjp=_mean_vjp, vjp_out="view")
+def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = _t(a)
+    return Tensor.from_op(_mean(a.data, axis, keepdims), (a,), _mean_vjp, (a.data, axis, keepdims))
 
 
 # Not a primitive: its output Tensor *is* its internal ``mean``'s output,

@@ -6,9 +6,8 @@ sequence of tensor primitives it executes.  This module owns the hook
 and the op table: every differentiable primitive in
 :mod:`repro.tensor.ops` and every fused spectral op in
 :mod:`repro.tensor.fft_ops` is registered with :func:`primitive` at
-module-definition time, which records its shared forward (and, for the
-ops a training plan supports, its VJP) in :data:`PRIMITIVES` and wraps
-it with :func:`traced`, so the wrapped
+module-definition time, which records its shared forward and its VJP
+in :data:`PRIMITIVES` and wraps it with :func:`traced`, so the wrapped
 function *is* the public op — ``from repro.tensor import gelu`` and the
 installed ``Tensor`` dunders both resolve to it.
 
@@ -22,10 +21,10 @@ Design constraints:
 * **Provenance safety.**  Tensors produced by *unwrapped* paths (e.g.
   ``Tensor.astype``) would silently be captured as constants by the plan
   builder, freezing one call's value into every future execution.  While
-  any recorder is active, :meth:`Tensor.from_op` is patched to tag every
-  op-produced tensor; the plan builder refuses to treat a tagged tensor
-  of unknown provenance as a constant and falls back to eager execution
-  instead.
+  a recorder is active, a :meth:`Tensor.from_op` observer notes every
+  tensor an op produces on its thread; the plan builder refuses to treat
+  such a tensor as a constant when no traced op produced it, and the
+  model runs eagerly instead.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .tensor import Tensor
+from .tensor import Tensor, add_observer, remove_observer
 
 __all__ = [
     "TraceRecord", "Recorder", "traced", "recording_active",
@@ -63,37 +62,11 @@ class _ActiveState(threading.local):
 
 _ACTIVE = _ActiveState()
 
-# Identities of tensors produced by Tensor.from_op while any recorder was
-# live, shared across threads (see module docstring).  Guarded by _LOCK.
-_FROM_OP_IDS: set[int] = set()
-_LOCK = threading.Lock()
-_RECORDER_COUNT = 0
-_ORIG_FROM_OP: Callable | None = None
 
-
-def _tagging_from_op(data, parents, backward):
-    out = _ORIG_FROM_OP(data, parents, backward)
-    with _LOCK:
-        _FROM_OP_IDS.add(id(out))
-    return out
-
-
-def _install_from_op_tag() -> None:
-    global _RECORDER_COUNT, _ORIG_FROM_OP
-    with _LOCK:
-        if _RECORDER_COUNT == 0:
-            _ORIG_FROM_OP = Tensor.from_op
-            Tensor.from_op = staticmethod(_tagging_from_op)
-        _RECORDER_COUNT += 1
-
-
-def _remove_from_op_tag() -> None:
-    global _RECORDER_COUNT
-    with _LOCK:
-        _RECORDER_COUNT -= 1
-        if _RECORDER_COUNT == 0:
-            Tensor.from_op = staticmethod(_ORIG_FROM_OP)
-            _FROM_OP_IDS.clear()
+def _tag(out: Tensor, parents) -> None:
+    recorder = _ACTIVE.recorder
+    if recorder is not None:
+        recorder.produced.add(id(out))
 
 
 @dataclass
@@ -105,27 +78,29 @@ class Recorder:
     """
 
     records: list[TraceRecord] = field(default_factory=list)
+    # Identities of every tensor an op produced on this thread while the
+    # recorder was active, traced or not.
+    produced: set[int] = field(default_factory=set)
 
     def __enter__(self) -> "Recorder":
         if _ACTIVE.recorder is not None:
             raise RuntimeError("a trace recorder is already active on this thread")
-        _install_from_op_tag()
+        add_observer(_tag)
         _ACTIVE.recorder = self
         return self
 
     def __exit__(self, *exc) -> None:
         _ACTIVE.recorder = None
-        _remove_from_op_tag()
+        remove_observer(_tag)
 
     def saw_from_op(self, tensor: Tensor) -> bool:
-        """Whether ``tensor`` was produced by an op while recording was live.
+        """Whether an op produced ``tensor`` while this recorder was active.
 
         The plan builder uses this to distinguish genuine constants
         (weights, cached grids — safe to freeze into a plan) from
         intermediates whose producing op escaped the trace (unsafe).
         """
-        with _LOCK:
-            return id(tensor) in _FROM_OP_IDS
+        return id(tensor) in self.produced
 
 
 def recording_active() -> bool:
@@ -189,18 +164,20 @@ class Primitive:
     ``weak`` the last two operands follow the weak-scalar rule
     (:func:`repro.tensor.ops.weak_pair`).
 
-    ``vjp`` is the op's vector-Jacobian product, called by the eager
-    backward closure and by compiled training plans alike:
-    ``vjp(g, *args, res=, needs=, out=)`` returns one cotangent per
-    operand tensor (list operands count element by element), None where
-    ``needs`` is false.  ``res`` holds the residuals the forward kept.
-    With ``vjp_out="arena"`` each cotangent is written into its ``out``
-    buffer when one is given; with ``"view"`` the VJP reads only its
-    operands' shapes, its cotangents are views of ``g`` (or fresh when
-    broadcasting is undone) and ``out`` is ignored.  ``spectral_conv``,
-    which has a dedicated plan builder, takes its transforms and
-    residuals explicitly (:func:`repro.tensor.fft_ops.spectral_vjp`).
-    Ops without a ``vjp`` train eagerly only.
+    ``vjp`` is the op's vector-Jacobian product, the one gradient of the
+    op: eager backward (:meth:`Tensor.backward`) and compiled training
+    plans both call it.  ``vjp(g, *args, res=, needs=, out=)`` takes the
+    op's arguments in signature order (arrays in place of tensors) and
+    returns one cotangent per operand (list operands count element by
+    element), None where ``needs`` is false.  ``res`` holds the residuals
+    the forward kept.  ``vjp_out`` says what the cotangents are:
+    ``"arena"`` — each is written into its ``out`` buffer when one is
+    given; ``"fresh"`` — new arrays, ``out`` is ignored; ``"view"`` — the
+    VJP reads only its operands' shapes, and its cotangents may be views
+    of ``g``, so a plan hands it shape stand-ins and never adds into what
+    it returns.  ``spectral_conv``'s plan lowering calls the shared
+    :func:`repro.tensor.fft_ops.spectral_vjp` with its own transforms and
+    buffers.
     """
 
     name: str
@@ -210,8 +187,8 @@ class Primitive:
     arity: int
     weak: bool
     signature: inspect.Signature
-    vjp: Callable[..., tuple] | None = None
-    vjp_out: str = "arena"
+    vjp: Callable[..., tuple]
+    vjp_out: str = "fresh"
 
     def bind(self, args: tuple, kwargs: dict) -> list:
         """A recorded call's arguments in signature order, defaults filled."""
@@ -223,8 +200,8 @@ class Primitive:
 PRIMITIVES: dict[str, Primitive] = {}
 
 
-def primitive(forward, *, out: str = "arena", flops=0, arity: int = 1, weak: bool = False,
-              vjp=None, vjp_out: str = "arena"):
+def primitive(forward, *, vjp, out: str = "arena", flops=0, arity: int = 1, weak: bool = False,
+              vjp_out: str = "fresh"):
     """Register the decorated public op in :data:`PRIMITIVES` and trace it.
 
     The op is registered under its function name; the returned function

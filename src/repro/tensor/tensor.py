@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation on NumPy arrays.
 
 This module provides the :class:`Tensor` class — a thin wrapper around a
-real-valued :class:`numpy.ndarray` that records a tape of operations so
+real-valued :class:`numpy.ndarray` that keeps the graph of operations so
 that gradients can be computed by reverse-mode accumulation.
 
 Design notes
@@ -9,54 +9,101 @@ Design notes
 * Data is always a real ``float32``/``float64`` ndarray.  Complex values
   only appear *inside* fused spectral operations (see
   :mod:`repro.tensor.fft_ops`), whose adjoints are derived analytically.
-* The tape is implicit: each Tensor produced by an operation keeps
-  references to its parents and a closure that scatters the incoming
-  cotangent into ``parent.grad``.  :meth:`Tensor.backward` performs a
-  topological sort and runs the closures once each.
+* The graph is implicit: each Tensor produced by an operation keeps its
+  parents, the op's vector-Jacobian product from the op table
+  (:data:`repro.tensor.recording.PRIMITIVES`) and the arguments and
+  residuals that VJP reads.  :meth:`Tensor.backward` visits the graph in
+  :func:`topological_order` and hands every VJP's cotangents to the
+  parents, one generic call per node; compiled training plans replay the
+  same order with the same VJPs.
 * Broadcasting follows NumPy semantics; cotangents are summed back to the
   parent shapes with :func:`unbroadcast`.
+* Grad mode (:class:`no_grad`) is per thread, and every op output passes
+  through :meth:`Tensor.from_op`, which calls the registered observers
+  (:func:`add_observer`) — one tuple read per op when there are none.
 
 The engine is deliberately small — a few dozen primitives — but complete
 enough to train Fourier neural operators end to end.  Gradients of every
 primitive are validated against central finite differences in the test
-suite (``tests/test_tensor_gradcheck.py``).
+suite (``tests/test_tensor_ops_gradcheck.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import threading
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast", "asarray"]
+__all__ = [
+    "Tensor", "no_grad", "is_grad_enabled", "unbroadcast", "asarray",
+    "topological_order", "add_observer", "remove_observer",
+]
 
 
-_GRAD_ENABLED: bool = True
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables tape recording.
+    """Context manager that disables graph recording on this thread.
 
     Inside a ``with no_grad():`` block, operations on tensors produce
     result tensors with ``requires_grad=False`` and no parents, exactly
     like the PyTorch context manager of the same name.  Use it for
-    inference rollouts and metric computation.
+    inference rollouts and metric computation.  The mode is per thread,
+    so serve workers entering and leaving it concurrently never see each
+    other's setting.
     """
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD.enabled
+        _GRAD.enabled = False
         return self
 
     def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Return True when operations are currently recorded on the tape."""
-    return _GRAD_ENABLED
+    """Return True when operations on this thread are recorded in the graph."""
+    return _GRAD.enabled
+
+
+# Callbacks ``observer(out, parents)`` run for every op output, keyed by
+# callback with a registration count, so nested and interleaved
+# registrations from different modules compose.  ``from_op`` reads the
+# tuple once per call; it is rebuilt under the lock on every change.
+_OBSERVERS: tuple = ()
+_OBSERVER_COUNTS: dict = {}
+_OBSERVER_LOCK = threading.Lock()
+
+
+def add_observer(observer: Callable) -> None:
+    """Call ``observer(out, parents)`` for every op output until removed.
+
+    Registrations are counted: a callback added twice stays until it is
+    removed twice.
+    """
+    global _OBSERVERS
+    with _OBSERVER_LOCK:
+        _OBSERVER_COUNTS[observer] = _OBSERVER_COUNTS.get(observer, 0) + 1
+        _OBSERVERS = tuple(_OBSERVER_COUNTS)
+
+
+def remove_observer(observer: Callable) -> None:
+    """Undo one :func:`add_observer` of ``observer``."""
+    global _OBSERVERS
+    with _OBSERVER_LOCK:
+        count = _OBSERVER_COUNTS[observer] - 1
+        if count:
+            _OBSERVER_COUNTS[observer] = count
+        else:
+            del _OBSERVER_COUNTS[observer]
+        _OBSERVERS = tuple(_OBSERVER_COUNTS)
 
 
 def asarray(value, dtype=None) -> np.ndarray:
@@ -104,13 +151,15 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_vjp", "_args", "_res", "_parents", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data: np.ndarray = asarray(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self.requires_grad: bool = bool(requires_grad) and _GRAD.enabled
+        self._vjp: Callable[..., tuple] | None = None
+        self._args: tuple = ()
+        self._res: tuple = ()
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -121,27 +170,32 @@ class Tensor:
     def from_op(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        vjp: Callable[..., tuple],
+        args: tuple = (),
+        res: tuple = (),
     ) -> "Tensor":
         """Build a Tensor resulting from an operation on ``parents``.
 
-        ``backward`` receives the cotangent of the output and must
-        accumulate into each parent's ``.grad`` (only for parents with
-        ``requires_grad``).  When grad mode is off or no parent requires
-        gradients the tape edge is dropped entirely.
+        ``vjp(g, *args, res=res, needs=needs)`` is the op's
+        vector-Jacobian product: it returns one cotangent per parent
+        (None where ``needs``, one flag per parent, is false).  When grad
+        mode is off or no parent requires gradients, the graph edge is
+        dropped and neither ``args`` nor the residuals ``res`` are kept.
         """
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD.enabled and any(p.requires_grad for p in parents)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out.requires_grad = requires
         out.name = None
         if requires:
-            out._backward = backward
-            out._parents = tuple(parents)
+            out._vjp, out._args, out._res, out._parents = vjp, args, res, tuple(parents)
         else:
-            out._backward = None
-            out._parents = ()
+            out._vjp, out._args, out._res, out._parents = None, (), (), ()
+        observers = _OBSERVERS
+        if observers:
+            for observer in observers:
+                observer(out, parents)
         return out
 
     @staticmethod
@@ -183,20 +237,16 @@ class Tensor:
         return self.data
 
     def detach(self) -> "Tensor":
-        """Return a new Tensor sharing data but cut from the tape."""
+        """Return a new Tensor sharing data but cut from the graph."""
         return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False)
 
     def astype(self, dtype) -> "Tensor":
-        dtype = np.dtype(dtype)
-        out_data = self.data.astype(dtype)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g.astype(self.data.dtype))
-
-        return Tensor.from_op(out_data, (self,), backward)
+        src = self.data.dtype
+        return Tensor.from_op(self.data.astype(np.dtype(dtype)), (self,),
+                              lambda g, res, needs: (g.astype(src),))
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -208,8 +258,8 @@ class Tensor:
         g = np.asarray(g, dtype=self.data.dtype)
         if self.grad is None:
             # Always copy on first store: the incoming cotangent may alias
-            # an array that another closure also hands out (e.g. ``x + x``),
-            # and we accumulate in place afterwards.
+            # an array another VJP also hands out (e.g. ``x + x``), and we
+            # accumulate in place afterwards.
             self.grad = g.copy()
         else:
             self.grad += g
@@ -236,32 +286,22 @@ class Tensor:
         if grad.shape != self.data.shape:
             raise ValueError(f"grad shape {grad.shape} != tensor shape {self.data.shape}")
 
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
-
+        order = topological_order(self)
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                # Free intermediate cotangents and tape edges: leaves keep
-                # their grads (they have no _backward); interior nodes do
-                # not need theirs after propagation.
+        for node in reversed(order):
+            if node._vjp is not None and node.grad is not None:
+                parents = node._parents
+                grads = node._vjp(node.grad, *node._args, res=node._res,
+                                  needs=tuple(p.requires_grad for p in parents))
+                for parent, g in zip(parents, grads):
+                    if g is not None:
+                        parent._accumulate(g)
+                # Free intermediate cotangents and graph edges: leaves keep
+                # their grads (they have no VJP); interior nodes do not
+                # need theirs after propagation.
                 node.grad = None
-                node._backward = None
-                node._parents = ()
+                node._vjp = None
+                node._args = node._res = node._parents = ()
 
     # ------------------------------------------------------------------
     # operator plumbing (implementations live in repro.tensor.ops)
@@ -277,8 +317,28 @@ class Tensor:
     # avoid a circular definition; see ``ops._install_operators``.
 
 
-def _ensure_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def topological_order(root: Tensor) -> list[Tensor]:
+    """The graph behind ``root`` in depth-first post-order (``root`` last).
 
-
-Tensor._ensure = staticmethod(_ensure_tensor)  # type: ignore[attr-defined]
+    Only tensors that require gradients are visited.  :meth:`Tensor.backward`
+    runs the VJPs in the reverse of this order, and a compiled training
+    plan (:func:`repro.compile.train.build_train_plan`) lays out its
+    reverse steps from the same order, so both sum every multi-consumer
+    cotangent in the same sequence.
+    """
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+    return topo

@@ -14,7 +14,8 @@ from repro import compile as rc
 from repro.compile.plan import PlanMismatchError
 from repro.core.rollout import apply_channels
 from repro.nn import FNO, DeepONet2d
-from repro.tensor import fft_ops
+from repro.nn.module import Module
+from repro.tensor import fft_ops, ops
 from repro.tensor.tensor import Tensor, no_grad
 
 
@@ -211,6 +212,20 @@ class TestPlanCache:
         assert cache.forward(model, x) is None  # negatively cached
         stats = cache.stats()
         assert stats["fallbacks"] == 2 and stats["traces"] == 0
+
+    def test_untraced_intermediate_is_never_frozen(self):
+        # ``astype`` is not a traced op: a plan would replay its first
+        # output as a constant, so the model must be served eagerly.
+        class Cast(Module):
+            def forward(self, x):
+                return ops.add((x * 2.0).astype(np.float32), 1.0)
+
+        cache = rc.PlanCache(enabled=True)
+        model = Cast()
+        x1, x2 = np.ones((1, 2), np.float32), np.full((1, 2), 5.0, np.float32)
+        assert cache.forward(model, x1) is None
+        assert cache.forward(model, x2) is None
+        assert cache.stats()["plans"] == 0
 
     def test_invalidate_drops_plans(self):
         cache = rc.PlanCache(enabled=True)

@@ -21,7 +21,7 @@ from repro.data.loader import DataLoader
 from repro.nn import FNO, DeepONet2d
 from repro.nn.linear import ChannelLinear
 from repro.nn.module import Module, Parameter
-from repro.tensor import ops
+from repro.tensor import fft_ops, ops
 from repro.tensor.tensor import Tensor
 
 
@@ -57,19 +57,22 @@ def _train_plan(model, x: np.ndarray):
     return entry if isinstance(entry, rc.TrainPlan) else None
 
 
-def _steps(make_model, xs, ys, compiled: bool):
+def _steps(make_model, xs, ys, compiled: bool, loss_fn=None):
     """Train ``len(xs)`` Adam + StepLR steps; record the loss, every grad and
-    every parameter after each step."""
+    every parameter after each step.  ``loss_fn(model, pred, y)`` replaces
+    the trainer's loss when given."""
     rc.clear()
     rc.set_enabled(compiled)
     model = make_model()
     model.train()
     trainer = Trainer(model, TrainingConfig(batch_size=len(xs[0]), learning_rate=1e-2,
                                             scheduler_step=1, scheduler_gamma=0.5))
+    if loss_fn is None:
+        loss_fn = lambda model, pred, y: trainer.loss(pred, y)  # noqa: E731
     history = []
     for x, y in zip(xs, ys):
         model.zero_grad()
-        loss = trainer.loss(rc.train_forward(model, Tensor(x)), Tensor(y))
+        loss = loss_fn(model, rc.train_forward(model, Tensor(x)), Tensor(y))
         loss.backward()
         grads = [p.grad.copy() for p in model.parameters()]
         trainer.optimizer.step()
@@ -121,6 +124,49 @@ class TestCompiledEqualsEager:
         assert _train_plan(model, xs[0]).executions == 2
         _, want = _steps(make, xs, ys, compiled=False)
         _assert_same_history(got, want)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_fno2d_activation(self, activation):
+        def make():
+            return FNO(3, 2, (5, 4), width=6, n_layers=3, projection_channels=10,
+                       activation=activation, rng=np.random.default_rng(3), dtype=np.float32)
+
+        xs, ys = _data((2, 3, 16, 16), (2, 2, 16, 16), 3, np.float32)
+        model, got = _steps(make, xs, ys, compiled=True)
+        assert _train_plan(model, xs[0]).executions == 2
+        _, want = _steps(make, xs, ys, compiled=False)
+        _assert_same_history(got, want)
+
+    def test_time_padded_fno3d(self):
+        # ``pad`` before the Fourier blocks and the crop ``getitem`` after.
+        def make():
+            return FNO(2, 1, (3, 3, 2), width=6, n_layers=2, projection_channels=8,
+                       time_padding=2, rng=np.random.default_rng(4))
+
+        xs, ys = _data((2, 2, 8, 8, 6), (2, 1, 8, 8, 6), 3, np.float64)
+        model, got = _steps(make, xs, ys, compiled=True)
+        plan = _train_plan(model, xs[0])
+        assert plan.executions == 2
+        assert {"pad.vjp", "getitem.vjp"} <= {step.op for step in plan.steps}
+        _, want = _steps(make, xs, ys, compiled=False)
+        _assert_same_history(got, want)
+
+    @pytest.mark.parametrize("l2_first", [True, False])
+    def test_parameter_l2_term_in_the_loss(self, l2_first):
+        # The loss-rooted backward reaches the parameters through the L2
+        # term as well as through the plan's output; the plan's reverse
+        # order, read from the output's graph, must still match eager.
+        def loss_fn(model, pred, y):
+            l2 = ops.sum_(ops.stack([ops.sum_(ops.square(p)) for p in model.parameters()]))
+            mse = ops.mean(ops.square(pred - y))
+            return l2 * 1e-3 + mse if l2_first else mse + l2 * 1e-3
+
+        for make in (lambda: _small_fno2d(np.float64), lambda: _Branchy(np.float64)):
+            xs, ys = _data((2, 3, 16, 16), (2, 2, 16, 16), 3, np.float64)
+            model, got = _steps(make, xs, ys, compiled=True, loss_fn=loss_fn)
+            assert _train_plan(model, xs[0]).executions == 2
+            _, want = _steps(make, xs, ys, compiled=False, loss_fn=loss_fn)
+            _assert_same_history(got, want)
 
     def test_unsupported_op_trains_eagerly_and_identically(self):
         def make():
@@ -183,6 +229,95 @@ class _Branchy(Module):
         k = ops.gelu(self.lin1b(x))
         branches = [ops.add(h, k), ops.gelu(ops.add(h, self.shift)), ops.add(k, k)]
         return self.lin2(ops.concatenate([branches[i] for i in self.order], axis=1))
+
+
+def _train_op_cases():
+    """One small training case per op of the table: ``(op, params, build)``,
+    where ``build(model, h)`` runs on the lifted input ``h`` of
+    :class:`_OneOp` and reads the extra parameters named in ``params``.
+    ``einsum`` is refused by the compiler and is not listed."""
+    mask = np.random.default_rng(1).standard_normal((2, 24, 8, 8)) > 0
+    return [
+        ("channel_linear", (), lambda m, h: h),
+        ("add", ("p",), lambda m, h: ops.add(h, m.p)),
+        ("sub", ("p",), lambda m, h: ops.sub(m.p, h)),
+        ("mul", ("p",), lambda m, h: ops.mul(h, m.p)),
+        ("div", ("p",), lambda m, h: ops.div(h, ops.add(ops.square(m.p), 1.0))),
+        ("neg", (), lambda m, h: -h),
+        ("pow_", (), lambda m, h: ops.pow_(h, 3.0)),
+        ("square", (), lambda m, h: ops.square(h)),
+        ("matmul", ("q",), lambda m, h: ops.matmul(h, m.q)),
+        ("dot", (), lambda m, h: h * ops.dot(ops.reshape(h, (-1,)), ops.reshape(h, (-1,)))),
+        ("exp", (), lambda m, h: ops.exp(h)),
+        ("log", (), lambda m, h: ops.log(ops.square(h) + 1.0)),
+        ("sqrt", (), lambda m, h: ops.sqrt(ops.square(h) + 1.0)),
+        ("tanh", (), lambda m, h: ops.tanh(h)),
+        ("sigmoid", (), lambda m, h: ops.sigmoid(h)),
+        ("relu", (), lambda m, h: ops.relu(h)),
+        ("gelu", (), lambda m, h: ops.gelu(h)),
+        ("abs_", (), lambda m, h: ops.abs_(h)),
+        ("sin", (), lambda m, h: ops.sin(h)),
+        ("cos", (), lambda m, h: ops.cos(h)),
+        ("clip", (), lambda m, h: ops.clip(h, -0.3, 0.3)),
+        ("maximum", ("p",), lambda m, h: ops.maximum(h, m.p)),
+        ("minimum", (), lambda m, h: ops.minimum(h, 0.1)),
+        ("where", ("p",), lambda m, h: ops.where(mask, h, m.p)),
+        ("reshape", (), lambda m, h: ops.reshape(ops.reshape(h, (2, 24, 64)), (2, 24, 8, 8))),
+        ("transpose", (), lambda m, h: ops.transpose(ops.transpose(h, (0, 1, 3, 2)), (0, 1, 3, 2))),
+        ("moveaxis", (), lambda m, h: ops.moveaxis(ops.moveaxis(h, 1, -1), -1, 1)),
+        ("getitem", (), lambda m, h: ops.pad(h[..., 1:7], ((0, 0), (0, 0), (0, 0), (1, 1)))),
+        ("pad", (), lambda m, h: ops.pad(h, ((0, 0), (0, 0), (1, 2), (2, 1)))[:, :, 1:9, 2:10]),
+        ("concatenate", (), lambda m, h: ops.concatenate([h, h[:, :1]], axis=1)[:, 1:]),
+        ("stack", (), lambda m, h: ops.stack([h, h * 2.0], axis=1)[:, 1]),
+        ("roll", (), lambda m, h: ops.roll(h, (1, -2), (2, 3))),
+        ("broadcast_to", ("p",), lambda m, h: ops.broadcast_to(h[:, :1], (2, 24, 8, 8)) * m.p),
+        # A lone reduction cotangent reaches the lifting's matmul VJP.
+        ("sum_", (), lambda m, h: ops.broadcast_to(ops.sum_(h, axis=1, keepdims=True),
+                                                   (2, 24, 8, 8))),
+        ("mean", (), lambda m, h: h * ops.mean(h, axis=2, keepdims=True) + ops.mean(h)),
+        ("spectral_conv", ("wr", "wi"), lambda m, h: fft_ops.spectral_conv(h, m.wr, m.wi, (3, 3))),
+        ("solenoidal_projection_2d", (), lambda m, h: fft_ops.solenoidal_projection_2d(h)),
+    ]
+
+
+_TRAIN_OP_CASES = _train_op_cases()
+
+
+class _OneOp(Module):
+    """``lin2(op(lin1(x)))``: a gradient reaches the op's traced input,
+    and the op's cotangents reach a 24-channel matmul VJP."""
+
+    SHAPES = {"p": (24, 1, 1), "q": (8, 8), "wr": (2, 24, 24, 3, 3), "wi": (2, 24, 24, 3, 3)}
+
+    def __init__(self, op, params, dtype):
+        super().__init__()
+        rng = np.random.default_rng(6)
+        self.op = op
+        self.lin1 = ChannelLinear(3, 24, rng=rng, dtype=dtype)
+        self.lin2 = ChannelLinear(24, 2, rng=rng, dtype=dtype)
+        for name in params:
+            setattr(self, name, Parameter(rng.standard_normal(self.SHAPES[name]).astype(dtype)))
+
+    def forward(self, x):
+        return self.lin2(self.op(self, self.lin1(x)))
+
+
+class TestPerOpTrainPins:
+    def test_every_trainable_op_is_pinned(self):
+        from repro.tensor.recording import PRIMITIVES
+
+        assert {op for op, _, _ in _TRAIN_OP_CASES} == set(PRIMITIVES) - {"einsum"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op,params,build", _TRAIN_OP_CASES,
+                             ids=[op for op, _, _ in _TRAIN_OP_CASES])
+    def test_plan_step_matches_eager_bitwise(self, op, params, build, dtype):
+        xs, ys = _data((2, 3, 8, 8), (2, 2, 8, 8), 3, dtype)
+        model, got = _steps(lambda: _OneOp(build, params, dtype), xs, ys, compiled=True)
+        plan = _train_plan(model, xs[0])
+        assert f"{op}.vjp" in {step.op for step in plan.steps}
+        _, want = _steps(lambda: _OneOp(build, params, dtype), xs, ys, compiled=False)
+        _assert_same_history(got, want)
 
 
 class TestPlanSafety:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.checks import DtypePromotionError, dtype_sanitizer
+from repro.checks import DtypePromotionError, dtype_sanitizer, sanitizer
 from repro.nn import FNO, LpLoss
 from repro.tensor import Tensor, no_grad
 from repro.tensor import ops
+from repro.tensor import tensor as tensor_module
 
 
 def _f32(*shape):
@@ -58,22 +59,39 @@ class TestSanitizerCore:
         assert report.ok
 
     def test_patch_is_restored_after_exit(self):
-        original = Tensor.from_op
         with dtype_sanitizer():
-            assert Tensor.from_op is not original
-        assert Tensor.from_op is original
+            assert sanitizer._check in tensor_module._OBSERVERS
+        assert sanitizer._check not in tensor_module._OBSERVERS
 
     def test_nested_contexts_restore_once(self):
-        original = Tensor.from_op
         with dtype_sanitizer() as outer:
             with dtype_sanitizer(mode="record") as inner:
                 x = Tensor(_f32(3,))
                 Tensor.from_op(x.data.astype(np.float64), (x,), lambda g: None)
-            assert Tensor.from_op is not original
-        assert Tensor.from_op is original
+            assert sanitizer._check in tensor_module._OBSERVERS
+        assert sanitizer._check not in tensor_module._OBSERVERS
         # Both active contexts observed the violation; only the inner
         # (record-mode) one kept it from raising.
         assert len(inner.violations) == 1 and len(outer.violations) == 1
+
+    def test_profiling_exit_inside_the_context_keeps_checking(self):
+        # Profiling on, sanitizer on, profiling off: each owns its own
+        # observer, so the sanitizer still checks and nothing is left over.
+        from repro.obs import hooks
+
+        x = Tensor(_f32(4,))
+        hooks.enable_profiling()
+        profiling = True
+        try:
+            with dtype_sanitizer(mode="record") as report:
+                hooks.disable_profiling()
+                profiling = False
+                Tensor.from_op(x.data.astype(np.float64), (x,), lambda g: None)
+        finally:
+            if profiling:
+                hooks.disable_profiling()
+        assert len(report.violations) == 1
+        assert tensor_module._OBSERVERS == ()
 
     def test_outside_context_nothing_is_checked(self):
         x = Tensor(_f32(4,))

@@ -1,9 +1,12 @@
 """Tensor fundamentals: construction, tape bookkeeping, backward rules."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.tensor import Tensor, is_grad_enabled, no_grad, ops, unbroadcast
+from repro.tensor import tensor as tensor_module
 
 
 class TestConstruction:
@@ -57,6 +60,35 @@ class TestGradMode:
             with no_grad():
                 assert not is_grad_enabled()
             assert not is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        # Thread A enters, thread B enters, A exits: B is still in its
+        # own no-grad block, and afterwards grad mode is on everywhere.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                a_out.wait(10)
+                seen["inside"] = is_grad_enabled()
+            seen["after"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert seen == {"inside": False, "after": True}
+        assert is_grad_enabled()
+        assert Tensor([1.0], requires_grad=True).requires_grad
 
     def test_no_grad_ops_produce_leaf(self):
         x = Tensor([1.0], requires_grad=True)
@@ -205,3 +237,38 @@ class TestAstype:
         y.sum().backward()
         assert x.grad.dtype == np.float64
         assert np.allclose(x.grad, 2.0)
+
+
+class TestOpObservers:
+    def test_observers_are_counted(self):
+        calls = []
+
+        def observer(out, parents):
+            calls.append(out)
+
+        tensor_module.add_observer(observer)
+        tensor_module.add_observer(observer)
+        tensor_module.remove_observer(observer)
+        y = Tensor([1.0]) * 2.0
+        tensor_module.remove_observer(observer)
+        Tensor([1.0]) * 2.0
+        assert calls == [y]
+        assert observer not in tensor_module._OBSERVERS
+
+    def test_recorder_exit_inside_profiling_removes_its_tag(self):
+        # Recorder enter, profiling on, Recorder exit, profiling off: the
+        # recorder keeps what it saw, and no tagging outlives it.
+        from repro.obs import hooks
+        from repro.tensor import recording
+
+        x = Tensor(np.ones(3), requires_grad=True)
+        recorder = recording.Recorder()
+        recorder.__enter__()
+        inside = x * 3.0
+        hooks.enable_profiling()
+        recorder.__exit__(None, None, None)
+        hooks.disable_profiling()
+        after = [x * 2.0 for _ in range(10)]
+        assert recorder.saw_from_op(inside)
+        assert not any(recorder.saw_from_op(t) for t in after)
+        assert tensor_module._OBSERVERS == ()

@@ -1,9 +1,13 @@
 """Finite-difference gradient checks for every differentiable primitive."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor, fft_ops, ops
+from repro.tensor.recording import PRIMITIVES
 
 RNG = np.random.default_rng(2024)
 EPS = 1e-6
@@ -259,3 +263,31 @@ class TestChains:
     def test_rsub_rdiv(self):
         gradcheck(lambda a: 1.0 - a, (3,))
         gradcheck(lambda a: 2.0 / a, (3,), positive=True)
+
+
+class TestFused:
+    def test_channel_linear(self):
+        gradcheck(lambda x, w, b: ops.channel_linear(x, w, b), (2, 3, 4, 4), (3, 5), (5,))
+
+    def test_einsum_two_operands(self):
+        gradcheck(lambda a, b: ops.einsum("bcp,qp->bcq", a, b), (2, 3, 4), (5, 4))
+
+    def test_einsum_one_operand(self):
+        gradcheck(lambda a: ops.einsum("ij->j", a), (3, 4))
+
+    def test_spectral_conv(self):
+        gradcheck(lambda x, wr, wi: fft_ops.spectral_conv(x, wr, wi, (2, 3)),
+                  (2, 3, 8, 8), (2, 3, 4, 2, 3), (2, 3, 4, 2, 3))
+
+    def test_solenoidal_projection_2d(self):
+        gradcheck(lambda x: fft_ops.solenoidal_projection_2d(x), (2, 4, 8, 8))
+
+
+class TestOpTable:
+    def test_every_op_has_a_vjp_and_a_gradcheck(self):
+        # A new op without a VJP, or without a check in this file, fails here.
+        source = Path(__file__).read_text()
+        for name, spec in PRIMITIVES.items():
+            assert callable(spec.vjp), name
+            assert spec.vjp_out in ("arena", "fresh", "view"), name
+            assert re.search(rf"\b(ops|fft_ops)\.{name}\(", source), name
