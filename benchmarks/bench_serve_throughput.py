@@ -111,7 +111,7 @@ def run_serve_throughput() -> dict:
         # One worker: the host is single-core, so a second worker only adds
         # cache contention between concurrently executing batches.
         services[label] = InferenceService(
-            registry, policy=policy, n_workers=1, deterministic=True, default_mode="fno"
+            registry, policy=policy, n_workers=1, default_mode="fno"
         ).start()
         for window in windows[:WARMUP_REQUESTS]:
             services[label].predict("bench", window, mode="fno", cycles=CYCLES)

@@ -113,9 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rollout mode when a request does not specify one")
     s.add_argument("--solver", choices=["fd", "spectral"], default="fd",
                    help="PDE solver backing hybrid-mode requests")
-    s.add_argument("--non-deterministic", action="store_true",
-                   help="allow batch-size-dependent last-ulp differences for a faster "
-                        "mode-mixing einsum")
     s.add_argument("--trust", nargs="?", const="default", metavar="POLICY_JSON",
                    help="attach per-request physics diagnostics, ensemble UQ, and a "
                         "trust verdict to every /predict response; pass a "
@@ -402,7 +399,6 @@ def _cmd_serve(args) -> int:
         policy=BatchPolicy(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
                            max_queue=args.queue_depth),
         n_workers=args.serve_workers,
-        deterministic=not args.non_deterministic,
         default_mode=args.default_mode,
         solver_kind=args.solver,
         trust=trust,

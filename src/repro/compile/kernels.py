@@ -15,7 +15,8 @@ the eager no-grad forward; property tests pin that for every op.
 Only three ops have dedicated builders, each for something eager cannot
 do: ``concatenate`` and ``pad`` write their constant regions once, when
 the buffer is made, and ``spectral_conv`` runs fixed-shape replays of its
-transforms and contraction.  ``einsum`` is refused.
+transforms around the eager op's :func:`~repro.tensor.fft_ops.mode_mix`.
+``einsum`` is refused.
 
 Allocation discipline inside ``run`` closures is checked statically by
 rule ``RPR009`` (see ``repro/checks/rules/compile.py``): fresh
@@ -199,61 +200,6 @@ def _lower_concatenate(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_sl
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def _mode_contraction(subscripts: str, x_shape, w_shape, ctype) -> Callable:
-    """A call-time replayer for ``fft_ops._mode_einsum`` at fixed shapes.
-
-    ``np.einsum(..., optimize=True)`` re-runs the contraction-path search
-    on every call before dispatching to its batched-matmul lowering.  The
-    path is a pure function of (subscripts, shapes), and a plan executes
-    one fixed shape forever, so we resolve it once at build time and call
-    the lowering directly.  Guarded twice: the replay is probed for
-    bitwise equality against eager at build time, and any surprise
-    (numpy internals moved, multi-step path) falls back to the eager
-    ``_mode_einsum`` itself.  The batch-invariant flag is still consulted
-    per call — under it, eager uses ``optimize=False`` and so do we.
-    """
-    eager = lambda X, W: fft_ops._mode_einsum(subscripts, X, W)  # noqa: E731
-    try:
-        from numpy._core.einsumfunc import bmm_einsum as _bmm
-    except (ImportError, AttributeError):
-        return eager
-    dummies = (np.zeros(x_shape, ctype), np.zeros(w_shape, ctype))
-    try:
-        _, contractions = np.einsum_path(
-            subscripts, *dummies, optimize=True, einsum_call=True
-        )
-    except TypeError:
-        return eager
-    if len(contractions) != 1:
-        return eager
-    inds, lowered, _ = contractions[0]
-    swapped = tuple(inds) == (1, 0)
-
-    rng = np.random.default_rng(12345)
-    pX, pW = (
-        (rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(ctype)
-        for s in (x_shape, w_shape)
-    )
-    want = np.einsum(subscripts, pX, pW, optimize=True)
-    got = _bmm(lowered, pW, pX) if swapped else _bmm(lowered, pX, pW)
-    if not (np.array_equal(want, got) and want.dtype == got.dtype):
-        return eager
-
-    if swapped:
-        def contract(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-            if fft_ops._BATCH_INVARIANT.enabled:
-                return np.einsum(subscripts, X, W, optimize=False)
-            return _bmm(lowered, W, X)
-    else:
-        def contract(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-            if fft_ops._BATCH_INVARIANT.enabled:
-                return np.einsum(subscripts, X, W, optimize=False)
-            return _bmm(lowered, X, W)
-
-    return contract
-
-
-@functools.lru_cache(maxsize=64)
 def _fft_transforms(x_shape, grid, m_last, rtype, ctype):
     """Fixed-shape replays of :func:`fft_ops.spectral_transforms`.
 
@@ -263,17 +209,16 @@ def _fft_transforms(x_shape, grid, m_last, rtype, ctype):
     shape/axis/normalisation bookkeeping on every call — roughly two
     thirds of the wall time of a serving-scale transform.  A plan
     executes one fixed shape forever, so the bookkeeping is resolved once
-    here and the pocketfft C entry points are called directly.  Guarded
-    like :func:`_mode_contraction`: both directions are probed for
+    here and the pocketfft C entry points are called directly.  Both
+    directions are probed for
     bitwise equality against the wrappers at build time, any surprise
     (scipy internals moved, signature change, mismatch) falls back to the
     wrappers, and the wrappers are also used whenever ``fft_ops._fft``
     has been swapped out — the obs profiling hooks count FFT calls by
     replacing that attribute, and compiled plans must stay visible to
     them.  Callers always use the returned arrays: the wrappers ignore
-    the buffers.  Like the contraction, the result depends on shapes and
-    dtypes only, so it is built (and probed) once per key and shared by
-    every layer and plan.
+    the buffers.  The result depends on shapes and dtypes only, so it is
+    built (and probed) once per key and shared by every layer and plan.
     """
     wrap_rfftn, wrap_irfftn = fft_ops.spectral_transforms(grid, m_last, rtype)
 
@@ -334,7 +279,7 @@ def _fft_transforms(x_shape, grid, m_last, rtype, ctype):
 class SpectralLayer:
     """Build-time set-up of one ``spectral_conv`` call, shared by the
     inference and training lowerings: geometry, the mode blocks, the
-    fixed-shape transforms and contraction, and the pinned scratch slots
+    fixed-shape transforms, and the pinned scratch slots
     (zeroed compact mode buffer, zeroed half-spectrum pad, r2c scratch),
     one per shape for the whole plan."""
 
@@ -342,7 +287,6 @@ class SpectralLayer:
         x, wr, wi, modes = spec.bind(rec.args, rec.kwargs)
         self.x, self.wr, self.wi = x, wr, wi
         modes = tuple(modes)
-        d = len(modes)
         self.dtype = rec.out.data.dtype
         B, Cin = x.data.shape[:2]
         grid = x.data.shape[2:]
@@ -355,10 +299,6 @@ class SpectralLayer:
         self.idx = [(slice(None), slice(None)) + blk for blk in fft_ops.mode_blocks(grid, modes)]
         self.ctype = np.complex64 if self.dtype == np.float32 else np.complex128
         self.w_last = fft_ops.half_spectrum_weights(grid[-1], dtype=self.dtype)[:modes[-1]]
-        xs, ws, ys = fft_ops._subscripts(d)
-        self.contract = _mode_contraction(
-            f"{xs},{ws}->{ys}", (B, Cin) + modes, (Cin, Cout) + modes, self.ctype
-        )
         self.fwd, self.inv = _fft_transforms(self.shape_in, grid, modes[-1], self.dtype, self.ctype)
         zero = lambda buf: buf.fill(0.0)  # noqa: E731
         # The non-retained modes stay zero for the plan's lifetime: the
@@ -379,13 +319,13 @@ def _lower_spectral_conv(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_
     getx, getwr, getwi = b.getter(layer.x), b.getter(layer.wr), b.getter(layer.wi)
     reads = [b.read(slot) for slot in (layer.y_slot, layer.pad_out, layer.r2c_in)]
     forward, weights, fwd, inv = spec.forward, fft_ops.complex_weights, layer.fwd, layer.inv
-    idx, contract = layer.idx, layer.contract
+    idx = layer.idx
 
     def run(values: list) -> None:
         Y, pad, half = (get(values) for get in reads)
         values[out_slot], _ = forward(
             getx(values), weights(getwr(values), getwi(values)), idx,
-            lambda a: fwd(a, half), lambda A: inv(A, pad), contract, Y,
+            lambda a: fwd(a, half), lambda A: inv(A, pad), Y,
         )
 
     return Step(rec.op, run, out_slot, shape, dtype, flops=layer.flops, fresh=True,

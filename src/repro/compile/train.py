@@ -78,9 +78,9 @@ def _forward_spectral(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slo
     X_slot, W_slot = b.new_slot(), b.new_slot()
     b.request_arena(out_slot, shape, dtype)
     b.request_arena(X_slot, layer.compact_in, layer.ctype)
-    b.request_arena(W_slot, layer.wr.data.shape, layer.ctype)
     forward, weights, fwd, inv = spec.forward, fft_ops.complex_weights, layer.fwd, layer.inv
-    idx, contract = layer.idx, layer.contract
+    b.request_arena(W_slot, weights(layer.wr.data, layer.wi.data).shape, layer.ctype)
+    idx = layer.idx
 
     def run(values: list) -> None:
         Y, pad, half = (get(values) for get in reads)
@@ -88,7 +88,7 @@ def _forward_spectral(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slo
         W = weights(getwr(values), getwi(values), out=values[W_slot])
         values[out_slot], values[X_slot] = forward(
             getx(values), W, idx,
-            lambda a: fwd(a, half, X_buf), lambda A: inv(A, pad, y_buf), contract, Y,
+            lambda a: fwd(a, half, X_buf), lambda A: inv(A, pad, y_buf), Y,
         )
         values[W_slot] = W
 

@@ -106,18 +106,6 @@ def _emit_rollout_diagnostics(u: np.ndarray, length: float, t: float, phase: str
     )
 
 
-def _window_to_channels(window: np.ndarray) -> np.ndarray:
-    """``(n_snap, 2, n, n)`` → ``(1, n_snap·2, n, n)`` (snapshot-major)."""
-    n_snap, n_fields, n1, n2 = window.shape
-    return window.reshape(1, n_snap * n_fields, n1, n2)
-
-
-def _channels_to_snapshots(channels: np.ndarray, n_fields: int = 2) -> np.ndarray:
-    """``(1, n_snap·n_fields, n, n)`` → ``(n_snap, n_fields, n, n)``."""
-    _, C, n1, n2 = channels.shape
-    return channels.reshape(C // n_fields, n_fields, n1, n2)
-
-
 class HybridFNOPDE:
     """Alternating FNO/PDE integrator.
 
@@ -167,22 +155,6 @@ class HybridFNOPDE:
             convective_time if convective_time is not None else solver.length
         )
         self.guard = guard
-
-    # ------------------------------------------------------------------
-    def _fno_step(self, window: np.ndarray) -> np.ndarray:
-        """Predict the next ``n_out`` snapshots from an ``n_in`` window."""
-        pred = apply_channels(self.model, _window_to_channels(window), self.normalizer)
-        return _channels_to_snapshots(pred, self.config.n_fields)
-
-    def _pde_step(self, u_start: np.ndarray, n_snapshots: int) -> np.ndarray:
-        """Integrate from ``u_start`` and return the next ``n_snapshots``."""
-        self.solver.set_velocity(u_start)
-        dt_phys = self.config.sample_interval * self.convective_time
-        out = np.empty((n_snapshots,) + u_start.shape)
-        for i in range(n_snapshots):
-            self.solver.advance(dt_phys)
-            out[i] = self.solver.velocity
-        return out
 
     # ------------------------------------------------------------------
     def run(self, initial_window: np.ndarray, t0: float = 0.0) -> RolloutRecord:
@@ -240,8 +212,9 @@ def run_hybrid_batched(
         As for :class:`HybridFNOPDE`.
 
     Returns one :class:`RolloutRecord` per request, bit-for-bit equal to
-    running each request alone when batch-invariant kernels are active
-    (see :func:`repro.tensor.batch_invariant_kernels`).
+    running each request alone: the model's kernels keep each sample's
+    bits independent of the batch (see
+    :func:`repro.tensor.fft_ops.mode_mix`).
     """
     cfg = config
     windows = np.asarray(windows)

@@ -24,16 +24,21 @@ from .base import NSSolverBase
 __all__ = ["FDNSSolver2D"]
 
 
+def _neighbours(f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Periodic neighbours ``(E, W, N, S, NE, NW, SE, SW)`` of ``f``.
+
+    All eight are slices of one wrap-padded copy; E/W step along axis 0
+    and N/S along axis 1 (``E[i, j] = f[i+1, j]``, ``N[i, j] = f[i, j+1]``).
+    """
+    P = np.pad(f, 1, mode="wrap")
+    return (P[2:, 1:-1], P[:-2, 1:-1], P[1:-1, 2:], P[1:-1, :-2],
+            P[2:, 2:], P[:-2, 2:], P[2:, :-2], P[:-2, :-2])
+
+
 def _arakawa_jacobian(p: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     """Arakawa (1966) discrete Jacobian ``J(p, w) = p_x w_y − p_y w_x``."""
-    pE, pW = np.roll(p, -1, 0), np.roll(p, 1, 0)
-    pN, pS = np.roll(p, -1, 1), np.roll(p, 1, 1)
-    pNE, pNW = np.roll(pN, -1, 0), np.roll(pN, 1, 0)
-    pSE, pSW = np.roll(pS, -1, 0), np.roll(pS, 1, 0)
-    wE, wW = np.roll(w, -1, 0), np.roll(w, 1, 0)
-    wN, wS = np.roll(w, -1, 1), np.roll(w, 1, 1)
-    wNE, wNW = np.roll(wN, -1, 0), np.roll(wN, 1, 0)
-    wSE, wSW = np.roll(wS, -1, 0), np.roll(wS, 1, 0)
+    pE, pW, pN, pS, pNE, pNW, pSE, pSW = _neighbours(p)
+    wE, wW, wN, wS, wNE, wNW, wSE, wSW = _neighbours(w)
 
     j1 = (pE - pW) * (wN - wS) - (pN - pS) * (wE - wW)
     j2 = pE * (wNE - wSE) - pW * (wNW - wSW) - pN * (wNE - wNW) + pS * (wSE - wSW)
@@ -43,9 +48,8 @@ def _arakawa_jacobian(p: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
 
 def _laplacian(f: np.ndarray, h: float) -> np.ndarray:
     """Periodic 5-point Laplacian."""
-    return (
-        np.roll(f, -1, 0) + np.roll(f, 1, 0) + np.roll(f, -1, 1) + np.roll(f, 1, 1) - 4.0 * f
-    ) / (h * h)
+    P = np.pad(f, 1, mode="wrap")
+    return (P[2:, 1:-1] + P[:-2, 1:-1] + P[1:-1, 2:] + P[1:-1, :-2] - 4.0 * f) / (h * h)
 
 
 class FDNSSolver2D(NSSolverBase):
@@ -82,9 +86,9 @@ class FDNSSolver2D(NSSolverBase):
     @property
     def velocity(self) -> np.ndarray:
         """Velocity from central differences of the streamfunction."""
-        psi = self.streamfunction()
-        ux = (np.roll(psi, -1, 1) - np.roll(psi, 1, 1)) / (2.0 * self.h)
-        uy = -(np.roll(psi, -1, 0) - np.roll(psi, 1, 0)) / (2.0 * self.h)
+        P = np.pad(self.streamfunction(), 1, mode="wrap")
+        ux = (P[1:-1, 2:] - P[1:-1, :-2]) / (2.0 * self.h)
+        uy = -(P[2:, 1:-1] - P[:-2, 1:-1]) / (2.0 * self.h)
         return np.stack([ux, uy])
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ JSON-over-HTTP service:
   with bounded depth and :class:`QueueFullError` backpressure.
 * :class:`WorkerPool` — threads draining the queue.
 * :class:`InferenceService` — the synchronous client API tying the
-  pieces together (deterministic batch-invariant kernels by default).
+  pieces together (a response never depends on the batch it ran in).
 * :func:`make_server`/:func:`serve_forever` — the HTTP front end
   (``/predict``, ``/models``, ``/healthz``, ``/stats``, ``/metrics``).
 

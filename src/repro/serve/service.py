@@ -3,9 +3,11 @@
 ``InferenceService.predict`` is the synchronous client API (the HTTP
 front end calls it from request-handler threads): it validates the
 request, enqueues it, and blocks until a worker completes the batch it
-landed in.  Deterministic mode (default) runs all forward passes under
-:func:`repro.tensor.batch_invariant_kernels`, so a response does not
-depend on which batch the scheduler happened to fuse the request into.
+landed in.  Every kernel of a forward pass keeps a sample's bits
+independent of the batch around it (the mode mixing is one
+``(1, Cin) @ (Cin, Cout)`` product per sample and mode, see
+:func:`repro.tensor.fft_ops.mode_mix`), so a response does not depend on
+which batch the scheduler happened to fuse the request into.
 
 ``/predict`` defaults to the hybrid FNO–PDE scheme: the paper's pure-FNO
 roll-outs blow up beyond a few Lyapunov times (Fig. 9), so the stable
@@ -26,7 +28,6 @@ from ..core.config import HybridConfig
 from ..core.hybrid import run_hybrid_batched, run_pure_fno_batched
 from ..faults import injection as _faults
 from ..faults.policy import CircuitBreaker, CircuitOpenError
-from ..tensor import batch_invariant_kernels
 from ..trust import TrustGuard, TrustPolicy, assess_prediction
 from .batching import BatchPolicy, BatchQueue, PredictRequest, QueueFullError
 from .registry import ModelNotFound, ModelRegistry
@@ -74,7 +75,6 @@ def run_batch_inference(
     reynolds: list[float],
     sample_interval: float,
     solver_kind: str,
-    deterministic: bool,
     model_name: str = "",
     trust: TrustPolicy | None = None,
 ) -> list[dict]:
@@ -88,9 +88,7 @@ def run_batch_inference(
     """
     windows = np.asarray(windows)
     n = windows.shape[-1]
-    with obs.span(
-        "serve.batch", size=windows.shape[0], model=model_name, mode=mode
-    ), batch_invariant_kernels(deterministic):
+    with obs.span("serve.batch", size=windows.shape[0], model=model_name, mode=mode):
         if _faults.ACTIVE:
             _faults.fire("serve.worker.infer", model=model_name, size=windows.shape[0])
         if mode == "fno":
@@ -166,12 +164,6 @@ class InferenceService:
     n_workers:
         Worker threads draining the queue (0 = no workers, useful in
         tests that only exercise queueing/backpressure).
-    deterministic:
-        Run forward passes with batch-invariant kernels so coalescing
-        never changes a response bit.  Only the mode-mixing einsum
-        changes path, and it is under 10% of a forward: at the paper
-        shape (float32, batch 1 and 4) the compiled forward measured
-        within 4% of the fast path.
     default_mode:
         ``"hybrid"`` (stable, needs a PDE solver per request) or
         ``"fno"`` (pure roll-out; subject to the paper's blow-up result).
@@ -199,7 +191,6 @@ class InferenceService:
         registry: ModelRegistry,
         policy: BatchPolicy | None = None,
         n_workers: int = 2,
-        deterministic: bool = True,
         default_mode: str = "hybrid",
         solver_kind: str = "fd",
         request_timeout: float = 60.0,
@@ -213,7 +204,6 @@ class InferenceService:
             raise ValueError(f"unknown solver kind {solver_kind!r}")
         self.registry = registry
         self.policy = policy or BatchPolicy()
-        self.deterministic = bool(deterministic)
         self.default_mode = default_mode
         self.solver_kind = solver_kind
         self.request_timeout = float(request_timeout)
@@ -392,7 +382,7 @@ class InferenceService:
                 entry.model, config, entry.normalizer, windows,
                 mode=mode, cycles=cycles, reynolds=reynolds,
                 sample_interval=dt, solver_kind=self.solver_kind,
-                deterministic=self.deterministic, model_name=entry.name,
+                model_name=entry.name,
                 trust=self.trust,
             )
         except Exception as exc:
@@ -520,7 +510,8 @@ class InferenceService:
                     "max_queue": self.policy.max_queue,
                 },
                 "workers": self.workers.alive,
-                "deterministic": self.deterministic,
+                # Constant: every kernel is batch-invariant.
+                "deterministic": True,
                 "default_mode": self.default_mode,
                 "breaker": (
                     self.breaker.snapshot() if self.breaker is not None else None

@@ -11,8 +11,6 @@ Public surface:
 
 from . import fft_ops, ops, recording
 from .fft_ops import (
-    batch_invariant_enabled,
-    batch_invariant_kernels,
     fft_workers,
     set_fft_workers,
     solenoidal_projection_2d,
@@ -24,6 +22,6 @@ from .tensor import Tensor, is_grad_enabled, no_grad, unbroadcast
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "unbroadcast",
     "ops", "fft_ops", "recording", "spectral_conv", "solenoidal_projection_2d",
-    "batch_invariant_kernels", "batch_invariant_enabled", "fft_workers", "set_fft_workers",
+    "fft_workers", "set_fft_workers",
     *ops.__all__,
 ]

@@ -34,8 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,8 +51,7 @@ __all__ = [
     "spectral_conv",
     "solenoidal_projection_2d",
     "mode_blocks",
-    "batch_invariant_kernels",
-    "batch_invariant_enabled",
+    "mode_mix",
     "fft_workers",
     "set_fft_workers",
 ]
@@ -94,44 +91,6 @@ def set_fft_workers(workers: int | None) -> None:
     """
     global _FFT_WORKERS
     _FFT_WORKERS = None if workers is None else max(1, int(workers))
-
-
-class _BatchInvariantState(threading.local):
-    enabled = False
-
-
-_BATCH_INVARIANT = _BatchInvariantState()
-
-
-def batch_invariant_enabled() -> bool:
-    """Whether the current thread runs spectral kernels batch-invariantly."""
-    return _BATCH_INVARIANT.enabled
-
-
-@contextmanager
-def batch_invariant_kernels(enabled: bool = True):
-    """Force bitwise batch-size-invariant spectral convolutions (thread-local).
-
-    The mode-mixing einsum normally runs with ``optimize=True``, which
-    dispatches to BLAS whose partial-sum blocking depends on the batch
-    extent — sample ``i`` of a batch-``B`` forward can differ from the
-    same sample run at batch 1 in the last ulp.  Inside this context the
-    einsum uses NumPy's fixed-order C kernel instead, so a forward pass
-    is bit-for-bit identical for every batch size.  The serving path
-    (:mod:`repro.serve`) relies on this to make micro-batched responses
-    indistinguishable from unbatched ones; training keeps the fast path.
-    """
-    previous = _BATCH_INVARIANT.enabled
-    _BATCH_INVARIANT.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _BATCH_INVARIANT.enabled = previous
-
-
-def _mode_einsum(subscripts: str, *operands) -> np.ndarray:
-    """Forward mode-mixing contraction honouring the batch-invariant flag."""
-    return np.einsum(subscripts, *operands, optimize=not _BATCH_INVARIANT.enabled)
 
 
 def half_spectrum_weights(n: int, dtype=np.float64) -> np.ndarray:
@@ -204,12 +163,6 @@ def mode_blocks(grid: tuple[int, ...], modes: tuple[int, ...]) -> list[tuple[sli
     return [tuple(reversed(blk)) for blk in itertools.product(*reversed(signs))]
 
 
-def _subscripts(d: int) -> tuple[str, str, str]:
-    """Einsum operands ``(input, weight, output)`` over ``d`` mode axes."""
-    axes = "xyz"[:d]
-    return f"bi{axes}", f"io{axes}", f"bo{axes}"
-
-
 def fft_flops(batch: int, channels: int, spatial: tuple[int, ...]) -> int:
     """FLOP estimate for one real FFT of ``batch * channels`` fields over ``spatial``."""
     n = int(np.prod(spatial, dtype=np.int64))
@@ -217,9 +170,34 @@ def fft_flops(batch: int, channels: int, spatial: tuple[int, ...]) -> int:
 
 
 def complex_weights(wr: np.ndarray, wi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The complex mode weights ``wr + i wi`` of a spectral convolution."""
-    W = np.multiply(wi, 1j, out=out)
-    return np.add(wr, W, out=W)
+    """The complex mode weights ``wr + i wi``, written mode-major.
+
+    ``wr``/``wi`` are ``(blocks, Cin, Cout, *modes)``; the result is a
+    contiguous ``(blocks, *modes, Cin, Cout)`` array, the layout
+    :func:`mode_mix` reads one ``(Cin, Cout)`` matrix per mode from.
+    """
+    axes = (0, *range(3, wr.ndim), 1, 2)
+    wr, wi = wr.transpose(axes), wi.transpose(axes)
+    W = np.empty(wr.shape, np.result_type(wr.dtype, np.complex64)) if out is None else out
+    W.real[...] = wr
+    W.imag[...] = wi
+    return W
+
+
+def mode_mix(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Mix one retained mode block: ``Y[b, o, k] = sum_i X[b, i, k] W[k, i, o]``.
+
+    ``X`` is ``(B, Cin, *modes)`` and ``W`` the block's mode-major
+    ``(*modes, Cin, Cout)`` weights; returns ``(B, Cout, *modes)`` as a
+    view.  This is a broadcast ``np.matmul`` whose stack axes are the
+    batch and mode axes, so every product is one sample's
+    ``(1, Cin) @ (Cin, Cout)``: a sample's bits cannot depend on how
+    many other samples share the call.  The eager op, inference plans
+    and training plans all mix modes here.
+    """
+    nd = X.ndim
+    Y = np.matmul(X.transpose(0, *range(2, nd), 1)[..., None, :], W)
+    return Y[..., 0, :].transpose(0, nd - 1, *range(1, nd - 1))
 
 
 def inverse_scale(grid: tuple[int, ...], dtype) -> np.ndarray:
@@ -260,25 +238,25 @@ def spectral_transforms(grid: tuple[int, ...], m_last: int, dtype):
     return rfftn, irfftn
 
 
-def spectral_forward(x, W, idx, rfftn, irfftn, contract, Y) -> tuple[np.ndarray, np.ndarray]:
+def spectral_forward(x, W, idx, rfftn, irfftn, Y) -> tuple[np.ndarray, np.ndarray]:
     """The Fourier layer's forward, shared by the eager op and compiled plans.
 
     Transforms ``x`` with ``rfftn`` (retained last-axis bins only),
     mixes each retained mode block ``idx[b]`` with
-    ``contract(X_block, W[b])`` into ``Y`` (which must be zero outside
-    the blocks), and returns ``(y, X)``: ``irfftn(Y)`` in ``x``'s dtype
-    and the pruned spectrum ``X``.  The eager op passes
-    :func:`spectral_transforms`, :func:`_mode_einsum` and a fresh zeroed
-    ``Y``; a plan passes fixed-shape replays of the same calls and its
-    zero-initialised arena buffer.
+    :func:`mode_mix` ``(X_block, W[b])`` into ``Y`` (which must be zero
+    outside the blocks), and returns ``(y, X)``: ``irfftn(Y)`` in
+    ``x``'s dtype and the pruned spectrum ``X``.  The eager op passes
+    :func:`spectral_transforms` and a fresh zeroed ``Y``; a plan passes
+    fixed-shape replays of the same transforms and its zero-initialised
+    arena buffer.
     """
     X = rfftn(x)
     for b, ix in enumerate(idx):
-        Y[ix] = contract(X[ix], W[b])
+        Y[ix] = mode_mix(X[ix], W[b])
     return irfftn(Y).astype(x.dtype, copy=False), X
 
 
-def spectral_vjp(g, X, W, idx, rfftn, irfftn, w_last, needs, GX, gW=None):
+def spectral_vjp(g, X, W, idx, rfftn, irfftn, w_last, needs, GX, gW):
     """Cotangents ``(x, W)`` of the Fourier layer, shared by eager and plans.
 
     ``g`` is the output cotangent, ``X``/``W`` the forward's pruned
@@ -288,18 +266,19 @@ def spectral_vjp(g, X, W, idx, rfftn, irfftn, w_last, needs, GX, gW=None):
     ``GY = rfftn(g) w/N`` is the adjoint of the inverse transform; the
     mode mixing's adjoints give ``gW = sum_b GY conj(X)`` and
     ``GX = GY conj(W)``, and ``x``'s cotangent is ``N irfftn(GX / w)``.
-    ``GX`` must be zero outside the blocks (it is overwritten in place);
-    ``gW`` is filled when given.  ``needs`` says which of ``(x, W)`` to
-    compute; the other comes back as None.
+    ``GX`` must be zero outside the blocks (it is overwritten in place).
+    ``W`` is mode-major (:func:`complex_weights`); ``gW`` is filled in
+    the ``(blocks, Cin, Cout, *modes)`` layout of ``wr``.  ``needs``
+    says which of ``(x, W)`` to compute; the other comes back as None.
     """
-    xs, ws, ys = _subscripts(X.ndim - 2)
+    axes = "xyz"[:X.ndim - 2]
+    xs, ws, ys = f"bi{axes}", f"{axes}io", f"bo{axes}"
     n_total = float(math.prod(g.shape[2:]))
     GY = rfftn(g)
     np.multiply(GY, w_last / n_total, out=GY)
     if needs[1]:
-        gW = np.empty_like(W) if gW is None else gW
         for b, ix in enumerate(idx):
-            gW[b] = np.einsum(f"{ys},{xs}->{ws}", GY[ix], np.conj(X[ix]), optimize=True)
+            gW[b] = np.einsum(f"{ys},{xs}->io{axes}", GY[ix], np.conj(X[ix]), optimize=True)
     dx = None
     if needs[0]:
         for b, ix in enumerate(idx):
@@ -330,7 +309,7 @@ def _spectral_conv_vjp(g, x, wr, wi, modes, *, res, needs, out=()) -> tuple:
         g, X, W, idx, rfftn,
         lambda GX: irfftn(GX, np.zeros((B, Cin) + half, dtype=ctype)),
         w_last, (needs[0], needs[1] or needs[2]),
-        np.zeros(X.shape, dtype=ctype),
+        np.zeros(X.shape, dtype=ctype), np.empty(wr.shape, dtype=ctype),
     )
     return dx, (gW.real if needs[1] else None), (gW.imag if needs[2] else None)
 
@@ -368,12 +347,10 @@ def spectral_conv(x: Tensor, wr: Tensor, wi: Tensor, modes: tuple[int, ...]) -> 
             f"and modes {modes}"
         )
     Cout = wr.data.shape[2]
-    xs, ws, ys = _subscripts(d)
     W = complex_weights(wr.data, wi.data)
     y, X = spectral_forward(
         x.data, W, idx, rfftn,
         lambda Y: irfftn(Y, np.zeros((B, Cout) + half, dtype=ctype)),
-        lambda Xb, Wb: _mode_einsum(f"{xs},{ws}->{ys}", Xb, Wb),
         np.zeros((B, Cout) + half[:-1] + (modes[-1],), dtype=ctype),
     )
     return Tensor.from_op(y, (x, wr, wi), _spectral_conv_vjp,

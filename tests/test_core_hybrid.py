@@ -164,16 +164,14 @@ class TestBatchedDrivers:
 
     def test_pure_fno_batched_matches_singles(self):
         from repro.core import run_pure_fno_batched
-        from repro.tensor import batch_invariant_kernels
 
         model = NoisyIdentity(3, 2, noise=0.0)
         windows = np.stack([_initial_window(n=16, n_in=3) for _ in range(3)])
-        with batch_invariant_kernels():
-            batched = run_pure_fno_batched(model, windows, n_snapshots=4, sample_interval=0.01)
-            singles = [
-                run_pure_fno(model, windows[b], n_snapshots=4, sample_interval=0.01)
-                for b in range(3)
-            ]
+        batched = run_pure_fno_batched(model, windows, n_snapshots=4, sample_interval=0.01)
+        singles = [
+            run_pure_fno(model, windows[b], n_snapshots=4, sample_interval=0.01)
+            for b in range(3)
+        ]
         for rec, single in zip(batched, singles):
             assert np.array_equal(rec.velocity, single.velocity)
             assert rec.source == single.source
@@ -181,7 +179,6 @@ class TestBatchedDrivers:
 
     def test_hybrid_batched_matches_single_runs(self):
         from repro.core import run_hybrid_batched
-        from repro.tensor import batch_invariant_kernels
 
         cfg = HybridConfig(n_in=3, n_out=2, n_fields=2, sample_interval=0.01, n_cycles=2)
         model = NoisyIdentity(3, 2, noise=1e-3, seed=5)
@@ -191,10 +188,9 @@ class TestBatchedDrivers:
         def solver():
             return SpectralNSSolver2D(16, nu)
 
-        with batch_invariant_kernels():
-            # NoisyIdentity draws from an RNG → re-seed per run for comparability.
-            model.rng = np.random.default_rng(5)
-            batched = run_hybrid_batched(model, [solver(), solver()], windows, cfg)
+        # NoisyIdentity draws from an RNG → re-seed per run for comparability.
+        model.rng = np.random.default_rng(5)
+        batched = run_hybrid_batched(model, [solver(), solver()], windows, cfg)
         record = batched[0]
         assert record.source == ["init"] * 3 + (["fno"] * 2 + ["pde"] * 3) * 2
         assert batched[1].velocity.shape == record.velocity.shape

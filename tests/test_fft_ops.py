@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from repro.tensor import Tensor
 from repro.tensor.fft_ops import (
+    complex_weights,
     half_spectrum_weights,
     irfftn_adjoint,
     mode_blocks,
+    mode_mix,
     rfftn_adjoint,
     spectral_conv,
 )
@@ -276,44 +278,60 @@ class TestBatchInvariantKernels:
     """The serving path's determinism contract: batch size never changes bits."""
 
     def test_spectral_conv2d_batch_invariant(self):
-        from repro.tensor.fft_ops import batch_invariant_enabled, batch_invariant_kernels
-
         wr = Tensor(RNG.standard_normal((2, 3, 3, 2, 2)))
         wi = Tensor(RNG.standard_normal((2, 3, 3, 2, 2)))
         x = RNG.standard_normal((6, 3, 8, 8))
-        assert not batch_invariant_enabled()
-        with batch_invariant_kernels():
-            assert batch_invariant_enabled()
-            full = spectral_conv(Tensor(x), wr, wi, (2, 2)).data
-            singles = np.concatenate(
-                [spectral_conv(Tensor(x[i : i + 1]), wr, wi, (2, 2)).data for i in range(6)]
-            )
-        assert not batch_invariant_enabled()
+        full = spectral_conv(Tensor(x), wr, wi, (2, 2)).data
+        singles = np.concatenate(
+            [spectral_conv(Tensor(x[i : i + 1]), wr, wi, (2, 2)).data for i in range(6)]
+        )
         assert np.array_equal(full, singles)
 
-    def test_flag_is_thread_local(self):
-        import threading
+    def test_mode_mix_matches_einsum_reference(self):
+        rng = np.random.default_rng(12)
+        for dtype, ctype, tol in ((np.float32, np.complex64, 1e-6),
+                                  (np.float64, np.complex128, 1e-13)):
+            X = rng.standard_normal((5, 6, 16, 4)) + 1j * rng.standard_normal((5, 6, 16, 4))
+            X = X.astype(ctype)[:, :, :4]  # a strided block, as the op passes it
+            wr, wi = rng.standard_normal((2, 1, 6, 7, 4, 4)).astype(dtype)
+            W = complex_weights(wr, wi)
+            assert W.shape == (1, 4, 4, 6, 7) and W.flags.c_contiguous
+            want = np.einsum("bixy,ioxy->boxy", X.astype(np.complex128),
+                             (wr + 1j * wi)[0].astype(np.complex128))
+            got = mode_mix(X, W[0])
+            assert got.dtype == ctype and got.shape == (5, 7, 4, 4)
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
-        from repro.tensor.fft_ops import batch_invariant_enabled, batch_invariant_kernels
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("modes,grid", [((5,), (16,)), ((3, 4), (8, 10)),
+                                            ((2, 3, 2), (6, 8, 4))],
+                             ids=["rank1", "rank2", "rank3"])
+    def test_batched_equals_single_on_every_path(self, modes, grid, dtype, batch):
+        # No context and no option: sample i of a batch-B call equals its
+        # batch-1 call bit for bit, eager, compiled and in a training plan.
+        from repro import compile as rc
+        from repro.compile.train import build_train_plan
+        from repro.nn import SpectralConv
+        from repro.tensor.recording import Recorder
 
-        seen = {}
+        layer = SpectralConv(3, 4, modes, rng=np.random.default_rng(13), dtype=dtype)
+        x = np.random.default_rng(14).standard_normal((batch, 3) + grid).astype(dtype)
 
-        def other_thread():
-            seen["enabled"] = batch_invariant_enabled()
+        def eager(a):
+            return layer(Tensor(a)).data
 
-        with batch_invariant_kernels():
-            t = threading.Thread(target=other_thread)
-            t.start()
-            t.join()
-        assert seen["enabled"] is False
+        def inference(a):
+            return rc.trace_model(layer, a)[0].execute(a)
 
-    def test_values_stay_close_to_fast_path(self):
-        from repro.tensor.fft_ops import batch_invariant_kernels
+        def train_forward(a):
+            inp = Tensor(a)
+            with Recorder() as recorder:
+                out = layer(inp)
+            return build_train_plan(recorder, inp, out).forward(a).data
 
-        wr = Tensor(RNG.standard_normal((2, 3, 3, 2, 2)))
-        wi = Tensor(RNG.standard_normal((2, 3, 3, 2, 2)))
-        x = Tensor(RNG.standard_normal((4, 3, 8, 8)))
-        fast = spectral_conv(x, wr, wi, (2, 2)).data
-        with batch_invariant_kernels():
-            slow = spectral_conv(x, wr, wi, (2, 2)).data
-        assert np.allclose(fast, slow, atol=1e-12)
+        for run in (eager, inference, train_forward):
+            full = run(x)
+            for i in range(batch):
+                single = run(x[i : i + 1])
+                assert full[i : i + 1].tobytes() == single.tobytes(), (run.__name__, i)

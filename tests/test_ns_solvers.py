@@ -200,6 +200,35 @@ class TestFDStencils:
         numeric = _arakawa_jacobian(p, w, h)
         assert np.abs(numeric - exact).max() < 5e-3
 
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_padded_stencils_match_roll_reference(self, n):
+        """The wrap-padded slices are the np.roll stencils, bit for bit."""
+        def shift(f, di, dj):  # f[i + di, j + dj], periodic
+            return np.roll(f, (-di, -dj), axis=(0, 1))
+
+        def jacobian(p, w, h):
+            pE, pW, pN, pS = shift(p, 1, 0), shift(p, -1, 0), shift(p, 0, 1), shift(p, 0, -1)
+            pNE, pNW, pSE, pSW = shift(p, 1, 1), shift(p, -1, 1), shift(p, 1, -1), shift(p, -1, -1)
+            wE, wW, wN, wS = shift(w, 1, 0), shift(w, -1, 0), shift(w, 0, 1), shift(w, 0, -1)
+            wNE, wNW, wSE, wSW = shift(w, 1, 1), shift(w, -1, 1), shift(w, 1, -1), shift(w, -1, -1)
+            j1 = (pE - pW) * (wN - wS) - (pN - pS) * (wE - wW)
+            j2 = pE * (wNE - wSE) - pW * (wNW - wSW) - pN * (wNE - wNW) + pS * (wSE - wSW)
+            j3 = wN * (pNE - pNW) - wS * (pSE - pSW) - wE * (pNE - pSE) + wW * (pNW - pSW)
+            return (j1 + j2 + j3) / (12.0 * h * h)
+
+        h = 2 * np.pi / n
+        p, w = RNG.standard_normal((2, n, n))
+        assert np.array_equal(_arakawa_jacobian(p, w, h), jacobian(p, w, h))
+        lap = (shift(w, 1, 0) + shift(w, -1, 0) + shift(w, 0, 1) + shift(w, 0, -1)
+               - 4.0 * w) / (h * h)
+        assert np.array_equal(_laplacian(w, h), lap)
+        solver = FDNSSolver2D(n, 0.01)
+        solver.set_vorticity(w)
+        psi = solver.streamfunction()
+        ux = (shift(psi, 0, 1) - shift(psi, 0, -1)) / (2.0 * h)
+        uy = -(shift(psi, 1, 0) - shift(psi, -1, 0)) / (2.0 * h)
+        assert np.array_equal(solver.velocity, np.stack([ux, uy]))
+
 
 class TestDealiasing:
     def test_mask_removes_high_modes(self):
