@@ -14,6 +14,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from ..ns.fields import wavenumbers
+from ..tensor.fft_ops import half_spectrum_weights
 
 __all__ = ["energy_spectrum", "enstrophy_spectrum"]
 
@@ -27,15 +28,6 @@ def _radial_bins(n: int, length: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return k_mag, bins, idx
 
 
-def _half_weights(n: int) -> np.ndarray:
-    """Multiplicity of each rfft2 coefficient in the full spectrum."""
-    w = np.full((n, n // 2 + 1), 2.0)
-    w[:, 0] = 1.0
-    if n % 2 == 0:
-        w[:, -1] = 1.0
-    return w
-
-
 def energy_spectrum(velocity: np.ndarray, length: float = 2.0 * np.pi) -> tuple[np.ndarray, np.ndarray]:
     """Shell-summed kinetic energy spectrum from ``(2, n, n)`` velocity.
 
@@ -45,7 +37,7 @@ def energy_spectrum(velocity: np.ndarray, length: float = 2.0 * np.pi) -> tuple[
     n = velocity.shape[-1]
     u_hat = _fft.rfft2(velocity[0]) / (n * n)
     v_hat = _fft.rfft2(velocity[1]) / (n * n)
-    dens = 0.5 * (np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2) * _half_weights(n)
+    dens = 0.5 * (np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2) * half_spectrum_weights(n)
     return _shell_sum(dens, n, length)
 
 
@@ -53,7 +45,7 @@ def enstrophy_spectrum(omega: np.ndarray, length: float = 2.0 * np.pi) -> tuple[
     """Shell-summed enstrophy spectrum from ``(n, n)`` vorticity."""
     n = omega.shape[-1]
     w_hat = _fft.rfft2(omega) / (n * n)
-    dens = 0.5 * np.abs(w_hat) ** 2 * _half_weights(n)
+    dens = 0.5 * np.abs(w_hat) ** 2 * half_spectrum_weights(n)
     return _shell_sum(dens, n, length)
 
 

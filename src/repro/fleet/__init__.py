@@ -7,8 +7,8 @@ into an operable unit of N supervised replicas behind one endpoint:
   (minimal remapping when a replica is ejected or added).
 * :class:`HealthPolicy`/:class:`FleetHealth` — a min-lattice health
   score per replica (reachability, breaker + trust-breaker state,
-  trust EWMA, queue pressure) with eject / half-open probe / readmit
-  transitions.
+  trust EWMA, queue pressure) feeding one
+  :class:`~repro.faults.CircuitBreaker` per replica for admission.
 * :class:`ReplicaSpec`/:class:`ReplicaProcess` — one serve replica as
   a child process with announce/heartbeat/graceful-drain hooks.
 * :class:`Coordinator` — spawns and supervises the replicas: restart

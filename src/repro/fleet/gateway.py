@@ -5,9 +5,9 @@ Routing is three orthogonal pieces, composed in :class:`GatewayRouter`
 
 * placement — the consistent :class:`~repro.fleet.hashring.HashRing`
   maps a request's route key to a preference-ordered replica list;
-* admission — :class:`~repro.fleet.health.FleetHealth` decides which
-  replicas may receive traffic (ejected replicas are skipped, probing
-  replicas get bounded half-open traffic);
+* admission — :class:`~repro.fleet.health.FleetHealth` keeps one
+  :class:`~repro.faults.CircuitBreaker` per replica (open replicas are
+  skipped, a half-open one gets a single probe request);
 * retries — one *attempt* walks the preference list over admitted
   replicas; connection failures fail over to the ring successor
   immediately, 503s (queue-full, draining, breaker-open) carry their
@@ -15,9 +15,10 @@ Routing is three orthogonal pieces, composed in :class:`GatewayRouter`
   :func:`repro.faults.call_with_retry`.
 
 Every request is journaled (``submitted`` → ``responded``/``failed``)
-in an append-only JSONL :class:`RequestJournal`; the ``replica_kill``
-chaos scenario replays the journal to prove exactly-once response
-semantics across SIGKILLs.  Re-execution on another replica is safe
+in an append-only :class:`RequestJournal`, fsynced through
+:class:`repro.jobs.Journal`; the ``replica_kill`` chaos scenario
+replays the journal to prove exactly-once response semantics across
+SIGKILLs.  Re-execution on another replica is safe
 because ``/predict`` is pure: same checkpoint + same window → same
 snapshots (the repo's determinism contract).
 
@@ -38,7 +39,7 @@ from pathlib import Path
 
 from .. import obs
 from ..faults.policy import RetryPolicy, call_with_retry
-from ..jobs.journal import read_records, trim_torn_tail
+from ..jobs.journal import Journal, read_records
 from .hashring import HashRing
 from .health import FleetHealth, HealthPolicy
 
@@ -61,11 +62,12 @@ class RequestJournal:
     """Append-only request log proving exactly-once response semantics.
 
     Events are ``{"event", "id", ...}`` dicts; with a ``path`` they are
-    additionally persisted as JSONL (flushed per line, so a crashed
-    gateway still yields a replayable journal).  Each event is folded
-    into the verdict as it arrives: memory holds one outstanding count
-    per in-flight id plus the ids already answered more often than they
-    were submitted, never the log itself.  :meth:`verify` reports the
+    additionally persisted as ``"type": "request"`` records of a
+    :class:`~repro.jobs.journal.Journal` (one write + fsync each, so a
+    crashed gateway still yields a replayable journal).  Each event is
+    folded into the verdict as it arrives: memory holds one outstanding
+    count per in-flight id plus the ids already answered more often
+    than they were submitted, never the log itself.  :meth:`verify` reports the
     no-loss/no-duplication verdict the chaos harness asserts on.
     """
 
@@ -75,10 +77,7 @@ class RequestJournal:
         self._outstanding: dict[str, int] = {}
         self._duplicated: set[str] = set()
         self._counts = {"submitted": 0, "responded": 0, "failed": 0}
-        self._fh = None
-        if self.path is not None:
-            trim_torn_tail(self.path)
-            self._fh = open(self.path, "a", encoding="utf-8")
+        self._log = Journal(self.path) if self.path is not None else None
 
     def _fold(self, event: str, rid: str) -> None:
         """Account one event (caller holds the lock)."""
@@ -100,15 +99,13 @@ class RequestJournal:
         entry = {"event": event, "id": str(request_id), **extra}
         with self._lock:
             self._fold(event, entry["id"])
-            if self._fh is not None:
-                self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                self._fh.flush()
+            if self._log is not None:
+                self._log.append({"type": "request", **entry})
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            if self._log is not None:
+                self._log.close()
 
     @staticmethod
     def load(path) -> "RequestJournal":
@@ -202,7 +199,11 @@ class GatewayRouter:
                 self._ring.add(rid)
                 self.health.add(rid)
             for rid in current - set(ids):
+                # A departed replica (killed, restarting) is not routable:
+                # count it as a failed poll, so a returning replica is
+                # readmitted through the breaker's half-open probe.
                 self._ring.remove(rid)
+                self.health.observe_error(rid)
 
     def preference(self, route_key: str) -> list[str]:
         self._sync_ring(self.endpoints().keys())
@@ -230,8 +231,8 @@ class GatewayRouter:
                 )
             except OSError as exc:
                 # Connection-level failure: the replica is gone (killed,
-                # restarting).  Eject it and fail over inside this same
-                # attempt — no sleep, the ring successor is right there.
+                # restarting).  Open its breaker and fail over inside this
+                # same attempt — no sleep, the ring successor is right there.
                 self.health.record_result(rid, False)
                 self._m_failovers.inc()
                 detail = f"{rid}: {exc}"

@@ -3,8 +3,8 @@
 The gateway polls each replica's ``/healthz`` (one cheap JSON document)
 and folds it into a **health score lattice**, deliberately shaped like
 :mod:`repro.trust`'s trust score: every component maps into ``[0, 1]``,
-the overall score is the *meet* (minimum), and a replica is routable iff
-its score clears ``eject_below``.  Components:
+the overall score is the *meet* (minimum), and a poll is healthy iff
+its score clears :data:`EJECT_BELOW`.  Components:
 
 * ``reachable`` — 1 while polls succeed and are fresh, 0 on connection
   failure or staleness (a SIGKILLed replica scores 0 within one poll);
@@ -13,13 +13,14 @@ its score clears ``eject_below``.  Components:
 * ``trust`` — the replica's trust-score EWMA (1 when trust is off);
 * ``queue`` — ``1 - depth/limit`` (a saturated queue scores 0).
 
-Ejection/readmission is a per-replica half-open state machine:
-``admitted → ejected`` when the score drops below ``eject_below``;
-after ``readmit_after_s`` of quiet the replica turns ``probing`` and
-admits a bounded number of probe requests (or counts healthy polls);
-``probe_successes`` successes readmit it, one failure re-ejects and
-restarts the cooldown.  All transitions take an injectable clock, so
-the unit tests pin them exactly.
+Admission is one :class:`repro.faults.CircuitBreaker` per replica, the
+same state machine a replica runs for its own workers: an unhealthy
+poll or a failed request opens it (``closed → open``); after
+``readmit_after_s`` it turns ``half_open`` and admits one probe
+request, and one healthy poll or answered request closes it again.  A
+success while the breaker is still open never readmits early.  The
+breakers take :class:`FleetHealth`'s injectable clock, so the unit
+tests pin every transition exactly.
 """
 
 from __future__ import annotations
@@ -28,45 +29,42 @@ import threading
 import time
 from dataclasses import dataclass
 
-__all__ = ["HealthPolicy", "ReplicaHealth", "FleetHealth"]
+from ..faults.policy import CircuitBreaker
+
+__all__ = ["EJECT_BELOW", "HealthPolicy", "ReplicaHealth", "FleetHealth"]
+
+# A poll scoring below this opens the replica's breaker.
+EJECT_BELOW = 0.5
 
 _BREAKER_SCORES = {"closed": 1.0, "half_open": 0.5, "open": 0.0, None: 1.0}
 
 
 @dataclass(frozen=True)
 class HealthPolicy:
-    """Thresholds of the ejection/readmission state machine."""
+    """Staleness bound of the lattice and cooldown of the breaker."""
 
-    eject_below: float = 0.5
     stale_after_s: float = 3.0
     readmit_after_s: float = 1.0
-    probe_successes: int = 1
-    probe_max: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.eject_below <= 1.0:
-            raise ValueError("eject_below must be in [0, 1]")
-        if self.probe_successes < 1 or self.probe_max < 1:
-            raise ValueError("probe_successes and probe_max must be >= 1")
 
 
 class ReplicaHealth:
-    """One replica's observed health and routing admission state.
+    """One replica's observed health and its admission breaker.
 
     Not thread-safe on its own — :class:`FleetHealth` serialises access.
     """
 
-    def __init__(self, replica_id: str, policy: HealthPolicy):
+    def __init__(self, replica_id: str, policy: HealthPolicy,
+                 clock=time.monotonic):
         self.replica_id = replica_id
         self.policy = policy
-        self.state = "admitted"  # optimistic start: route until proven sick
         self.payload: dict | None = None
         self.last_ok: float | None = None
         self.last_failure: float | None = None
-        self.ejected_at: float | None = None
-        self.ejections = 0
-        self.probe_inflight = 0
-        self.probe_successes = 0
+        # Starts closed: route until proven sick.
+        self.breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=policy.readmit_after_s,
+            name=f"fleet.{replica_id}", clock=clock,
+        )
 
     # -- lattice -------------------------------------------------------
     def components(self, now: float) -> dict:
@@ -98,81 +96,36 @@ class ReplicaHealth:
     def score(self, now: float) -> float:
         return min(self.components(now).values())
 
-    # -- transitions ---------------------------------------------------
-    def _eject(self, now: float) -> None:
-        if self.state != "ejected":
-            self.ejections += 1
-        self.state = "ejected"
-        self.ejected_at = now
-        self.probe_inflight = 0
-        self.probe_successes = 0
-
-    def _maybe_probe(self, now: float) -> None:
-        if self.state != "ejected":
-            return
-        quiet_since = max(
-            self.ejected_at if self.ejected_at is not None else 0.0,
-            self.last_failure if self.last_failure is not None else 0.0,
-        )
-        if now - quiet_since >= self.policy.readmit_after_s:
-            self.state = "probing"
-            self.probe_inflight = 0
-            self.probe_successes = 0
-
-    def _probe_success(self) -> None:
-        self.probe_successes += 1
-        if self.probe_successes >= self.policy.probe_successes:
-            self.state = "admitted"
+    # -- breaker feedback ----------------------------------------------
+    def _record(self, ok: bool) -> None:
+        if not ok:
+            self.breaker.record_failure()
+        elif self.breaker.state != "open":
+            # A success during the cooldown (a request admitted before
+            # the ejection, a healthy poll) must not readmit early.
+            self.breaker.record_success()
 
     def observe(self, payload: dict, now: float) -> None:
-        """Fold a successful ``/healthz`` poll into the state machine."""
+        """Fold a successful ``/healthz`` poll into the breaker."""
         self.payload = payload
         self.last_ok = now
-        self._maybe_probe(now)
-        healthy = self.score(now) >= self.policy.eject_below
-        if self.state == "admitted" and not healthy:
-            self._eject(now)
-        elif self.state == "probing":
-            if healthy:
-                self._probe_success()
-            else:
-                self._eject(now)
-
-    def observe_error(self, now: float) -> None:
-        """A failed poll: the replica is unreachable until proven live."""
-        self.last_failure = now
-        if self.state in ("admitted", "probing"):
-            self._eject(now)
-
-    def admit(self, now: float) -> bool:
-        """May the gateway route a request here right now?"""
-        self._maybe_probe(now)
-        if self.state == "admitted":
-            return True
-        if self.state == "probing" and self.probe_inflight < self.policy.probe_max:
-            self.probe_inflight += 1
-            return True
-        return False
+        self._record(self.score(now) >= EJECT_BELOW)
 
     def record_result(self, ok: bool, now: float) -> None:
-        """Gateway feedback after a routed request finished or failed."""
-        if self.probe_inflight > 0:
-            self.probe_inflight -= 1
-        if ok:
-            if self.state == "probing":
-                self._probe_success()
-        else:
+        """A failed poll (``ok=False``) or a routed request's outcome."""
+        if not ok:
             self.last_failure = now
-            self._eject(now)
+        self._record(ok)
 
     def snapshot(self, now: float) -> dict:
         components = self.components(now)
+        breaker = self.breaker.snapshot()
         return {
             "replica_id": self.replica_id,
-            "state": self.state,
+            "state": breaker["state"],
             "score": min(components.values()),
             "components": components,
-            "ejections": self.ejections,
+            "ejections": breaker["opens"],
         }
 
 
@@ -188,7 +141,7 @@ class FleetHealth:
     def _ensure(self, replica_id: str) -> ReplicaHealth:
         record = self._replicas.get(replica_id)
         if record is None:
-            record = ReplicaHealth(replica_id, self.policy)
+            record = ReplicaHealth(replica_id, self.policy, self._clock)
             self._replicas[replica_id] = record
         return record
 
@@ -196,35 +149,33 @@ class FleetHealth:
         with self._lock:
             self._ensure(replica_id)
 
-    def remove(self, replica_id: str) -> None:
-        with self._lock:
-            self._replicas.pop(replica_id, None)
-
     def observe(self, replica_id: str, payload: dict) -> None:
         with self._lock:
             self._ensure(replica_id).observe(payload, self._clock())
 
     def observe_error(self, replica_id: str) -> None:
-        with self._lock:
-            self._ensure(replica_id).observe_error(self._clock())
+        """A failed poll: the replica is unreachable until proven live."""
+        self.record_result(replica_id, False)
 
     def admit(self, replica_id: str) -> bool:
+        """May the gateway route a request here right now?"""
         with self._lock:
-            return self._ensure(replica_id).admit(self._clock())
+            return self._ensure(replica_id).breaker.allow()
 
     def record_result(self, replica_id: str, ok: bool) -> None:
+        """Gateway feedback after a routed request finished or failed."""
         with self._lock:
             self._ensure(replica_id).record_result(ok, self._clock())
 
     def state_of(self, replica_id: str) -> str:
         with self._lock:
-            return self._ensure(replica_id).state
+            return self._ensure(replica_id).breaker.state
 
     def admitted_ids(self) -> list[str]:
         with self._lock:
             return sorted(
                 rid for rid, record in self._replicas.items()
-                if record.state == "admitted"
+                if record.breaker.state == "closed"
             )
 
     def snapshot(self) -> dict:

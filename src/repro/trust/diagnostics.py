@@ -36,6 +36,9 @@ import numpy as np
 # complex128) — the repo-wide transform policy (RPR001).
 from scipy import fft as _fft
 
+from ..ns.fields import derivative_wavenumbers, wavenumbers
+from ..tensor.fft_ops import half_spectrum_weights
+
 __all__ = [
     "ENABLED",
     "set_enabled",
@@ -85,14 +88,7 @@ def _multipliers(n: int, length: float, dtype) -> tuple[np.ndarray, np.ndarray, 
     cached = _MULTIPLIER_CACHE.get(key)
     if cached is not None:
         return cached
-    k1 = 2.0 * np.pi / length * np.fft.fftfreq(n, d=1.0 / n)
-    k2_half = 2.0 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
-    kx = np.repeat(k1[:, None], k2_half.size, axis=1)
-    ky = np.repeat(k2_half[None, :], n, axis=0)
-    if n % 2 == 0:
-        for k in (kx, ky):
-            k[n // 2, :] = 0.0
-            k[:, -1] = 0.0
+    kx, ky = derivative_wavenumbers(n, length)
     real = np.dtype(dtype)
     kx = kx.astype(real)
     ky = ky.astype(real)
@@ -114,12 +110,9 @@ def _dealias_mask(n: int, length: float, dtype) -> np.ndarray:
     cached = _MULTIPLIER_CACHE.get(key)
     if cached is not None:
         return cached
-    k1 = 2.0 * np.pi / length * np.fft.fftfreq(n, d=1.0 / n)
-    k2_half = 2.0 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
+    kx, ky, _ = wavenumbers(n, length)
     k_cut = (2.0 / 3.0) * (np.pi / (length / n))
-    mask = (
-        (np.abs(k1[:, None]) < k_cut) & (np.abs(k2_half[None, :]) < k_cut)
-    ).astype(np.dtype(dtype))
+    mask = ((np.abs(kx) < k_cut) & (np.abs(ky) < k_cut)).astype(np.dtype(dtype))
     with _lock:
         _MULTIPLIER_CACHE[key] = mask
     return mask
@@ -169,9 +162,7 @@ def _shell_index(n: int, length: float) -> tuple[np.ndarray, int]:
     cached = _SHELL_CACHE.get(key)
     if cached is not None:
         return cached
-    k1 = 2.0 * np.pi / length * np.fft.fftfreq(n, d=1.0 / n)
-    k2_half = 2.0 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
-    k_mag = np.sqrt(k1[:, None] ** 2 + k2_half[None, :] ** 2)
+    k_mag = np.sqrt(wavenumbers(n, length)[2])
     k_unit = 2.0 * np.pi / length
     idx = np.rint(k_mag / k_unit).astype(np.int64).ravel()
     n_shells = n // 2 + 1
@@ -179,14 +170,6 @@ def _shell_index(n: int, length: float) -> tuple[np.ndarray, int]:
     with _lock:
         _SHELL_CACHE[key] = (idx, n_shells)
     return idx, n_shells
-
-
-def _half_weights(n: int, dtype) -> np.ndarray:
-    w = np.full((n, n // 2 + 1), 2.0, dtype=dtype)
-    w[:, 0] = 1.0
-    if n % 2 == 0:
-        w[:, -1] = 1.0
-    return w
 
 
 def radial_energy_spectrum(u: np.ndarray, length: float = 2.0 * np.pi) -> np.ndarray:
@@ -201,7 +184,7 @@ def radial_energy_spectrum(u: np.ndarray, length: float = 2.0 * np.pi) -> np.nda
     real = _real_dtype(u)
     u_hat = _fft.rfft2(u[0]) / (n * n)
     v_hat = _fft.rfft2(u[1]) / (n * n)
-    dens = 0.5 * (np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2) * _half_weights(n, real)
+    dens = 0.5 * (np.abs(u_hat) ** 2 + np.abs(v_hat) ** 2) * half_spectrum_weights(n, real)
     idx, n_shells = _shell_index(n, length)
     return np.bincount(idx, weights=dens.ravel().astype(np.float64), minlength=n_shells)
 

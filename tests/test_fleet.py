@@ -110,23 +110,23 @@ class TestHealthLattice:
     def test_breaker_open_ejects(self):
         health, _ = self.make()
         health.observe("r0", HEALTHY)
-        assert health.state_of("r0") == "admitted"
+        assert health.state_of("r0") == "closed"
         health.observe("r0", {**HEALTHY, "breaker": "open"})
-        assert health.state_of("r0") == "ejected"
+        assert health.state_of("r0") == "open"
         assert not health.admit("r0")
 
     def test_low_trust_ewma_ejects(self):
         health, _ = self.make()
         health.observe("r0", {**HEALTHY, "trust": {"ewma": 0.2}})
-        assert health.state_of("r0") == "ejected"
+        assert health.state_of("r0") == "open"
         assert health.snapshot()["r0"]["components"]["trust"] == 0.2
 
     def test_draining_and_saturated_queue_eject(self):
         health, _ = self.make()
         health.observe("r0", {**HEALTHY, "status": "draining"})
-        assert health.state_of("r0") == "ejected"
+        assert health.state_of("r0") == "open"
         health.observe("r1", {**HEALTHY, "queue_depth": 64})
-        assert health.state_of("r1") == "ejected"
+        assert health.state_of("r1") == "open"
 
     def test_stale_heartbeat_scores_unreachable(self):
         health, t = self.make(stale_after_s=2.0)
@@ -138,18 +138,19 @@ class TestHealthLattice:
         health, t = self.make()
         health.observe("r0", HEALTHY)
         health.observe_error("r0")
-        assert health.state_of("r0") == "ejected"
+        assert health.state_of("r0") == "open"
         # Cooldown not yet elapsed: still no traffic.
         t[0] = 0.5
         assert not health.admit("r0")
         # After the cooldown a single probe slot opens.
         t[0] = 1.5
         assert health.admit("r0")
-        assert health.state_of("r0") == "probing"
-        assert not health.admit("r0")  # probe_max=1: second request denied
+        assert health.state_of("r0") == "half_open"
+        assert not health.admit("r0")  # one probe: second request denied
         health.record_result("r0", True)
-        assert health.state_of("r0") == "admitted"
+        assert health.state_of("r0") == "closed"
         assert health.admit("r0")
+        assert health.snapshot()["r0"]["ejections"] == 1
 
     def test_failed_probe_reejects_and_restarts_cooldown(self):
         health, t = self.make()
@@ -158,7 +159,7 @@ class TestHealthLattice:
         t[0] = 1.5
         assert health.admit("r0")
         health.record_result("r0", False)
-        assert health.state_of("r0") == "ejected"
+        assert health.state_of("r0") == "open"
         t[0] = 2.0  # only 0.5s since the failed probe
         assert not health.admit("r0")
         t[0] = 3.0
@@ -170,13 +171,24 @@ class TestHealthLattice:
         health.observe_error("r0")
         t[0] = 2.0
         health.observe("r0", HEALTHY)
-        assert health.state_of("r0") == "admitted"
+        assert health.state_of("r0") == "closed"
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="eject_below"):
-            HealthPolicy(eject_below=1.5)
-        with pytest.raises(ValueError, match="probe"):
-            HealthPolicy(probe_max=0)
+    def test_success_during_cooldown_does_not_readmit(self):
+        health, t = self.make()
+        health.observe("r0", HEALTHY)
+        health.observe_error("r0")
+        # A healthy poll, or a request admitted before the ejection
+        # finishing, inside the cooldown leaves the breaker open.
+        t[0] = 0.5
+        health.observe("r0", HEALTHY)
+        health.record_result("r0", True)
+        assert health.state_of("r0") == "open"
+        assert health.admitted_ids() == []
+        # The first healthy poll after the cooldown readmits.
+        t[0] = 1.0
+        health.observe("r0", HEALTHY)
+        assert health.state_of("r0") == "closed"
+        assert health.admitted_ids() == ["r0"]
 
 
 class TestHeartbeatTornRead:
@@ -273,8 +285,9 @@ class TestRequestJournal:
         journal.record("responded", "q0", replica="r1", status=200)
         journal.close()
         assert read_records(path, required=("event", "id")) == [
-            {"event": "submitted", "id": "q0", "key": "k"},
-            {"event": "responded", "id": "q0", "replica": "r1", "status": 200},
+            {"type": "request", "event": "submitted", "id": "q0", "key": "k"},
+            {"type": "request", "event": "responded", "id": "q0",
+             "replica": "r1", "status": 200},
         ]
         replayed = RequestJournal.load(path)
         assert replayed.verify() == journal.verify()
@@ -288,7 +301,7 @@ class TestRequestJournal:
         with open(path, "ab") as fh:
             fh.write(b'{"event": "responded", "id": "q0", "rep')  # killed mid-write
         assert read_records(path, required=("event", "id")) == [
-            {"event": "submitted", "id": "q0", "key": "k"},
+            {"type": "request", "event": "submitted", "id": "q0", "key": "k"},
         ]
         assert RequestJournal.load(path).verify() == journal.verify()
 
@@ -305,10 +318,12 @@ class TestRequestJournal:
         resumed.record("responded", "q1", replica="r1", status=200)
         resumed.close()
         assert read_records(path, required=("event", "id")) == [
-            {"event": "submitted", "id": "q0", "key": "k"},
-            {"event": "responded", "id": "q0", "replica": "r0", "status": 200},
-            {"event": "submitted", "id": "q1", "key": "k"},
-            {"event": "responded", "id": "q1", "replica": "r1", "status": 200},
+            {"type": "request", "event": "submitted", "id": "q0", "key": "k"},
+            {"type": "request", "event": "responded", "id": "q0",
+             "replica": "r0", "status": 200},
+            {"type": "request", "event": "submitted", "id": "q1", "key": "k"},
+            {"type": "request", "event": "responded", "id": "q1",
+             "replica": "r1", "status": 200},
         ]
         replayed = RequestJournal.load(path)
         assert replayed.verify()["exactly_once"]
@@ -409,7 +424,7 @@ class TestGatewayRouter:
         assert json.loads(data)["replica"] == router.preference(key)[1]
         assert fleet.calls[0] == "r0"
         # The dead replica got ejected; later requests skip it entirely.
-        assert router.health.state_of("r0") == "ejected"
+        assert router.health.state_of("r0") == "open"
         fleet.calls.clear()
         assert router.predict(b"{}", key, "q1")[0] == 200
         assert "r0" not in fleet.calls
@@ -447,12 +462,55 @@ class TestGatewayRouter:
         router = make_router(fleet, health=health)
         key = owner_key(router, "r0")
         assert router.predict(b"{}", key, "q0")[0] == 200
-        assert health.state_of("r0") == "ejected"
+        assert health.state_of("r0") == "open"
         fleet.behaviour["r0"] = "ok"
         t[0] = 2.0  # cooldown elapses → half-open probe admits r0 again
         status, _, data = router.predict(b"{}", key, "q1")
         assert status == 200 and json.loads(data)["replica"] == "r0"
-        assert health.state_of("r0") == "admitted"
+        assert health.state_of("r0") == "closed"
+
+    def test_half_open_probe_to_a_dead_replica_fails_over(self):
+        t = [0.0]
+        fleet = _FakeFleet({"r0": "down", "r1": "ok", "r2": "ok"})
+        health = FleetHealth(HealthPolicy(readmit_after_s=1.0),
+                             clock=lambda: t[0])
+        router = make_router(fleet, health=health)
+        key = owner_key(router, "r0")
+        assert router.predict(b"{}", key, "q0")[0] == 200
+        t[0] = 2.0  # cooldown elapses while r0 is still dead
+        fleet.calls.clear()
+        status, _, data = router.predict(b"{}", key, "q1")
+        # The half-open probe hits r0, fails, and the ring successor
+        # answers inside the same attempt.
+        assert status == 200
+        assert json.loads(data)["replica"] == router.preference(key)[1]
+        assert fleet.calls[:2] == ["r0", router.preference(key)[1]]
+        assert health.state_of("r0") == "open"
+        assert health.snapshot()["r0"]["ejections"] == 2
+        assert router.journal.verify()["exactly_once"]
+
+    def test_departed_replica_is_no_longer_admitted(self):
+        t = [0.0]
+        fleet = _FakeFleet({"r0": "ok", "r1": "ok"})
+        health = FleetHealth(HealthPolicy(readmit_after_s=1.0),
+                             clock=lambda: t[0])
+        router = make_router(fleet, health=health)
+        health.observe("r0", HEALTHY)
+        health.observe("r1", HEALTHY)
+        assert router.status()["admitted"] == ["r0", "r1"]
+        # r0 leaves the routing table (killed, restarting).
+        del fleet.behaviour["r0"]
+        status = router.status()
+        assert status["admitted"] == ["r1"]
+        assert status["replicas"]["r0"]["state"] == "open"
+        assert status["replicas"]["r0"]["score"] == 0.0
+        # It comes back: readmitted through a healthy poll after the
+        # cooldown, not on return alone.
+        fleet.behaviour["r0"] = "ok"
+        assert router.status()["admitted"] == ["r1"]
+        t[0] = 1.0
+        health.observe("r0", HEALTHY)
+        assert router.status()["admitted"] == ["r0", "r1"]
 
     def test_status_reports_lattice_and_journal(self):
         fleet = _FakeFleet({"r0": "ok"})
@@ -460,7 +518,7 @@ class TestGatewayRouter:
         router.predict(b"{}", "key-0", "q0")
         status = router.status()
         assert set(status) == {"replicas", "admitted", "endpoints", "journal"}
-        assert status["replicas"]["r0"]["state"] == "admitted"
+        assert status["replicas"]["r0"]["state"] == "closed"
         assert status["journal"]["exactly_once"]
 
 

@@ -34,6 +34,7 @@ from repro.trust import (
     spectrum_drift,
     trust_enabled,
 )
+from repro.trust.diagnostics import _dealias_mask, _multipliers, _shell_index
 from tests.conftest import TRUST_SEEDS
 
 
@@ -154,6 +155,37 @@ class TestDiagnoseBundle:
             assert diagnose_prediction(window, window.copy(), 0.1, 1e-2) is None
         finally:
             set_enabled(previous)
+
+
+class TestSpectralGrid:
+    @pytest.mark.parametrize("n", [16, 31, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_helpers_match_inline_fftfreq_grid(self, n, dtype):
+        # The reference: the rfft2 wavenumbers spelled out from fftfreq.
+        length = 2.0 * np.pi
+        k1 = 2.0 * np.pi / length * np.fft.fftfreq(n, d=1.0 / n)
+        k2_half = 2.0 * np.pi / length * np.fft.rfftfreq(n, d=1.0 / n)
+        kx = np.repeat(k1[:, None], k2_half.size, axis=1)
+        ky = np.repeat(k2_half[None, :], n, axis=0)
+        if n % 2 == 0:
+            for k in (kx, ky):
+                k[n // 2, :] = 0.0
+                k[:, -1] = 0.0
+        kx, ky = kx.astype(dtype), ky.astype(dtype)
+        for got, want in zip(_multipliers(n, length, dtype),
+                             (kx, ky, kx * kx + ky * ky)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+        k_cut = (2.0 / 3.0) * (np.pi / (length / n))
+        mask = ((np.abs(k1[:, None]) < k_cut)
+                & (np.abs(k2_half[None, :]) < k_cut)).astype(dtype)
+        got = _dealias_mask(n, length, dtype)
+        assert got.dtype == mask.dtype and np.array_equal(got, mask)
+
+        k_mag = np.sqrt(k1[:, None] ** 2 + k2_half[None, :] ** 2)
+        shells = np.minimum(np.rint(k_mag).astype(np.int64).ravel(), n // 2)
+        idx, n_shells = _shell_index(n, length)
+        assert n_shells == n // 2 + 1 and np.array_equal(idx, shells)
 
 
 class TestPolicyLattice:
