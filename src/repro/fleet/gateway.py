@@ -15,7 +15,7 @@ Routing is three orthogonal pieces, composed in :class:`GatewayRouter`
   :func:`repro.faults.call_with_retry`.
 
 Every request is journaled (``submitted`` → ``responded``/``failed``)
-in an append-only :class:`RequestJournal`, fsynced through
+in an append-only :class:`RequestJournal`, written through
 :class:`repro.jobs.Journal`; the ``replica_kill`` chaos scenario
 replays the journal to prove exactly-once response semantics across
 SIGKILLs.  Re-execution on another replica is safe
@@ -63,8 +63,8 @@ class RequestJournal:
 
     Events are ``{"event", "id", ...}`` dicts; with a ``path`` they are
     additionally persisted as ``"type": "request"`` records of a
-    :class:`~repro.jobs.journal.Journal` (one write + fsync each, so a
-    crashed gateway still yields a replayable journal).  Each event is
+    :class:`~repro.jobs.journal.Journal` (one write each, not fsynced,
+    so a crashed gateway still yields a replayable journal).  Each event is
     folded into the verdict as it arrives: memory holds one outstanding
     count per in-flight id plus the ids already answered more often
     than they were submitted, never the log itself.  :meth:`verify` reports the
@@ -77,7 +77,12 @@ class RequestJournal:
         self._outstanding: dict[str, int] = {}
         self._duplicated: set[str] = set()
         self._counts = {"submitted": 0, "responded": 0, "failed": 0}
-        self._log = Journal(self.path) if self.path is not None else None
+        # The log must outlive a killed gateway, which one O_APPEND write
+        # per record already ensures; an fsync would put the disk's flush
+        # latency, heavy-tailed on a shared disk, on every routed request
+        # twice.
+        self._log = (Journal(self.path, fsync=False)
+                     if self.path is not None else None)
 
     def _fold(self, event: str, rid: str) -> None:
         """Account one event (caller holds the lock)."""

@@ -97,15 +97,23 @@ def trim_torn_tail(path) -> None:
 
 
 class Journal:
-    """Append-only JSONL journal with crash-atomic appends."""
+    """Append-only JSONL journal with crash-atomic appends.
 
-    def __init__(self, path):
+    Each record is one ``os.write`` to an ``O_APPEND`` descriptor, so a
+    killed writer tears at most the final line.  With ``fsync=False`` the
+    appends are not flushed to the disk: the log survives its writer's
+    death but not the machine's, and no append waits on the disk.
+    """
+
+    def __init__(self, path, fsync: bool = True):
         self.path = Path(path)
+        self.fsync = fsync
         self._fd: int | None = None
 
     # -- writing -------------------------------------------------------
     def append(self, record: dict) -> dict:
-        """Durably append one record (single write + fsync)."""
+        """Append one record in a single write, fsynced unless the
+        journal was opened with ``fsync=False``."""
         if "type" not in record:
             raise ValueError("journal records need a 'type' field")
         payload = (json.dumps(record, sort_keys=True) + "\n").encode()
@@ -116,7 +124,8 @@ class Journal:
                 self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
         os.write(self._fd, payload)
-        os.fsync(self._fd)
+        if self.fsync:
+            os.fsync(self._fd)
         return record
 
     def close(self) -> None:

@@ -25,7 +25,8 @@ from repro.fleet import (
     RequestJournal,
     rolling_deploy,
 )
-from repro.jobs.journal import JournalError, read_records
+from repro.jobs import journal as jobs_journal
+from repro.jobs.journal import Journal, JournalError, read_records
 from repro.jobs.supervisor import Heartbeat, HeartbeatReader, read_heartbeat
 from repro.utils.artifacts import write_manifest
 
@@ -328,6 +329,21 @@ class TestRequestJournal:
         replayed = RequestJournal.load(path)
         assert replayed.verify()["exactly_once"]
         assert replayed.verify()["submitted"] == 2
+
+    def test_appends_do_not_wait_on_the_disk(self, tmp_path, monkeypatch):
+        # Two appends per routed request: an fsync each would put the
+        # disk's flush latency on the request path.  Pipeline journals
+        # keep theirs.
+        synced = []
+        monkeypatch.setattr(jobs_journal.os, "fsync", synced.append)
+        journal = RequestJournal(tmp_path / "requests.jsonl")
+        journal.record("submitted", "q0", key="k")
+        journal.record("responded", "q0", replica="r0", status=200)
+        journal.close()
+        assert synced == []
+        with Journal(tmp_path / "pipeline.jsonl") as pipeline:
+            pipeline.append({"type": "run", "status": "created"})
+        assert len(synced) == 1
 
     def test_garbage_before_the_tail_is_corruption(self, tmp_path):
         path = tmp_path / "requests.jsonl"
