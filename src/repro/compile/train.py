@@ -5,7 +5,7 @@ A :class:`TrainPlan` is the training counterpart of
 ``(model, batch_shape, dtype)`` from one eager training forward, run
 with autograd under a :class:`~repro.tensor.recording.Recorder`.
 :func:`build_train_plan` lowers the records into forward steps that also
-keep each VJP's residuals (GELU's CDF, the outputs ``exp``/``sqrt``/
+keep each VJP's residuals (GELU's derivative, the outputs ``exp``/``sqrt``/
 ``tanh``/``sigmoid`` differentiate through, the layer spectrum and
 complex weights) in arena slots, then appends one reverse step per op
 in the output's graph, in the reverse of
@@ -58,16 +58,16 @@ __all__ = ["TrainPlan", "build_train_plan"]
 def _forward_gelu(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int):
     shape, dtype = _out_meta(rec)
     getx = b.getter(spec.bind(rec.args, rec.kwargs)[0])
-    cdf_slot = b.new_slot()
+    d_slot = b.new_slot()
     b.request_arena(out_slot, shape, dtype)
-    b.request_arena(cdf_slot, shape, dtype)
-    keep = ops.gelu_keep_cdf
+    b.request_arena(d_slot, shape, dtype)
+    keep = ops.gelu_keep_derivative
 
     def run(values: list) -> None:
-        values[out_slot], values[cdf_slot] = keep(getx(values), values[out_slot], values[cdf_slot])
+        values[out_slot], values[d_slot] = keep(getx(values), values[out_slot], values[d_slot])
 
     flops = spec.flops * int(np.prod(shape, dtype=np.int64))
-    return Step(rec.op, run, out_slot, shape, dtype, flops=flops, kind="arena"), (cdf_slot,)
+    return Step(rec.op, run, out_slot, shape, dtype, flops=flops, kind="arena"), (d_slot,)
 
 
 def _forward_spectral(b: PlanBuilder, rec: TraceRecord, spec: Primitive, out_slot: int):

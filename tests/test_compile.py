@@ -7,11 +7,15 @@ and arena reuse must never leak shared storage into caller-visible
 outputs.  Everything here asserts exact equality, not allclose.
 """
 
+import resource
+
 import numpy as np
 import pytest
 
 from repro import compile as rc
 from repro.compile.plan import PlanMismatchError
+from repro.core.config import ChannelFNOConfig
+from repro.core.models import build_model
 from repro.core.rollout import apply_channels
 from repro.nn import FNO, DeepONet2d
 from repro.nn.module import Module
@@ -154,6 +158,23 @@ class TestArena:
         plan, _ = rc.trace_model(model, x)
         plan.execute(x)
         assert np.array_equal(x, snapshot)
+
+    def test_steady_paper_forward_takes_few_page_faults(self):
+        # float32 GELU works in per-thread scratch beyond its ``out``
+        # buffer; a steady call must not fault that scratch in again.
+        # Measured: 0 faults per call.
+        config = ChannelFNOConfig()
+        model = build_model(config, rng=np.random.default_rng(5), dtype=np.float32)
+        model.eval()
+        x = np.random.default_rng(9).standard_normal(
+            (4, config.in_channels, 64, 64)).astype(np.float32)
+        for _ in range(2):
+            assert rc.forward(model, x) is not None
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(4):
+            rc.forward(model, x)
+        per_call = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4
+        assert per_call < 100
 
 
 # ---------------------------------------------------------------------------

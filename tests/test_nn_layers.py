@@ -1,7 +1,10 @@
 """Layers: ChannelLinear/Linear/ChannelMLP, activations, SpectralConv modules."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from repro.nn import (
     ChannelLinear,
@@ -96,6 +99,7 @@ class TestActivationModules:
         (ReLU, lambda x: np.maximum(x, 0)),
         (Tanh, np.tanh),
         (Identity, lambda x: x),
+        (GELU, lambda x: 0.5 * x * (1.0 + special.erf(x / math.sqrt(2.0)))),
     ])
     def test_matches_reference(self, cls, ref):
         x = RNG.standard_normal((4, 4))
