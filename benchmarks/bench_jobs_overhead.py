@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model
-from repro.jobs import Journal
+from repro.utils.journal import Journal
 from repro.utils import artifacts
 
 GRID = 24

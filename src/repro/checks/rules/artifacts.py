@@ -3,10 +3,10 @@
 Every durable artifact in the tree (checkpoints, shards, rollouts) must
 be written through :mod:`repro.utils.artifacts` — the atomic
 tmp-then-rename publish plus the manifest sidecar are what make crash
-recovery and ``repro verify`` possible.  A bare ``np.savez`` or
+recovery and manifest-gated loads possible.  A bare ``np.savez`` or
 ``open(path, "wb")`` produces a file that can be torn mid-write and
-carries no checksum, so ``repro resume`` cannot tell a good artifact
-from a corrupt one.
+carries no checksum, so a loader cannot tell a good artifact from a
+corrupt one.
 
 Flags (outside tests and outside ``utils/artifacts.py`` itself):
 

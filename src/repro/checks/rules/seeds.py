@@ -1,6 +1,6 @@
 """RPR105 — seed-provenance taint analysis.
 
-Every npz the jobs layer manifests should be derivable from an explicit
+Every npz the repo publishes should be derivable from an explicit
 seed; an artifact computed from an *unseeded* RNG stream is
 unreproducible by construction.  This analysis tracks RNG taint from
 sources to artifact sinks, across module boundaries:

@@ -11,9 +11,6 @@ and observability::
     python -m repro.cli inspect  model.npz
     python -m repro.cli serve    --model tiny=model.npz --port 8764
     python -m repro.cli fleet    up --model tiny=model.npz --replicas 3
-    python -m repro.cli run      --workdir runs/a --grid 16 --epochs 3
-    python -m repro.cli resume   --workdir runs/a
-    python -m repro.cli verify   --workdir runs/a
     python -m repro.cli trace    run.trace.jsonl
     python -m repro.cli profile  benchmarks/bench_fig2_separation.py
     python -m repro.cli chaos    --seed-matrix 3
@@ -55,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--workers", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="dataset.npz")
-    g.add_argument("--shards", type=int, default=0, metavar="S",
-                   help="write shards of S samples each into the --out directory "
-                        "instead of one file (for datasets too large for memory)")
 
     t = sub.add_parser("train", help="train a temporal-channel FNO on a shard")
     t.add_argument("--data", required=True)
@@ -107,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--serve-workers", type=int, default=2, help="worker threads")
     s.add_argument("--capacity", type=int, default=4, help="models kept loaded (LRU)")
     s.add_argument("--require-manifest", action="store_true",
-                   help="refuse models without a verifiable integrity manifest "
-                        "(`repro run` artifacts always have one)")
+                   help="refuse models without a verifiable integrity manifest")
     s.add_argument("--default-mode", choices=["hybrid", "fno"], default="hybrid",
                    help="rollout mode when a request does not specify one")
     s.add_argument("--solver", choices=["fd", "spectral"], default="fd",
@@ -129,27 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--drain-grace", type=float, default=10.0, metavar="S",
                    help="seconds SIGTERM lets in-flight requests finish "
                         "before the replica exits")
-
-    from repro.jobs.cli import (
-        add_resume_arguments,
-        add_run_arguments,
-        add_verify_arguments,
-    )
-
-    run = sub.add_parser(
-        "run", help="run the journaled data→train→rollout pipeline in a workdir"
-    )
-    add_run_arguments(run)
-
-    res = sub.add_parser(
-        "resume", help="resume an interrupted pipeline from its journal"
-    )
-    add_resume_arguments(res)
-
-    v = sub.add_parser(
-        "verify", help="verify artifact integrity manifests (checksum + lineage)"
-    )
-    add_verify_arguments(v)
 
     co = sub.add_parser(
         "compile", help="trace a checkpoint and print its inference plan"
@@ -203,13 +175,6 @@ def _cmd_generate(args) -> int:
         warmup=args.warmup, duration=args.duration, sample_interval=args.interval,
         solver=args.solver, ic=args.ic, seed=args.seed, forcing=args.forcing,
     )
-    if args.shards > 0:
-        from repro.data import generate_sharded_dataset
-
-        paths = generate_sharded_dataset(config, args.out, samples_per_shard=args.shards,
-                                         n_workers=args.workers)
-        print(f"wrote {config.n_samples} trajectories into {len(paths)} shards under {args.out}")
-        return 0
     samples = generate_dataset(config, n_workers=args.workers)
     save_samples(args.out, samples, metadata={
         "grid": args.grid, "reynolds": args.reynolds, "solver": args.solver,
@@ -410,24 +375,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    from repro.jobs.cli import run_run
-
-    return run_run(args)
-
-
-def _cmd_resume(args) -> int:
-    from repro.jobs.cli import run_resume
-
-    return run_resume(args)
-
-
-def _cmd_verify(args) -> int:
-    from repro.jobs.cli import run_verify
-
-    return run_verify(args)
-
-
 def _cmd_compile(args) -> int:
     from repro.compile.cli import run_compile
 
@@ -478,9 +425,6 @@ _COMMANDS = {
     "inspect": _cmd_inspect,
     "serve": _cmd_serve,
     "compile": _cmd_compile,
-    "run": _cmd_run,
-    "resume": _cmd_resume,
-    "verify": _cmd_verify,
     "check": _cmd_check,
     "chaos": _cmd_chaos,
     "trust": _cmd_trust,

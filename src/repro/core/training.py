@@ -266,8 +266,7 @@ class Trainer:
                     f"{self.config_hash()} — the model architecture, "
                     f"optimiser settings or loss differ from the run that "
                     f"wrote it. Rebuild the trainer with the original config "
-                    f"(for pipeline runs: `repro resume --workdir ...` reads "
-                    f"pipeline.json) or start a fresh run directory. "
+                    f"or start a fresh run directory. "
                     f"Changing only `epochs` never changes the hash, so "
                     f"extending training is always allowed."
                 )

@@ -15,7 +15,6 @@ from .initial_conditions import (
 from .io import load_samples, save_samples
 from .loader import DataLoader
 from .normalization import FieldNormalizer, UnitGaussianNormalizer, normalize_by_initial
-from .sharded import ShardedWindowDataset, generate_sharded_dataset
 
 __all__ = [
     "DataGenConfig", "TrajectorySample", "generate_sample", "generate_dataset",
@@ -24,5 +23,4 @@ __all__ = [
     "train_test_split_samples", "DataLoader",
     "UnitGaussianNormalizer", "FieldNormalizer", "normalize_by_initial",
     "save_samples", "load_samples",
-    "ShardedWindowDataset", "generate_sharded_dataset",
 ]

@@ -85,18 +85,6 @@ class DataGenConfig:
         return asdict(self)
 
     @property
-    def config_hash(self) -> str:
-        """Stable hash of the full generation config.
-
-        Recorded in shard integrity manifests, so a resumed generation
-        run can prove an existing shard was produced by *this* config
-        before skipping it.
-        """
-        from ..utils.artifacts import stable_hash
-
-        return stable_hash(self.to_dict())
-
-    @property
     def n_snapshots(self) -> int:
         return int(round(self.duration / self.sample_interval)) + 1
 

@@ -23,17 +23,13 @@ def save_samples(
     path,
     samples: list[TrajectorySample],
     metadata: dict | None = None,
-    manifest: dict | bool | None = None,
 ) -> None:
     """Write trajectories to ``path`` (npz, float32 fields).
 
     Casting to float32 halves the footprint; the dynamics carry far more
     uncertainty than the cast drops.  The write is atomic (temp file +
     ``os.replace``), so a crashed generation run never leaves a
-    truncated shard where a resume expects data, and it leaves an
-    integrity-manifest sidecar; ``manifest`` adds provenance fields
-    (``config_hash``, ``seed``, ``extra``) or ``False`` skips the
-    sidecar.
+    truncated file behind, and it leaves an integrity-manifest sidecar.
     """
     path = Path(path)
     if not samples:
@@ -51,10 +47,7 @@ def save_samples(
         "metadata": metadata or {},
     }
     arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    if manifest is not False:
-        manifest = dict(manifest) if isinstance(manifest, dict) else {}
-        manifest.setdefault("kind", "shard")
-    atomic_write_npz(path, arrays, site="data.write_shard", manifest=manifest)
+    atomic_write_npz(path, arrays, site="data.write_shard", manifest={"kind": "shard"})
 
 
 def load_samples(path) -> tuple[list[TrajectorySample], dict]:

@@ -3,10 +3,11 @@
 Two halves:
 
 * :mod:`repro.faults.injection` — seeded :class:`FaultPlan`\\ s that make
-  named sites (``checkpoint.write``, ``data.load_shard``,
-  ``serve.worker.infer``, ``rollout.step``, …) raise, stall, tear a
-  write, or poison a payload with NaN — deterministically, and at zero
-  cost when no plan is installed (``REPRO_FAULTS`` unset).
+  named sites (``checkpoint.write``, ``data.write_shard``,
+  ``serve.worker.infer``, ``rollout.step``, ``parallel.worker.task``)
+  raise, stall, tear a write, or poison a payload with NaN —
+  deterministically, and at zero cost when no plan is installed
+  (``REPRO_FAULTS`` unset).
 * :mod:`repro.faults.policy` — :class:`RetryPolicy` (seeded backoff),
   :class:`Deadline`, :class:`CircuitBreaker`, and the
   :class:`DivergenceGuard` / :class:`RolloutDiverged` pair that roll-out
@@ -19,7 +20,7 @@ namespace because it imports the subsystems under test; use
 
 # NOTE: injection.ACTIVE is deliberately NOT re-exported — a ``from``
 # import would freeze the bool at import time.  Call sites read the live
-# flag as ``injection.ACTIVE`` (see core.rollout / data.sharded).
+# flag as ``injection.ACTIVE`` (see core.rollout / serve.service).
 from . import injection
 from .injection import (
     KINDS,

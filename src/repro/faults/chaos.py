@@ -10,8 +10,8 @@ absolute paths, no global counter state — so CI can assert
 ``repro chaos --seed-matrix 3`` twice and diff the JSON.
 
 This module deliberately lives outside the :mod:`repro.faults`
-package namespace: it imports the subsystems under test (core, data,
-serve), which the injection/policy layers must never do.
+package namespace: it imports the subsystems under test (core, serve,
+fleet, parallel), which the injection/policy layers must never do.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ import numpy as np
 from ..core import ChannelFNOConfig, HybridConfig, Trainer, TrainingConfig
 from ..core.hybrid import run_hybrid_batched, run_pure_fno_batched
 from ..core.models import build_model
-from ..data.generation import TrajectorySample
-from ..data.io import save_samples
-from ..data.sharded import ShardedWindowDataset
 from ..utils.artifacts import CheckpointError
 from . import injection
 from .injection import FaultPlan, FaultSpec, InjectedFault
@@ -169,63 +166,6 @@ def crash_resume(seed: int, workdir: Path) -> list[dict]:
                          and all(np.array_equal(p, q) for p, q in zip(oa["v"], ob["v"]))))
     checks.append(_check("history-identical",
                          straight.history.train_loss == resumed.history.train_loss))
-    return checks
-
-
-def _synthetic_shards(seed: int, workdir: Path, n_shards: int = 2) -> list[Path]:
-    rng = np.random.default_rng(seed)
-    paths = []
-    for shard in range(n_shards):
-        samples = [
-            TrajectorySample(
-                times=np.arange(4) * 0.02,
-                vorticity=rng.standard_normal((4, GRID, GRID)),
-                velocity=rng.standard_normal((4, 2, GRID, GRID)),
-                reynolds=400.0,
-                sample_id=shard * 2 + i,
-            )
-            for i in range(2)
-        ]
-        path = workdir / f"shard_{shard:05d}.npz"
-        save_samples(path, samples)
-        paths.append(path)
-    return paths
-
-
-def shard_resilience(seed: int, workdir: Path) -> list[dict]:
-    """Transient shard-read faults are retried to an identical epoch;
-    persistent faults surface as typed errors."""
-    checks = []
-    paths = _synthetic_shards(seed, workdir)
-
-    def batches(**kwargs):
-        ds = ShardedWindowDataset(
-            paths, n_in=MODEL.n_in, n_out=MODEL.n_out, batch_size=4,
-            shuffle=False, **kwargs,
-        )
-        return [(xb.numpy(), yb.numpy()) for xb, yb in ds]
-
-    clean = batches()
-    with injection.active(
-        FaultPlan([FaultSpec("data.load_shard", "io_error", times=1)], seed)
-    ):
-        retried = batches(
-            retry=RetryPolicy(attempts=3, backoff=0.0, retry_on=(OSError,), seed=seed)
-        )
-    checks.append(_check(
-        "transient-fault-retried-identically",
-        len(clean) == len(retried)
-        and all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-                for a, b in zip(clean, retried)),
-    ))
-
-    with injection.active(FaultPlan([FaultSpec("data.load_shard", "error")], seed)):
-        try:
-            batches()
-            checks.append(_check("persistent-fault-is-typed", False,
-                                 "persistent fault did not surface"))
-        except InjectedFault:
-            checks.append(_check("persistent-fault-is-typed", True))
     return checks
 
 
@@ -439,109 +379,6 @@ def trust_fallback(seed: int, workdir: Path) -> list[dict]:
                              <= set(trust_slice)
                              and trust_slice["flagged"] >= 2))
     checks.append(_check("injection-left-clean", not injection.ACTIVE))
-    return checks
-
-
-def _pipeline_config(seed: int):
-    """The smallest PipelineConfig that still exercises all three stages."""
-    from ..jobs import PipelineConfig
-
-    return PipelineConfig(
-        grid=GRID, reynolds=400.0, samples=2, warmup=0.05, duration=0.1,
-        interval=0.02, solver="spectral", ic="band", samples_per_shard=1,
-        n_in=2, n_out=1, modes=3, width=8, layers=2, epochs=2, batch_size=4,
-        test_fraction=0.5, rollout_mode="hybrid", cycles=1, seed=seed,
-    )
-
-
-def _run_artifacts(workdir: Path) -> dict[str, str]:
-    return {name: _sha256(workdir / name) for name in ("model.npz", "rollout.npz")}
-
-
-def pipeline_resume(seed: int, workdir: Path) -> list[dict]:
-    """A pipeline interrupted mid-train resumes from its journal and
-    durable artifacts to bitwise-identical final artifacts."""
-    from ..jobs import Pipeline, verify_chain
-
-    checks = []
-    config = _pipeline_config(seed)
-    straight = Pipeline(workdir / "straight", config)
-    straight.run()
-    reference = _run_artifacts(straight.workdir)
-
-    faulted = Pipeline(workdir / "faulted", config)
-    interrupted = False
-    with injection.active(
-        FaultPlan([FaultSpec("checkpoint.write", "error", at=2)], seed)
-    ):
-        try:
-            faulted.run()
-        except InjectedFault:
-            interrupted = True
-    checks.append(_check("crash-interrupts-pipeline", interrupted))
-    failure = faulted.journal.last_failure()
-    checks.append(_check("failure-journaled",
-                         failure is not None
-                         and failure.get("error") == "InjectedFault"))
-
-    summary = Pipeline(workdir / "faulted").run(resume=True)
-    statuses = {cell["stage"]: cell["status"] for cell in summary["stages"]}
-    checks.append(_check("data-stage-replayed-not-regenerated",
-                         statuses.get("data") == "replayed",
-                         f"statuses {statuses}"))
-    checks.append(_check("resume-bitwise-identical",
-                         _run_artifacts(faulted.workdir) == reference))
-    chain = verify_chain(faulted.workdir / "model.npz")
-    checks.append(_check("manifest-chain-verifies", len(chain) >= 3,
-                         f"{len(chain)} artifacts in chain"))
-    return checks
-
-
-def supervisor_kill(seed: int, workdir: Path) -> list[dict]:
-    """SIGKILLing the pipeline child mid-write, repeatedly, still converges:
-    the supervisor restarts it and the resumed run is bitwise-identical."""
-    import json as _json
-    import os
-
-    from ..jobs import Pipeline, Supervisor, child_command, verify_chain
-
-    checks = []
-    config = _pipeline_config(seed)
-    straight = Pipeline(workdir / "straight", config)
-    straight.run()
-    reference = _run_artifacts(straight.workdir)
-
-    # Persist the config; the supervised children run `repro resume` and
-    # read it from pipeline.json.  Each child process SIGKILLs itself on
-    # its second checkpoint.write hit (hit counters are per process), so
-    # every restart makes exactly one write of forward progress.
-    target = workdir / "killed"
-    Pipeline(target, config)
-    src_root = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(src_root) + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_FAULTS"] = _json.dumps(
-        {"seed": seed,
-         "faults": [{"site": "checkpoint.write", "kind": "kill", "at": 2}]}
-    )
-    supervisor = Supervisor(
-        child_command(target, resume=True),
-        heartbeat_path=target / "heartbeat.json",
-        retry=RetryPolicy(attempts=6, backoff=0.0, retry_on=()),
-        stall_timeout=60.0,
-        env=env,
-    )
-    report = supervisor.run()
-    checks.append(_check("supervisor-converges", report["ok"],
-                         f"attempts {[a['outcome'] for a in report['attempts']]}"))
-    checks.append(_check("kills-were-restarted", report["restarts"] >= 1,
-                         f"{report['restarts']} restarts"))
-    checks.append(_check("no-escalation", report["escalated"] is None))
-    checks.append(_check("kill-resume-bitwise-identical",
-                         report["ok"] and _run_artifacts(target) == reference))
-    chain = verify_chain(target / "model.npz")
-    checks.append(_check("manifest-chain-verifies", len(chain) >= 3,
-                         f"{len(chain)} artifacts in chain"))
     return checks
 
 
@@ -853,12 +690,9 @@ def bad_deploy(seed: int, workdir: Path) -> list[dict]:
 SCENARIOS = {
     "checkpoint_atomicity": checkpoint_atomicity,
     "crash_resume": crash_resume,
-    "shard_resilience": shard_resilience,
     "serve_faults": serve_faults,
     "rollout_guard": rollout_guard,
     "trust_fallback": trust_fallback,
-    "pipeline_resume": pipeline_resume,
-    "supervisor_kill": supervisor_kill,
     "proc_worker_kill": proc_worker_kill,
     "replica_kill": replica_kill,
     "bad_deploy": bad_deploy,

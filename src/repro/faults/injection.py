@@ -19,7 +19,6 @@ Sites shipped with the repo (arbitrary names are allowed):
 ``checkpoint.write``      :func:`repro.utils.artifacts.atomic_write_npz` for
                           model/trainer checkpoints
 ``data.write_shard``      trajectory shard writes (:func:`repro.data.save_samples`)
-``data.load_shard``       shard reads in :class:`repro.data.ShardedWindowDataset`
 ``serve.worker.infer``    the serve worker pool, once per dequeued batch
 ``rollout.step``          every FNO application in roll-out/hybrid drivers
 ``parallel.worker.task``  :class:`repro.parallel.ProcessPool` children, once
@@ -58,7 +57,6 @@ __all__ = [
 KNOWN_SITES = (
     "checkpoint.write",
     "data.write_shard",
-    "data.load_shard",
     "serve.worker.infer",
     "rollout.step",
     "parallel.worker.task",

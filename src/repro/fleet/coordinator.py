@@ -8,8 +8,8 @@ thread watches every replica for two failure signals:
   are not failures;
 * **stall** — the child's heartbeat file stops advancing for
   ``stall_timeout`` seconds (read through
-  :class:`repro.jobs.HeartbeatReader`, so torn reads never alias as
-  stalls); a stalled replica is SIGKILLed first, then restarted.
+  :class:`repro.utils.heartbeat.HeartbeatReader`, so torn reads never
+  alias as stalls); a stalled replica is SIGKILLed first, then restarted.
 
 Restarts draw from a seeded :class:`repro.faults.RetryPolicy` budget
 per replica: ``attempts - 1`` restarts with the policy's exponential
@@ -20,6 +20,11 @@ the gateway's health lattice has long since ejected it.
 Deploys call :meth:`restart_replica`, which pauses supervision for that
 replica, drains the old incarnation (SIGTERM → graceful drain), spawns
 a fresh one — possibly with a new checkpoint — and resumes watching.
+
+Routing reads (:meth:`urls`, :meth:`status`) never wait on a restart:
+the backoff and the new incarnation's startup run outside the
+coordinator's lock, and a replica is left out of :meth:`urls` from
+its death until its replacement announces.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import time
 from pathlib import Path
 
 from ..faults.policy import RetryPolicy
-from ..jobs.supervisor import HeartbeatReader
+from ..utils.heartbeat import HeartbeatReader
 from .replica import ReplicaProcess, ReplicaSpec
 
 __all__ = ["Coordinator"]
@@ -66,6 +71,10 @@ class Coordinator:
         self._restarts: dict[str, int] = {rid: 0 for rid in self._specs}
         self._paused: set[str] = set()
         self._failed: set[str] = set()
+        self._down: set[str] = set()  # dead, not (yet) replaced
+        # Held across one replica's backoff + startup, so a deploy and a
+        # crash restart of the same replica never spawn two children.
+        self._spawning = {rid: threading.Lock() for rid in self._specs}
         self._beats: dict[str, HeartbeatReader] = {}
         self._beat_seen: dict[str, tuple[int, float]] = {}  # (seq, at)
         self._stop = threading.Event()
@@ -77,22 +86,33 @@ class Coordinator:
             self._on_event({"event": event, "replica": replica, **extra})
 
     # -- lifecycle -----------------------------------------------------
-    def _spawn(self, rid: str) -> ReplicaProcess:
-        """Spawn + await one replica. Caller holds the lock."""
-        proc = ReplicaProcess(rid, self._specs[rid], self.workdir)
+    def _spawn(self, rid: str, spec: ReplicaSpec) -> ReplicaProcess:
+        """Spawn + await one replica.  Runs without the lock: startup
+        takes seconds, and routing must not wait on it."""
+        proc = ReplicaProcess(rid, spec, self.workdir)
         proc.spawn()
         self._emit("spawn", rid, pid=proc.pid)
-        proc.wait_ready(timeout=self.ready_timeout)
+        try:
+            proc.wait_ready(timeout=self.ready_timeout)
+        except BaseException:
+            proc.kill()  # never leave an unsupervised child behind
+            raise
+        return proc
+
+    def _install(self, rid: str, proc: ReplicaProcess) -> None:
+        """Make ``proc`` the live incarnation of ``rid``.  Caller holds
+        the lock."""
         self._replicas[rid] = proc
+        self._down.discard(rid)
         self._beats[rid] = HeartbeatReader(proc.heartbeat_path)
         self._beat_seen[rid] = (-1, self._clock())
         self._emit("ready", rid, url=proc.base_url())
-        return proc
 
     def start(self) -> "Coordinator":
-        with self._lock:
-            for rid in sorted(self._specs):
-                self._spawn(rid)
+        for rid in sorted(self._specs):
+            proc = self._spawn(rid, self._specs[rid])
+            with self._lock:
+                self._install(rid, proc)
         self._thread = threading.Thread(target=self._supervise, daemon=True,
                                         name="repro-fleet-supervisor")
         self._thread.start()
@@ -102,13 +122,17 @@ class Coordinator:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
-        with self._lock:
-            for rid, proc in sorted(self._replicas.items()):
-                if graceful:
-                    proc.terminate(timeout=self.drain_timeout)
-                else:
-                    proc.kill()
-                self._emit("stop", rid, returncode=proc.returncode())
+        for rid in sorted(self._specs):
+            # Wait out a respawn in flight, so its child is stopped too.
+            with self._spawning[rid], self._lock:
+                proc = self._replicas.get(rid)
+            if proc is None:
+                continue
+            if graceful:
+                proc.terminate(timeout=self.drain_timeout)
+            else:
+                proc.kill()
+            self._emit("stop", rid, returncode=proc.returncode())
 
     def __enter__(self) -> "Coordinator":
         return self.start()
@@ -119,69 +143,73 @@ class Coordinator:
     # -- supervision ---------------------------------------------------
     def _supervise(self) -> None:
         while not self._stop.wait(self.poll_interval):
-            with self._lock:
-                watchable = [
-                    rid for rid in sorted(self._replicas)
-                    if rid not in self._paused and rid not in self._failed
-                ]
-            for rid in watchable:
+            for rid in self.replica_ids():
                 if self._stop.is_set():
                     return
                 self._check_one(rid)
 
     def _check_one(self, rid: str) -> None:
         with self._lock:
-            if rid in self._paused or rid in self._failed:
-                return
             proc = self._replicas.get(rid)
-            if proc is None:
+            if proc is None or rid in self._paused or rid in self._failed:
                 return
-            if not proc.alive():
+            alive = proc.alive()
+            if alive and not self._stalled(rid):
+                return
+            if not alive:
                 self._emit("exit", rid, returncode=proc.returncode())
-                self._restart_locked(rid)
-                return
-            beat = self._beats[rid].read()
-            now = self._clock()
-            if beat is not None:
-                seq = int(beat.get("seq", -1))
-                seen_seq, seen_at = self._beat_seen[rid]
-                if seq != seen_seq:
-                    self._beat_seen[rid] = (seq, now)
-                elif now - seen_at > self.stall_timeout:
-                    self._emit("stall", rid, seq=seq,
-                               stalled_for=now - seen_at)
-                    proc.kill()
-                    self._restart_locked(rid)
+            self._down.add(rid)
+            self._restarts[rid] += 1
+            if self._restarts[rid] > self.retry.attempts - 1:
+                self._failed.add(rid)
+                self._emit("escalated", rid, restarts=self._restarts[rid])
+                delay = None
+            else:
+                delay = self._delays[min(self._restarts[rid] - 1,
+                                         len(self._delays) - 1)] if self._delays else 0.0
+        if alive:
+            proc.kill()
+        if delay is not None:
+            self._respawn(rid, proc, delay)
 
-    def _restart_locked(self, rid: str) -> None:
-        """Restart a dead replica under the per-replica budget."""
-        self._restarts[rid] += 1
-        budget = self.retry.attempts - 1
-        if self._restarts[rid] > budget:
-            self._failed.add(rid)
-            self._emit("escalated", rid, restarts=self._restarts[rid])
-            return
-        delay = self._delays[min(self._restarts[rid] - 1,
-                                 len(self._delays) - 1)] if self._delays else 0.0
-        if delay:
-            self._sleep(delay)
-        try:
-            self._spawn(rid)
-            self._emit("restart", rid, restarts=self._restarts[rid])
-        except (RuntimeError, TimeoutError) as exc:
-            # The respawn itself failed; the next supervision pass sees
-            # the dead child and burns another restart from the budget.
-            self._emit("restart-failed", rid, error=str(exc))
+    def _stalled(self, rid: str) -> bool:
+        """True once the heartbeat ``seq`` has not moved for longer than
+        ``stall_timeout``.  Caller holds the lock."""
+        beat = self._beats[rid].read()
+        if beat is None:
+            return False
+        now = self._clock()
+        seq = int(beat.get("seq", -1))
+        seen_seq, seen_at = self._beat_seen[rid]
+        if seq != seen_seq:
+            self._beat_seen[rid] = (seq, now)
+            return False
+        if now - seen_at <= self.stall_timeout:
+            return False
+        self._emit("stall", rid, seq=seq, stalled_for=now - seen_at)
+        return True
+
+    def _respawn(self, rid: str, dead: ReplicaProcess, delay: float) -> None:
+        """Back off, then replace the dead incarnation ``dead``.  The
+        sleep and the startup run without the lock."""
+        with self._spawning[rid]:
+            with self._lock:
+                if self._replicas.get(rid) is not dead:
+                    return  # a deploy replaced it while we waited
+            if delay:
+                self._sleep(delay)
+            try:
+                proc = self._spawn(rid, self.spec_of(rid))
+            except (RuntimeError, TimeoutError) as exc:
+                # The respawn itself failed; the next supervision pass sees
+                # the dead child and burns another restart from the budget.
+                self._emit("restart-failed", rid, error=str(exc))
+                return
+            with self._lock:
+                self._install(rid, proc)
+                self._emit("restart", rid, restarts=self._restarts[rid])
 
     # -- deploy hooks --------------------------------------------------
-    def pause(self, rid: str) -> None:
-        with self._lock:
-            self._paused.add(rid)
-
-    def resume(self, rid: str) -> None:
-        with self._lock:
-            self._paused.discard(rid)
-
     def restart_replica(self, rid: str, spec: ReplicaSpec | None = None,
                         graceful: bool = True) -> dict:
         """Deliberately replace one replica (rolling deploys, rollbacks).
@@ -196,18 +224,23 @@ class Coordinator:
                 raise KeyError(f"unknown replica {rid!r}")
             self._paused.add(rid)
         try:
-            with self._lock:
-                proc = self._replicas.get(rid)
-                if spec is not None:
-                    self._specs[rid] = spec
-            if proc is not None:
-                if graceful:
-                    proc.terminate(timeout=self.drain_timeout)
-                else:
-                    proc.kill()
-            with self._lock:
-                self._failed.discard(rid)
-                new = self._spawn(rid)
+            with self._spawning[rid]:
+                with self._lock:
+                    proc = self._replicas.get(rid)
+                    if spec is not None:
+                        self._specs[rid] = spec
+                    spec = self._specs[rid]
+                if proc is not None:
+                    if graceful:
+                        proc.terminate(timeout=self.drain_timeout)
+                    else:
+                        proc.kill()
+                with self._lock:
+                    self._failed.discard(rid)
+                    self._down.add(rid)
+                new = self._spawn(rid, spec)
+                with self._lock:
+                    self._install(rid, new)
                 return dict(new.address or {})
         finally:
             with self._lock:
@@ -232,12 +265,13 @@ class Coordinator:
             return sorted(self._specs)
 
     def urls(self) -> dict:
-        """Live routing table: replica id → base URL (dead => absent)."""
+        """Live routing table: replica id → base URL.  A replica whose
+        incarnation died and has not been replaced (yet) is absent."""
         with self._lock:
             return {
                 rid: proc.base_url()
                 for rid, proc in sorted(self._replicas.items())
-                if proc.base_url() is not None
+                if rid not in self._down and proc.base_url() is not None
             }
 
     def spec_of(self, rid: str) -> ReplicaSpec:

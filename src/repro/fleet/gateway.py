@@ -16,7 +16,7 @@ Routing is three orthogonal pieces, composed in :class:`GatewayRouter`
 
 Every request is journaled (``submitted`` → ``responded``/``failed``)
 in an append-only :class:`RequestJournal`, written through
-:class:`repro.jobs.Journal`; the ``replica_kill`` chaos scenario
+:class:`repro.utils.journal.Journal`; the ``replica_kill`` chaos scenario
 replays the journal to prove exactly-once response semantics across
 SIGKILLs.  Re-execution on another replica is safe
 because ``/predict`` is pure: same checkpoint + same window → same
@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .. import obs
 from ..faults.policy import RetryPolicy, call_with_retry
-from ..jobs.journal import Journal, read_records
+from ..utils.journal import Journal, read_records
 from .hashring import HashRing
 from .health import FleetHealth, HealthPolicy
 
@@ -63,7 +63,7 @@ class RequestJournal:
 
     Events are ``{"event", "id", ...}`` dicts; with a ``path`` they are
     additionally persisted as ``"type": "request"`` records of a
-    :class:`~repro.jobs.journal.Journal` (one write each, not fsynced,
+    :class:`~repro.utils.journal.Journal` (one write each, not fsynced,
     so a crashed gateway still yields a replayable journal).  Each event is
     folded into the verdict as it arrives: memory holds one outstanding
     count per in-flight id plus the ids already answered more often
@@ -116,7 +116,7 @@ class RequestJournal:
     def load(path) -> "RequestJournal":
         """Replay a persisted journal.  A torn final line (a gateway
         killed mid-write) is dropped; a malformed line before it raises
-        :class:`~repro.jobs.journal.JournalError`."""
+        :class:`~repro.utils.journal.JournalError`."""
         journal = RequestJournal()
         for entry in read_records(path, required=("event", "id")):
             journal._fold(entry["event"], str(entry["id"]))

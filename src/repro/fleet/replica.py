@@ -7,8 +7,8 @@ with three fleet hooks the parent reads back:
   ``{replica_id, host, port, pid}``; the coordinator polls this file and
   matches ``pid`` against the child it just spawned, so a stale announce
   from a previous incarnation is never mistaken for readiness;
-* ``--heartbeat`` — the child emits :class:`repro.jobs.supervisor`
-  heartbeats the coordinator uses for stall detection;
+* ``--heartbeat`` — the child emits :class:`repro.utils.heartbeat.Heartbeat`
+  beats the coordinator uses for stall detection;
 * SIGTERM → graceful drain (stop admission, finish in-flight, exit).
 
 :class:`ReplicaProcess` owns exactly one incarnation: spawn → ready →

@@ -26,6 +26,8 @@ import threading
 import time
 from pathlib import Path
 
+from ..utils.journal import read_records
+
 __all__ = ["Span", "Tracer", "SpanRecord", "load_trace", "build_tree", "render_tree"]
 
 
@@ -209,11 +211,9 @@ def load_trace(path) -> list[SpanRecord]:
     A malformed *final* line is dropped instead: the tracer writes one
     record per syscall, so a crashed process can leave at most a torn
     tail — that must not make the rest of the trace unreadable.  The
-    rule is :func:`repro.jobs.journal.read_records`'s, which raises
-    :class:`~repro.jobs.journal.JournalError` (a ``ValueError``).
+    rule is :func:`repro.utils.journal.read_records`'s, which raises
+    :class:`~repro.utils.journal.JournalError` (a ``ValueError``).
     """
-    from ..jobs.journal import read_records  # lazy: repro.jobs imports obs
-
     return [SpanRecord(record) for record in read_records(path)]
 
 

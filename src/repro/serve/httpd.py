@@ -242,7 +242,7 @@ def serve_forever(service: InferenceService, host: str = "127.0.0.1", port: int 
     Fleet hooks: ``announce`` names a JSON file atomically written after
     the bind with ``{replica_id, host, port, pid}`` (the coordinator
     reads the actual port back — replicas bind ``port=0``);
-    ``heartbeat`` arms a :class:`repro.jobs.supervisor.Heartbeat` writer
+    ``heartbeat`` arms a :class:`repro.utils.heartbeat.Heartbeat` writer
     on that path.  SIGTERM triggers a *graceful drain*: admission stops
     (503 + Retry-After), in-flight requests get up to ``drain_grace``
     seconds to finish, then the server exits cleanly — so a supervised
@@ -258,7 +258,7 @@ def serve_forever(service: InferenceService, host: str = "127.0.0.1", port: int 
     service.start()
     beat = None
     if heartbeat is not None:
-        from ..jobs.supervisor import Heartbeat
+        from ..utils.heartbeat import Heartbeat
 
         beat = Heartbeat(heartbeat, interval=heartbeat_interval).start()
     if announce is not None:

@@ -1,27 +1,16 @@
-"""Append-only JSONL journal of pipeline progress.
+"""Append-only JSONL logs with crash-atomic appends.
 
-The journal is the pipeline's only durable state: every stage
-transition is one JSON object on one line, appended with a single
-``os.write`` to an ``O_APPEND`` descriptor and fsynced before the
-caller proceeds.  A process crash therefore leaves at worst one torn
-*final* line — which :meth:`Journal.load` drops, because an append that
-never completed is by definition a step that never completed.  Torn or
-garbage lines anywhere *before* the tail still raise: that is
-corruption, not interruption.  :func:`read_records` implements that
-rule; the fleet's request journal replays through it too.  Before a
-writer's first append, :func:`trim_torn_tail` cuts such a fragment off,
-so a resumed writer never glues its first record onto it.
-
-Records are dicts with a ``type`` field; the pipeline uses::
-
-    {"type": "run",  "status": "created", "config_hash": ..., "stages": [...]}
-    {"type": "step", "stage": "train", "status": "started", "attempt": 1}
-    {"type": "step", "stage": "train", "status": "done",
-     "config_hash": ..., "artifacts": [{"path": ..., "sha256": ...}]}
-    {"type": "step", "stage": "train", "status": "failed", "error": "..."}
-
-No timestamps are recorded — replays compare journals across runs, and
-the journal only needs *order*, which append-only gives for free.
+Every record is one JSON object on one line, appended with a single
+``os.write`` to an ``O_APPEND`` descriptor.  A process crash therefore
+leaves at worst one torn *final* line, which the readers drop: an
+append that never completed is a record that was never written.  Torn
+or garbage lines anywhere *before* the tail still raise, because that
+is corruption, not interruption.  :func:`read_records` implements that
+rule for every JSONL file in the repo: the fleet's request journal
+(:class:`repro.fleet.gateway.RequestJournal`) and span traces
+(:func:`repro.obs.trace.load_trace`).  Before a writer's first append,
+:func:`trim_torn_tail` cuts such a fragment off, so a resumed writer
+never glues its first record onto it.
 """
 
 from __future__ import annotations
@@ -110,7 +99,6 @@ class Journal:
         self.fsync = fsync
         self._fd: int | None = None
 
-    # -- writing -------------------------------------------------------
     def append(self, record: dict) -> dict:
         """Append one record in a single write, fsynced unless the
         journal was opened with ``fsync=False``."""
@@ -138,44 +126,3 @@ class Journal:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- reading -------------------------------------------------------
-    def exists(self) -> bool:
-        return self.path.exists()
-
-    def load(self) -> list[dict]:
-        """Parse every complete record; a torn final line is dropped.
-
-        Raises :class:`JournalError` for malformed lines that are *not*
-        the tail — those cannot be explained by an interrupted append.
-        """
-        try:
-            return read_records(self.path)
-        except FileNotFoundError:
-            return []
-
-    def completed_steps(self) -> dict[str, dict]:
-        """Latest ``status == "done"`` record per stage.
-
-        A later ``started``/``failed`` record for the same stage
-        invalidates the earlier ``done`` — re-running a stage makes its
-        old artifacts unreliable until it finishes again.
-        """
-        done: dict[str, dict] = {}
-        for record in self.load():
-            if record.get("type") != "step":
-                continue
-            stage = record.get("stage")
-            if record.get("status") == "done":
-                done[stage] = record
-            elif stage in done:
-                del done[stage]
-        return done
-
-    def last_failure(self) -> dict | None:
-        """The most recent ``failed`` step record, if any."""
-        failure = None
-        for record in self.load():
-            if record.get("type") == "step" and record.get("status") == "failed":
-                failure = record
-        return failure

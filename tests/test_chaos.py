@@ -16,11 +16,8 @@ class TestScenarios:
         assert set(SCENARIOS) == {
             "checkpoint_atomicity",
             "crash_resume",
-            "shard_resilience",
             "serve_faults",
             "rollout_guard",
-            "pipeline_resume",
-            "supervisor_kill",
             "proc_worker_kill",
             "trust_fallback",
             "replica_kill",

@@ -73,16 +73,6 @@ class TestPipeline:
         ])
         assert rc == 2
 
-    def test_generate_sharded(self, tmp_path):
-        out = tmp_path / "shards"
-        rc = main([
-            "generate", "--grid", "16", "--samples", "3", "--reynolds", "300",
-            "--warmup", "0.05", "--duration", "0.1", "--interval", "0.05",
-            "--ic", "band", "--shards", "2", "--out", str(out),
-        ])
-        assert rc == 0
-        assert len(list(out.glob("shard_*.npz"))) == 2
-
     def test_generate_forced(self, tmp_path):
         path = tmp_path / "forced.npz"
         rc = main([

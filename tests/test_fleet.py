@@ -1,8 +1,10 @@
-"""Fleet-layer tests: hash ring, health lattice, router, journal, deploys.
+"""Fleet-layer tests: hash ring, health lattice, router, journal, deploys,
+heartbeats and the coordinator's supervision.
 
 Everything here runs without sockets or child processes — the router
-and deploy orchestration take fake transports/coordinators, and the
-state machines take injectable clocks.  The end-to-end story (real
+and deploy orchestration take fake transports/coordinators, the
+coordinator runs over a fake ``ReplicaProcess``, and the state machines
+take injectable clocks.  The end-to-end story (real
 replicas, real SIGKILL) lives in the ``replica_kill`` / ``bad_deploy``
 chaos scenarios.
 """
@@ -10,13 +12,17 @@ chaos scenarios.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.faults.policy import RetryPolicy, call_with_retry
 from repro.fleet import (
+    Coordinator,
     FleetHealth,
     GatewayRouter,
     HashRing,
@@ -25,10 +31,11 @@ from repro.fleet import (
     RequestJournal,
     rolling_deploy,
 )
-from repro.jobs import journal as jobs_journal
-from repro.jobs.journal import Journal, JournalError, read_records
-from repro.jobs.supervisor import Heartbeat, HeartbeatReader, read_heartbeat
+from repro.fleet import coordinator as coordinator_module
+from repro.utils import journal as journal_module
 from repro.utils.artifacts import write_manifest
+from repro.utils.heartbeat import Heartbeat, HeartbeatReader
+from repro.utils.journal import Journal, JournalError, read_records
 
 
 class TestHashRing:
@@ -192,6 +199,24 @@ class TestHealthLattice:
         assert health.admitted_ids() == ["r0"]
 
 
+class TestHeartbeat:
+    def test_beats_advance_seq(self, tmp_path):
+        path = tmp_path / "hb.json"
+        hb = Heartbeat(path, interval=60.0)  # manual beats only
+        hb.beat()
+        first = HeartbeatReader(path).read()
+        hb.beat()
+        second = HeartbeatReader(path).read()
+        assert first["pid"] == os.getpid()
+        assert second["seq"] == first["seq"] + 1
+
+    def test_read_tolerates_absent_and_torn_files(self, tmp_path):
+        assert HeartbeatReader(tmp_path / "nope.json").read() is None
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"pid": 12')
+        assert HeartbeatReader(torn).read() is None
+
+
 class TestHeartbeatTornRead:
     def test_reader_returns_last_good_value_across_torn_write(self, tmp_path):
         path = tmp_path / "hb.json"
@@ -208,14 +233,17 @@ class TestHeartbeatTornRead:
         hb.beat()
         assert reader.read()["seq"] > first["seq"]
 
-    def test_read_heartbeat_last_parameter(self, tmp_path):
+    def test_reader_keeps_last_good_value_when_file_is_absent_or_torn(self, tmp_path):
+        path = tmp_path / "hb.json"
+        reader = HeartbeatReader(path)
+        assert reader.read() is None
         good = {"pid": 1, "seq": 7, "interval": 0.25}
-        missing = tmp_path / "nope.json"
-        assert read_heartbeat(missing) is None
-        assert read_heartbeat(missing, last=good) == good
-        torn = tmp_path / "torn.json"
-        torn.write_text("{broken")
-        assert read_heartbeat(torn, last=good) == good
+        path.write_text(json.dumps(good))
+        assert reader.read() == good
+        path.unlink()
+        assert reader.read() == good
+        path.write_text("{broken")
+        assert reader.read() == good
 
 
 class _Hinted(RuntimeError):
@@ -332,17 +360,17 @@ class TestRequestJournal:
 
     def test_appends_do_not_wait_on_the_disk(self, tmp_path, monkeypatch):
         # Two appends per routed request: an fsync each would put the
-        # disk's flush latency on the request path.  Pipeline journals
-        # keep theirs.
+        # disk's flush latency on the request path.  A default Journal
+        # keeps its fsync.
         synced = []
-        monkeypatch.setattr(jobs_journal.os, "fsync", synced.append)
+        monkeypatch.setattr(journal_module.os, "fsync", synced.append)
         journal = RequestJournal(tmp_path / "requests.jsonl")
         journal.record("submitted", "q0", key="k")
         journal.record("responded", "q0", replica="r0", status=200)
         journal.close()
         assert synced == []
-        with Journal(tmp_path / "pipeline.jsonl") as pipeline:
-            pipeline.append({"type": "run", "status": "created"})
+        with Journal(tmp_path / "durable.jsonl") as durable:
+            durable.append({"type": "run", "status": "created"})
         assert len(synced) == 1
 
     def test_garbage_before_the_tail_is_corruption(self, tmp_path):
@@ -649,6 +677,212 @@ class TestRollingDeploy:
         report = rolling_deploy(coordinator, legacy, require_manifest=False,
                                 transport=transport, get_json=get_json)
         assert report["ok"]
+
+
+class _FakeReplicaProcess:
+    """Subprocess-free ``ReplicaProcess``: announces after ``startup``
+    seconds of real time; ``kill`` and ``terminate`` end it at once."""
+
+    startup = 0.0
+    fail_ready = False
+    _pids = iter(range(1000, 10**6))
+
+    def __init__(self, replica_id, spec, workdir):
+        self.replica_id = replica_id
+        self.spec = spec
+        self.heartbeat_path = Path(workdir) / f"{replica_id}.heartbeat.json"
+        self.address = None
+        self.pid = None
+        self._alive = False
+
+    def spawn(self):
+        self.pid = next(self._pids)
+        self._alive = True
+        self.spawned.append(self)
+
+    def wait_ready(self, timeout=30.0):
+        time.sleep(self.startup)
+        if self.fail_ready:
+            raise TimeoutError(f"replica {self.replica_id} did not announce")
+        self.address = {"host": "127.0.0.1", "port": self.pid}
+        return self.address
+
+    def alive(self):
+        return self._alive
+
+    def returncode(self):
+        return None if self._alive else -9
+
+    def base_url(self):
+        return f"http://127.0.0.1:{self.pid}" if self.address else None
+
+    def kill(self):
+        self._alive = False
+        return -9
+
+    def terminate(self, timeout=10.0):
+        self._alive = False
+        return 0
+
+
+@pytest.fixture
+def fake_replicas(monkeypatch):
+    class Fake(_FakeReplicaProcess):
+        spawned: list = []
+
+    monkeypatch.setattr(coordinator_module, "ReplicaProcess", Fake)
+    return Fake
+
+
+class TestCoordinator:
+    """The real Coordinator over fake replicas.  ``poll_interval`` is an
+    hour, so the supervision thread never polls; each test drives
+    ``_check_one`` itself under an injected clock."""
+
+    RETRY = RetryPolicy(attempts=3, backoff=0.5, factor=2.0, retry_on=())
+
+    def make(self, tmp_path, retry=RETRY, n_replicas=1):
+        self.now = [0.0]
+        self.sleeps: list[float] = []
+        self.events: list[dict] = []
+        return Coordinator(
+            ReplicaSpec(checkpoint="m.npz"), n_replicas, tmp_path, retry=retry,
+            stall_timeout=1.0, poll_interval=3600.0,
+            on_event=self.events.append, clock=lambda: self.now[0],
+            sleep=self.sleeps.append,
+        )
+
+    def kinds(self):
+        return [e["event"] for e in self.events]
+
+    def beat(self, tmp_path, text):
+        (tmp_path / "r0.heartbeat.json").write_text(text)
+
+    def test_exit_is_restarted(self, fake_replicas, tmp_path):
+        with self.make(tmp_path) as coord:
+            first = coord.status()["replicas"]["r0"]["pid"]
+            coord.kill_replica("r0")
+            coord._check_one("r0")
+            r0 = coord.status()["replicas"]["r0"]
+            assert r0["alive"] and r0["pid"] != first and not r0["failed"]
+            assert coord.restarts("r0") == 1
+            assert self.kinds()[2:] == ["exit", "spawn", "ready", "restart"]
+            assert self.sleeps == self.RETRY.delays()[:1]
+            assert coord.urls() == {"r0": f"http://127.0.0.1:{r0['pid']}"}
+
+    def test_exhausted_budget_marks_failed_and_escalates(self, fake_replicas, tmp_path):
+        with self.make(tmp_path) as coord:
+            for _ in range(self.RETRY.attempts - 1):
+                coord.kill_replica("r0")
+                coord._check_one("r0")
+            assert coord.status()["replicas"]["r0"]["alive"]
+            coord.kill_replica("r0")
+            coord._check_one("r0")
+            r0 = coord.status()["replicas"]["r0"]
+            assert r0["failed"] and not r0["alive"]
+            assert self.events[-1] == {"event": "escalated", "replica": "r0",
+                                       "restarts": self.RETRY.attempts}
+            assert self.sleeps == self.RETRY.delays()
+            coord._check_one("r0")  # a failed replica stays down
+            assert self.kinds().count("spawn") == self.RETRY.attempts
+            assert coord.urls() == {}
+
+    def test_frozen_heartbeat_is_killed_and_restarted(self, fake_replicas, tmp_path):
+        with self.make(tmp_path) as coord:
+            first = coord._replicas["r0"]
+            self.beat(tmp_path, '{"seq": 1}')
+            coord._check_one("r0")
+            self.now[0] = 1.0  # exactly the timeout: not yet a stall
+            coord._check_one("r0")
+            assert "stall" not in self.kinds() and coord.restarts("r0") == 0
+            self.now[0] = 1.5
+            coord._check_one("r0")
+            assert not first.alive()
+            assert coord.restarts("r0") == 1
+            assert self.kinds()[2:] == ["stall", "spawn", "ready", "restart"]
+            assert self.events[2]["seq"] == 1
+            assert coord.status()["replicas"]["r0"]["alive"]
+
+    def test_torn_heartbeat_read_is_not_a_stall(self, fake_replicas, tmp_path):
+        with self.make(tmp_path) as coord:
+            self.beat(tmp_path, '{"seq": 1}')
+            coord._check_one("r0")
+            for at, text in [(0.6, '{"se'), (0.9, '{"seq": 2}'), (1.5, "")]:
+                self.now[0] = at
+                self.beat(tmp_path, text)
+                coord._check_one("r0")
+            assert "stall" not in self.kinds() and coord.restarts("r0") == 0
+            # Nor does a torn read hide a real stall: seq 2 is 1.1 s old.
+            self.now[0] = 2.0
+            coord._check_one("r0")
+            assert "stall" in self.kinds() and coord.restarts("r0") == 1
+
+    def test_failed_respawn_kills_its_child_and_is_retried(self, fake_replicas, tmp_path):
+        with self.make(tmp_path) as coord:
+            coord.kill_replica("r0")
+            fake_replicas.fail_ready = True
+            coord._check_one("r0")
+            assert self.kinds()[-1] == "restart-failed"
+            assert not fake_replicas.spawned[-1].alive()  # no orphaned child
+            assert coord.urls() == {}
+            fake_replicas.fail_ready = False
+            coord._check_one("r0")
+            assert self.kinds()[-1] == "restart" and coord.restarts("r0") == 2
+            assert coord._replicas["r0"] is fake_replicas.spawned[-1]
+
+    def test_respawn_yields_to_a_deploy_that_replaced_the_replica(
+            self, fake_replicas, tmp_path):
+        # A crash restart that waited on the spawn lock while a deploy
+        # replaced the replica must not start a second child.
+        with self.make(tmp_path) as coord:
+            crashed = coord._replicas["r0"]
+            crashed.kill()
+            coord.restart_replica("r0")
+            deployed = coord._replicas["r0"]
+            spawns = self.kinds().count("spawn")
+            coord._respawn("r0", crashed, 0.0)
+            assert self.kinds().count("spawn") == spawns
+            assert coord._replicas["r0"] is deployed and deployed.alive()
+
+    @pytest.mark.parametrize("path", ["crash", "deploy"])
+    def test_routing_reads_do_not_wait_on_a_restart(self, fake_replicas,
+                                                    tmp_path, path):
+        coord = Coordinator(
+            ReplicaSpec(checkpoint="m.npz"), 2, tmp_path,
+            retry=RetryPolicy(attempts=3, backoff=0.0, retry_on=()),
+            poll_interval=0.01,
+        )
+        coord.start()
+        try:
+            fake_replicas.startup = 1.5
+            before = coord.urls()
+            if path == "crash":
+                coord.kill_replica("r0")
+            else:
+                deploy = threading.Thread(target=coord.restart_replica, args=("r0",))
+                deploy.start()
+            worst, r0_absent = 0.0, False
+            deadline = time.monotonic() + 20.0
+            while True:
+                t0 = time.perf_counter()
+                urls = coord.urls()
+                coord.status()
+                worst = max(worst, time.perf_counter() - t0)
+                if urls.get("r0") not in (None, before["r0"]):
+                    break  # the new incarnation is routable
+                assert time.monotonic() < deadline, "restart never finished"
+                assert urls["r1"] == before["r1"]
+                r0_absent = r0_absent or "r0" not in urls
+                time.sleep(0.005)
+            assert worst < 0.1, f"a routing read waited {worst * 1e3:.0f} ms"
+            assert r0_absent  # the reads overlapped the 1.5 s respawn
+            if path == "crash":
+                assert coord.restarts("r0") == 1
+            else:
+                deploy.join(timeout=5.0)
+                assert not deploy.is_alive() and coord.restarts("r0") == 0
+        finally:
+            coord.stop(graceful=False)
 
 
 class TestFleetCliWiring:

@@ -1,4 +1,4 @@
-"""Utilities: RNG fan-out, timing, latency stats.
+"""Utilities: RNG fan-out, timing, latency stats, the JSONL journal.
 
 The process-parallel map moved to :mod:`repro.parallel`; its tests
 live in ``tests/test_parallel.py`` now.
@@ -12,6 +12,7 @@ import pytest
 
 from repro.obs.metrics import LatencyStats, Timer, timed
 from repro.utils import as_generator, spawn_rngs
+from repro.utils.journal import Journal, JournalError, read_records
 
 
 class TestRNG:
@@ -138,3 +139,51 @@ class TestLatencyStats:
             LatencyStats(window=0)
         with pytest.raises(ValueError):
             LatencyStats().percentile(101)
+
+
+class TestJournal:
+    def test_append_load_round_trip_preserves_order(self, tmp_path):
+        journal = Journal(tmp_path / "j.jsonl")
+        with journal:
+            journal.append({"type": "run", "status": "created"})
+            journal.append({"type": "step", "stage": "data", "status": "started"})
+            journal.append({"type": "step", "stage": "data", "status": "done"})
+        records = read_records(journal.path)
+        assert [r.get("status") for r in records] == ["created", "started", "done"]
+
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_records(tmp_path / "absent.jsonl")
+
+    def test_record_without_type_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="type"):
+            Journal(tmp_path / "j.jsonl").append({"status": "done"})
+
+    @pytest.mark.parametrize("after_tear", [b"", b"\n\n"], ids=["torn", "torn_then_blank"])
+    def test_torn_final_line_is_dropped(self, tmp_path, after_tear):
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.append({"type": "step", "stage": "data", "status": "done"})
+        journal.close()
+        with open(journal.path, "ab") as fh:
+            fh.write(b'{"type": "step", "stage": "tr' + after_tear)  # SIGKILL mid-append
+        assert [r["stage"] for r in read_records(journal.path)] == ["data"]
+
+    def test_append_after_torn_tail_resumes_cleanly(self, tmp_path):
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.append({"type": "run", "status": "created"})
+        journal.append({"type": "step", "stage": "data", "status": "done"})
+        journal.close()
+        with open(journal.path, "ab") as fh:
+            fh.write(b'{"type": "step", "stage": "tr')  # SIGKILL mid-append
+        resumed = Journal(journal.path)
+        resumed.append({"type": "step", "stage": "train", "status": "started"})
+        resumed.append({"type": "step", "stage": "train", "status": "done"})
+        resumed.close()
+        assert [r["status"] for r in read_records(resumed.path)] == [
+            "created", "done", "started", "done"]
+
+    def test_garbage_before_the_tail_is_corruption(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"type": "run"}\nnot json\n{"type": "step"}\n')
+        with pytest.raises(JournalError, match="corrupt journal line"):
+            read_records(path)
