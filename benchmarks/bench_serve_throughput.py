@@ -106,7 +106,7 @@ def run_serve_throughput() -> dict:
 
     services: dict[str, InferenceService] = {}
     for label, policy in POLICIES.items():
-        registry = ModelRegistry(dtype=np.float32)
+        registry = ModelRegistry()
         registry.register("bench", checkpoint)
         # One worker: the host is single-core, so a second worker only adds
         # cache contention between concurrently executing batches.

@@ -21,16 +21,20 @@ plain flag values away (``--grid 256 --reynolds 7500 --samples 5000``).
 Setting ``REPRO_OBS=trace.jsonl`` (and optionally ``REPRO_OBS_PROFILE=1``)
 turns on span tracing for any subcommand; ``REPRO_FAULTS`` (inline JSON
 or a path to a fault-plan file) arms deterministic fault injection.
+A closed stdout reader (``repro inspect m.npz | head -1``) exits 1, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE"]
+
+EXIT_BROKEN_PIPE = 1  # stdout's reader went away (the Python docs' SIGPIPE recipe)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +444,13 @@ def main(argv: list[str] | None = None) -> int:
     obs.configure_from_env()
     faults.configure_from_env()
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # devnull keeps the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """``repro compile`` — trace a checkpoint and print its execution plan.
 
-Shows what the inference compiler would run for a given input shape:
-the op schedule, which intermediates share arena storage, total buffer
-bytes, and a FLOP estimate.  Useful both for verifying that a model
-compiles (DeepONet-style models fall back to eager) and for sizing the
-memory a serving replica pins per ``(model, batch_shape)``.  With
-``--profile`` it also runs the plan 20 times with per-step timing on
-and prints time, share, ``est_flops`` and GFLOP/s per op and per module
-path (:func:`profile_rows` builds the same rows for any plan, training
-plans included).
+Shows what the inference compiler would run for a given input shape in
+the checkpoint's stored dtype (as serving runs it): the op schedule,
+which intermediates share arena storage, total buffer bytes, and a FLOP
+estimate.  Useful both for verifying that a model compiles (DeepONet-style
+models fall back to eager) and for sizing the memory a serving replica
+pins per ``(model, batch_shape)``.  With ``--profile`` it also runs the
+plan 20 times with per-step timing on and prints time, share,
+``est_flops`` and GFLOP/s per op and per module path (:func:`profile_rows`
+builds the same rows for any plan, training plans included).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ def add_compile_arguments(parser) -> None:
     parser.add_argument("--batch", type=int, default=1, help="batch size to plan for")
     parser.add_argument("--grid", type=int, default=64,
                         help="spatial resolution to plan for (per axis)")
-    parser.add_argument("--dtype", choices=["float32", "float64"], default="float64",
-                        help="inference dtype (serving runs float64 plans; training is float32)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the full plan description as JSON")
     parser.add_argument("--profile", action="store_true",
@@ -109,23 +107,18 @@ def _fmt_bytes(n: int) -> str:
 
 
 def run_compile(args) -> int:
-    from ..core import CheckpointError, load_model
+    from ..core import load_model
     from . import UnsupportedOpError, compile_model
 
-    dtype = np.dtype(args.dtype)
     try:
-        model, config, _normalizer = load_model(args.checkpoint, dtype=dtype)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        model, config, _normalizer = load_model(args.checkpoint)
         shape = _input_shape(config, args.batch, args.grid)
-    except ValueError as exc:
+    except ValueError as exc:  # a CheckpointError, or a kind with no input shape
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        plan = compile_model(model, shape, dtype=dtype)
+        plan = compile_model(model, shape, dtype=model.dtype)
     except UnsupportedOpError as exc:
         print(f"{args.checkpoint}: not compilable ({exc}); "
               "this model will always be served eagerly", file=sys.stderr)
@@ -134,7 +127,7 @@ def run_compile(args) -> int:
     desc = plan.describe()
     profile = None
     if args.profile:
-        example = np.random.default_rng(1).standard_normal(shape).astype(dtype)
+        example = np.random.default_rng(1).standard_normal(shape).astype(model.dtype)
         profile = profile_rows(plan, lambda: plan.execute(example), PROFILE_CALLS)
     if args.as_json:
         if profile is not None:

@@ -249,7 +249,8 @@ def run_hybrid_batched(
                 with obs.span("hybrid.fno"):
                     stacked = np.stack([np.stack(s[-cfg.n_in :]) for s in snaps])
                     x = stacked.reshape(B, expected_in, n1, n2)
-                    pred = apply_channels(model, x, normalizer)
+                    # Widen to the PDE's float64 (a no-op once the normalizer has).
+                    pred = apply_channels(model, x, normalizer).astype(np.float64, copy=False)
                     if _faults.ACTIVE:
                         pred = _faults.fire_value("rollout.step", pred, cycle=cycle)
                     for b in range(B):

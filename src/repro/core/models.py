@@ -1,9 +1,9 @@
 """Model builders mapping experiment configs to network instances.
 
 The builders default to float32, the precision the paper trains in
-(PyTorch's default).  Serving loads checkpoints in float64 through
-:class:`repro.serve.ModelRegistry`; pass ``dtype=np.float64`` here for
-a float64 model.
+(PyTorch's default); pass ``dtype=np.float64`` here for a float64
+model.  A saved model is loaded and served in the dtype it was stored
+in (:func:`repro.core.load_model`).
 """
 
 from __future__ import annotations

@@ -140,12 +140,12 @@ def _build_config(header: dict, path: Path):
     return config_from_dict(header.get("config", {}), context=str(path))
 
 
-def load_model(path, dtype=None):
+def load_model(path):
     """Load ``(model, config, normalizer)`` saved by :func:`save_model`.
 
-    The model is built in ``dtype``; the default None follows the stored
-    weights, so save → load is an identity.  Serving passes float64.
-    ``normalizer`` is None when none was stored.  Raises
+    The model is built in the stored weights' dtype, so save → load is an
+    identity; serving, calibration and ``repro compile`` all run it in
+    that dtype.  ``normalizer`` is None when none was stored.  Raises
     :class:`CheckpointError` (naming the offending path) when the file is
     missing, not a checkpoint, from an unknown version/kind, or fails its
     integrity manifest (manifest-less legacy files still load).
@@ -157,8 +157,7 @@ def load_model(path, dtype=None):
         state = {
             key[len("param::") :]: data[key] for key in data.files if key.startswith("param::")
         }
-        if dtype is None:
-            dtype = next((value.dtype for value in state.values()), np.float64)
+        dtype = next((value.dtype for value in state.values()), np.float64)
         model = build_model(config, rng=np.random.default_rng(0), dtype=dtype)
         try:
             model.load_state_dict(state)

@@ -14,8 +14,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..core.zoo import (
     CheckpointError,
     checkpoint_fingerprint,
@@ -59,8 +57,6 @@ class ModelRegistry:
     capacity:
         Maximum number of models held in memory at once; the least
         recently used entry is evicted beyond that.
-    dtype:
-        Weight dtype passed through to :func:`repro.core.load_model`.
     require_manifest:
         When True the registry refuses models without a
         checksum-verified integrity manifest — serving never answers
@@ -71,8 +67,9 @@ class ModelRegistry:
 
     Names are resolved through explicit aliases first
     (:meth:`register`), then treated as filesystem paths.  ``get``
-    returns a :class:`LoadedModel`; hit/miss/invalidation counters feed
-    the serving ``/stats`` endpoint.
+    returns a :class:`LoadedModel`, built in its checkpoint's stored
+    dtype; hit/miss/invalidation counters feed the serving ``/stats``
+    endpoint.
 
     Whenever a loaded model leaves the cache — explicit :meth:`evict`,
     LRU pressure, or an mtime/size fingerprint change on ``get`` — the
@@ -82,12 +79,10 @@ class ModelRegistry:
     never be served through a stale plan.
     """
 
-    def __init__(self, capacity: int = 4, dtype=np.float64,
-                 require_manifest: bool = False):
+    def __init__(self, capacity: int = 4, require_manifest: bool = False):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self.dtype = dtype
         self.require_manifest = bool(require_manifest)
         self._aliases: dict[str, Path] = {}
         self._cache: OrderedDict[Path, LoadedModel] = OrderedDict()
@@ -148,7 +143,7 @@ class ModelRegistry:
             # load_model re-verifies when a sidecar exists; this adds the
             # strict "no manifest, no service" policy when configured.
             verify_manifest(path, required=self.require_manifest)
-            model, config, normalizer = load_model(path, dtype=self.dtype)
+            model, config, normalizer = load_model(path)
             entry = LoadedModel(
                 name=name,
                 path=path,

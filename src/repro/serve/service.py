@@ -298,7 +298,7 @@ class InferenceService:
             mode_forced = True
         entry = self.registry.get(model)
         config = entry.config
-        window = np.asarray(window, dtype=self.registry.dtype)
+        window = np.asarray(window, dtype=np.float64)  # the wire is float64
         expected = (config.n_in, config.n_fields)
         if window.ndim != 4 or window.shape[:2] != expected:
             raise ValueError(

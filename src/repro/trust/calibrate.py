@@ -40,8 +40,8 @@ def _cached_model(path: str):
     if entry is None:
         from ..core.zoo import load_model
 
-        # float64, as ModelRegistry serves it: calibration replays serving.
-        entry = _MODEL_CACHE[path] = load_model(path, dtype=np.float64)
+        # The stored dtype, as ModelRegistry serves it: calibration replays serving.
+        entry = _MODEL_CACHE[path] = load_model(path)
     return entry
 
 

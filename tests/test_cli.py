@@ -1,9 +1,16 @@
 """CLI: generate → analyze → train → rollout round-trip."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -130,6 +137,28 @@ class TestInspectAndServeCLI:
         assert "width=6" in out
         assert "version 1" in out
         assert "dtype      : float32" in out  # the builders' default
+
+    def test_inspect_into_a_closed_pipe_exits_without_traceback(self, tmp_path):
+        # `repro inspect m.npz | true`: the reader is gone before the first
+        # write, so the child's stdout raises EPIPE.
+        from repro.core import ChannelFNOConfig, build_model, save_model
+
+        cfg = ChannelFNOConfig(n_in=2, n_out=1, n_fields=2, modes1=3, modes2=3,
+                               width=6, n_layers=2)
+        path = tmp_path / "model.npz"
+        save_model(path, build_model(cfg, rng=np.random.default_rng(0)), cfg)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "inspect", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr.decode(), proc.stderr.decode()
+        assert proc.returncode == EXIT_BROKEN_PIPE
 
     def test_inspect_bad_path_fails_cleanly(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.npz")]) == 2

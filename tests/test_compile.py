@@ -318,29 +318,32 @@ class TestIntegration:
         assert desc["est_flops"] == plan.flops > 0
 
     def test_cli_prints_plan(self, tmp_path, capsys):
+        import json
+
         from repro.cli import main
         from repro.core.config import ChannelFNOConfig
         from repro.core.zoo import save_model
 
         cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=4, modes2=4,
                                width=4, n_layers=2, projection_channels=8)
-        model = FNO(cfg.in_channels, cfg.out_channels, (4, 4),
-                    width=4, n_layers=2, projection_channels=8,
-                    rng=np.random.default_rng(28))
-        path = tmp_path / "model.npz"
-        save_model(path, model, cfg, None)
+        for dtype in ("float32", "float64"):
+            model = FNO(cfg.in_channels, cfg.out_channels, (4, 4),
+                        width=4, n_layers=2, projection_channels=8,
+                        rng=np.random.default_rng(28), dtype=dtype)
+            path = tmp_path / f"model_{dtype}.npz"
+            save_model(path, model, cfg, None)
 
-        assert main(["compile", str(path), "--grid", "16"]) == 0
-        text = capsys.readouterr().out
-        assert "spectral_conv" in text and "arena" in text
+            assert main(["compile", str(path), "--grid", "16"]) == 0
+            text = capsys.readouterr().out
+            assert "spectral_conv" in text and "arena" in text
+            assert f"input (1, 2, 16, 16) {dtype}" in text
 
-        import json
-        assert main(["compile", str(path), "--grid", "16", "--json"]) == 0
-        desc = json.loads(capsys.readouterr().out)
-        assert desc["input_shape"] == [1, 2, 16, 16]
-        # The default plans what serving executes: ModelRegistry loads float64.
-        assert desc["input_dtype"] == "float64"
-        assert any(s["op"] == "spectral_conv" for s in desc["steps"])
+            assert main(["compile", str(path), "--grid", "16", "--json"]) == 0
+            desc = json.loads(capsys.readouterr().out)
+            assert desc["input_shape"] == [1, 2, 16, 16]
+            # The plan is what serving executes: the checkpoint's own dtype.
+            assert desc["input_dtype"] == dtype
+            assert any(s["op"] == "spectral_conv" for s in desc["steps"])
 
 
 # ---------------------------------------------------------------------------

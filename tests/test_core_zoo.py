@@ -35,8 +35,8 @@ def test_channel_model_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_load_follows_stored_dtype(tmp_path, dtype):
-    """``load_model`` builds the checkpoint's own dtype unless told
-    otherwise; ``inspect_checkpoint`` names it."""
+    """``load_model`` builds the checkpoint's own dtype;
+    ``inspect_checkpoint`` names it."""
     cfg = ChannelFNOConfig(n_in=1, n_out=1, n_fields=2, modes1=2, modes2=2, width=4, n_layers=1)
     model = build_model(cfg, rng=RNG, dtype=dtype)
     path = tmp_path / "model.npz"
@@ -45,8 +45,6 @@ def test_load_follows_stored_dtype(tmp_path, dtype):
     loaded, _, _ = load_model(path)
     for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
         assert b.dtype == dtype and np.array_equal(a.data, b.data)
-    served, _, _ = load_model(path, dtype=np.float64)
-    assert {p.dtype for p in served.parameters()} == {np.dtype(np.float64)}
 
 
 def test_channel_model_activation_roundtrip(tmp_path):

@@ -55,6 +55,22 @@ def checkpoint(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def stored_checkpoints(checkpoint, tmp_path_factory):
+    """The trained weights stored three ways: as training writes them
+    (float32 with a normalizer), widened to float64, and float32 without
+    a normalizer, whose output no float64 statistics widen."""
+    from repro.core import load_model
+
+    model, _, normalizer = load_model(checkpoint)
+    root = tmp_path_factory.mktemp("stored")
+    wide = build_model(CFG, dtype=np.float64)
+    wide.load_state_dict(model.state_dict())
+    save_model(root / "f64.npz", wide, CFG, normalizer)
+    save_model(root / "bare.npz", model, CFG)
+    return {"float32": checkpoint, "float64": root / "f64.npz", "bare": root / "bare.npz"}
+
+
 def window(seed=1, scale=0.1):
     return np.random.default_rng(seed).standard_normal((CFG.n_in, 2, GRID, GRID)) * scale
 
@@ -114,7 +130,7 @@ class TestRegistry:
         from repro.core.rollout import apply_channels
 
         rc.clear()
-        reg = ModelRegistry(capacity=2, dtype=np.float32)
+        reg = ModelRegistry(capacity=2)
         reg.register("tiny", checkpoint)
         entry = reg.get("tiny")
         x = np.random.default_rng(0).standard_normal(
@@ -176,9 +192,9 @@ class TestRegistry:
         assert row["kind"] == "channel_fno"
         assert row["n_parameters"] > 0
         assert row["cached"] is False
-        # The listing names the stored dtype; serving still loads float64.
+        # The listing names the stored dtype, and serving loads that dtype.
         assert row["dtype"] == "float32"
-        assert reg.get("tiny").model.dtype == np.float64
+        assert reg.get("tiny").model.dtype == np.float32
 
 
 class TestBatchQueue:
@@ -267,47 +283,6 @@ class TestService:
         with InferenceService(reg, n_workers=1) as svc:
             with pytest.raises(ValueError, match="window must be"):
                 svc.predict("tiny", np.zeros((3, 2, GRID, GRID)))
-
-    def test_concurrent_requests_batch_and_match_single(self, checkpoint):
-        """The tentpole invariant: coalescing changes throughput, not bits."""
-        n_clients = 8
-        windows = [window(seed=100 + i) for i in range(n_clients)]
-
-        reg_single = ModelRegistry()
-        reg_single.register("tiny", checkpoint)
-        with InferenceService(
-            reg_single, BatchPolicy(max_batch=1, max_wait_ms=0, max_queue=64), n_workers=1
-        ) as svc:
-            singles = [svc.predict("tiny", w, mode="fno", cycles=2) for w in windows]
-
-        reg = ModelRegistry()
-        reg.register("tiny", checkpoint)
-        svc = InferenceService(
-            reg, BatchPolicy(max_batch=4, max_wait_ms=100, max_queue=64), n_workers=1
-        )
-        results = [None] * n_clients
-        errors = []
-
-        def client(i):
-            try:
-                results[i] = svc.predict("tiny", windows[i], mode="fno", cycles=2)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        with svc:
-            threads = [threading.Thread(target=client, args=(i,)) for i in range(n_clients)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        assert not errors
-        # (a) bit-for-bit equality with the unbatched responses
-        for single, batched in zip(singles, results):
-            assert np.array_equal(single["velocity"], batched["velocity"])
-            assert np.array_equal(single["times"], batched["times"])
-        # (b) the batch-size histogram proves coalescing happened
-        assert svc.stats.max_batch_seen() >= 2
-        assert sum(results[i]["batch_size"] > 1 for i in range(n_clients)) >= 2
 
     def test_backpressure_is_an_error_not_a_hang(self, checkpoint):
         reg = ModelRegistry()
@@ -453,32 +428,99 @@ class TestHTTP:
         assert svc.inflight == 0
 
     @pytest.mark.parametrize(
-        "mode, transport",
-        [("fno", "http"), ("hybrid", "http"), ("fno", "gateway"), ("hybrid", "gateway")],
-        ids=["fno", "hybrid", "fno-gateway", "hybrid-gateway"],
+        "mode, stored",
+        [("fno", "float32"), ("hybrid", "float32"), ("fno", "float64"),
+         ("hybrid", "float64"), ("fno", "bare"), ("hybrid", "bare")],
+        ids=["fno", "hybrid", "fno-float64", "hybrid-float64", "fno-bare", "hybrid-bare"],
     )
-    def test_predict_roundtrip_matches_direct_call(self, http_service, mode, transport):
+    def test_predict_roundtrip_matches_direct_call(self, stored_checkpoints, mode, stored):
+        """The serving equivalence matrix.
+
+        Every cell of {compiled, eager} x {batch 1, a coalesced batch of
+        B} x {in-process, HTTP, gateway -> replica} answers each request
+        with the direct batch-1 call's velocity and times (bit for bit),
+        source and trust report.  The model is served in its stored dtype
+        and every response velocity is float64.
+        """
         from types import SimpleNamespace
 
+        from repro import compile as rc
         from repro.fleet import Gateway
 
-        svc, replica = http_service
-        w = window(seed=5)
-        request = {"mode": mode, "cycles": 1, "sample_interval": 0.02}
-        with contextlib.ExitStack() as stack:
-            base = replica
-            if transport == "gateway":
-                gateway = Gateway(SimpleNamespace(urls=lambda: {"r0": replica}))
-                base = stack.enter_context(gateway).base_url()
+        B = 3
+        request = {"mode": mode, "cycles": 2, "sample_interval": 0.02}
+        windows = [window(seed=5 + i) for i in range(B)]
+
+        def service(max_batch):
+            reg = ModelRegistry()
+            reg.register("tiny", stored_checkpoints[stored])
+            # A batch of B dispatches as soon as it is full, never on the wait.
+            policy = BatchPolicy(max_batch=max_batch, max_wait_ms=30_000, max_queue=64)
+            return InferenceService(reg, policy, n_workers=1)
+
+        def send(svc, base, w):
+            if base is None:
+                return svc.predict("tiny", w, **request)
             code, body, _ = _post(
                 f"{base}/predict", {"model": "tiny", "window": w.tolist(), **request}
             )
-        assert code == 200
-        direct = svc.predict("tiny", w, **request)
-        assert direct["velocity"].dtype == np.float64
-        assert np.asarray(body["velocity"]).tobytes() == direct["velocity"].tobytes()
-        assert body["source"] == direct["source"]
-        assert body["trust"] is not None and body["trust"] == direct["trust"]
+            assert code == 200, body
+            return body
+
+        with service(1) as svc:
+            direct = [svc.predict("tiny", w, **request) for w in windows]
+            served = svc.registry.get("tiny").model
+        assert served.dtype == (np.float64 if stored == "float64" else np.float32)
+        assert all(d["velocity"].dtype == np.float64 for d in direct)
+        if stored == "bare":
+            # The float32 model's snapshots reach the response widened exactly.
+            v = direct[0]["velocity"][[s == "fno" for s in direct[0]["source"]]]
+            assert v.size and np.array_equal(v.astype(np.float32).astype(np.float64), v)
+
+        was_enabled = rc.enabled()
+        cells = 0
+        try:
+            for batch in (1, B):
+                with contextlib.ExitStack() as stack:
+                    svc = stack.enter_context(service(batch))
+                    replica = stack.enter_context(_serving(svc))
+                    # The gateway polls health once, at start.  This tiny
+                    # model's pure-FNO trust scores (~0.34) pull the
+                    # replica's trust EWMA under the gateway's 0.5 ejection
+                    # bar, so a later poll would eject the only replica.
+                    gateway = stack.enter_context(Gateway(
+                        SimpleNamespace(urls=lambda: {"r0": replica}), poll_interval=3600.0
+                    ))
+                    for compiled in (True, False):
+                        rc.set_enabled(compiled)
+                        for base in (None, replica, gateway.base_url()):
+                            got, errors = [None] * batch, []
+
+                            def client(i, base=base, got=got, errors=errors):
+                                try:
+                                    got[i] = send(svc, base, windows[i])
+                                except Exception as exc:  # noqa: BLE001
+                                    errors.append(exc)
+
+                            threads = [threading.Thread(target=client, args=(i,))
+                                       for i in range(batch)]
+                            for t in threads:
+                                t.start()
+                            for t in threads:
+                                t.join(timeout=60)
+                            assert not errors, errors
+                            for out, want in zip(got, direct):
+                                assert out["batch_size"] == batch
+                                assert (np.asarray(out["velocity"]).tobytes()
+                                        == want["velocity"].tobytes())
+                                assert np.asarray(out["times"]).tobytes() == want["times"].tobytes()
+                                assert out["source"] == want["source"]
+                                assert out["trust"] is not None and out["trust"] == want["trust"]
+                            cells += 1
+                    assert svc.stats.max_batch_seen() == batch
+        finally:
+            rc.set_enabled(was_enabled)
+        assert cells == 12
 
     def test_response_tail_is_latency(self, http_service):
         _, base = http_service
@@ -498,22 +540,6 @@ class TestHTTP:
         assert code == 200
         assert raw.startswith(b'{"model": "tiny", ') and b'"velocity": [[[[NaN, ' in raw
         assert np.isnan(json.loads(raw)["velocity"][0][0][0][0])
-
-    def test_float32_registry_decodes_to_the_widened_values(self, tmp_path):
-        # No normalizer: its float64 statistics would widen the output.
-        path = tmp_path / "bare.npz"
-        save_model(path, build_model(CFG, rng=np.random.default_rng(4)), CFG)
-        reg = ModelRegistry(dtype=np.float32)
-        reg.register("tiny", path)
-        w = window(seed=6)
-        with InferenceService(reg, n_workers=1, trust=None) as svc, _serving(svc) as base:
-            code, body, _ = _post(
-                f"{base}/predict", {"model": "tiny", "window": w.tolist(), "mode": "fno"}
-            )
-            direct = svc.predict("tiny", w, mode="fno")
-        assert code == 200 and direct["velocity"].dtype == np.float32
-        # tolist() is float(x) per element: the exact float64 widening.
-        assert body["velocity"] == direct["velocity"].tolist()
 
     def test_gateway_forwards_its_request_id_to_the_replica(self, http_service):
         from types import SimpleNamespace
