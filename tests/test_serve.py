@@ -284,6 +284,47 @@ class TestService:
             with pytest.raises(ValueError, match="window must be"):
                 svc.predict("tiny", np.zeros((3, 2, GRID, GRID)))
 
+    def test_concurrent_requests_batch_and_match_single(self, checkpoint):
+        """The tentpole invariant: coalescing changes throughput, not bits."""
+        n_clients = 8
+        windows = [window(seed=100 + i) for i in range(n_clients)]
+
+        reg_single = ModelRegistry()
+        reg_single.register("tiny", checkpoint)
+        with InferenceService(
+            reg_single, BatchPolicy(max_batch=1, max_wait_ms=0, max_queue=64), n_workers=1
+        ) as svc:
+            singles = [svc.predict("tiny", w, mode="fno", cycles=2) for w in windows]
+
+        reg = ModelRegistry()
+        reg.register("tiny", checkpoint)
+        svc = InferenceService(
+            reg, BatchPolicy(max_batch=4, max_wait_ms=100, max_queue=64), n_workers=1
+        )
+        results = [None] * n_clients
+        errors = []
+
+        def client(i):
+            try:
+                results[i] = svc.predict("tiny", windows[i], mode="fno", cycles=2)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        with svc:
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(n_clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        assert not errors
+        # (a) bit-for-bit equality with the unbatched responses
+        for single, batched in zip(singles, results):
+            assert np.array_equal(single["velocity"], batched["velocity"])
+            assert np.array_equal(single["times"], batched["times"])
+        # (b) the batch-size histogram proves coalescing happened
+        assert svc.stats.max_batch_seen() >= 2
+        assert sum(results[i]["batch_size"] > 1 for i in range(n_clients)) >= 2
+
     def test_backpressure_is_an_error_not_a_hang(self, checkpoint):
         reg = ModelRegistry()
         reg.register("tiny", checkpoint)
@@ -428,19 +469,24 @@ class TestHTTP:
         assert svc.inflight == 0
 
     @pytest.mark.parametrize(
-        "mode, stored",
-        [("fno", "float32"), ("hybrid", "float32"), ("fno", "float64"),
-         ("hybrid", "float64"), ("fno", "bare"), ("hybrid", "bare")],
-        ids=["fno", "hybrid", "fno-float64", "hybrid-float64", "fno-bare", "hybrid-bare"],
+        "mode, stored, via_gateway",
+        [pytest.param(mode, stored, via_gateway, id="-".join(
+            [mode] + [stored] * (stored != "float32") + ["gateway"] * via_gateway))
+         for stored in ("float32", "float64", "bare")
+         for mode in ("fno", "hybrid")
+         for via_gateway in (False, True)],
     )
-    def test_predict_roundtrip_matches_direct_call(self, stored_checkpoints, mode, stored):
+    def test_predict_roundtrip_matches_direct_call(
+        self, stored_checkpoints, mode, stored, via_gateway
+    ):
         """The serving equivalence matrix.
 
         Every cell of {compiled, eager} x {batch 1, a coalesced batch of
-        B} x {in-process, HTTP, gateway -> replica} answers each request
-        with the direct batch-1 call's velocity and times (bit for bit),
-        source and trust report.  The model is served in its stored dtype
-        and every response velocity is float64.
+        B} x {in-process, HTTP} (or, with ``via_gateway``, gateway ->
+        replica) answers each request with the direct batch-1 call's
+        velocity and times (bit for bit), source and trust report.  The
+        model is served in its stored dtype and every response velocity
+        is float64.
         """
         from types import SimpleNamespace
 
@@ -484,16 +530,21 @@ class TestHTTP:
                 with contextlib.ExitStack() as stack:
                     svc = stack.enter_context(service(batch))
                     replica = stack.enter_context(_serving(svc))
-                    # The gateway polls health once, at start.  This tiny
-                    # model's pure-FNO trust scores (~0.34) pull the
-                    # replica's trust EWMA under the gateway's 0.5 ejection
-                    # bar, so a later poll would eject the only replica.
-                    gateway = stack.enter_context(Gateway(
-                        SimpleNamespace(urls=lambda: {"r0": replica}), poll_interval=3600.0
-                    ))
+                    bases = (None, replica)
+                    if via_gateway:
+                        # The gateway polls health once, at start.  This tiny
+                        # model's pure-FNO trust scores (~0.34) pull the
+                        # replica's trust EWMA under the gateway's 0.5
+                        # ejection bar, so a later poll would eject the only
+                        # replica.
+                        gateway = stack.enter_context(Gateway(
+                            SimpleNamespace(urls=lambda: {"r0": replica}),
+                            poll_interval=3600.0,
+                        ))
+                        bases = (gateway.base_url(),)
                     for compiled in (True, False):
                         rc.set_enabled(compiled)
-                        for base in (None, replica, gateway.base_url()):
+                        for base in bases:
                             got, errors = [None] * batch, []
 
                             def client(i, base=base, got=got, errors=errors):
@@ -520,7 +571,7 @@ class TestHTTP:
                     assert svc.stats.max_batch_seen() == batch
         finally:
             rc.set_enabled(was_enabled)
-        assert cells == 12
+        assert cells == (4 if via_gateway else 8)
 
     def test_response_tail_is_latency(self, http_service):
         _, base = http_service
