@@ -11,37 +11,172 @@ condition ``H(f + αΔ) = H(f)`` with ``Δ = f_eq − f`` and
 smart, parameter-free limiter — this is what lets the entropic model run
 stably at the paper's Re ≈ 7000–8000.
 
-``solve_alpha`` performs a vectorised, damped Newton iteration over the
-whole grid with positivity-aware bracketing; cells where the deviation
-from equilibrium is negligible keep the BGK value ``α = 2``.
+``solve_alpha`` performs a vectorised, damped Newton iteration with
+positivity-aware bracketing; cells where the deviation from equilibrium
+is negligible keep the BGK value ``α = 2``.
+
+One kernel serves the public functions and :class:`~repro.lbm.LBMSolver2D`:
+it works in a :class:`Workspace` of population-sized buffers (Δ, one
+scratch buffer, a mask) plus the caller's ``f_eq`` buffer, which
+it consumes, and allocates nothing population-sized.  ``H(f)`` is
+computed once per solve; once fewer than half the cells of an iteration
+still move, Newton continues on those cells alone, gathered into
+contiguous ``(Q, m)`` blocks.  Those blocks add their population rows one
+after another (:func:`_sum_rows`), the order numpy's axis-0 sum takes
+over all cells, so a compacted cell gets the bits the dense iteration
+would have given it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lattice import WEIGHTS
+from .lattice import Q, WEIGHTS
 
 __all__ = ["h_function", "solve_alpha", "bgk_collide", "entropic_collide", "mrt_collide", "MRT_MATRIX"]
 
-_W = WEIGHTS[:, None, None]
+_W = WEIGHTS[:, None]  # broadcasts over populations laid out as (Q, cells)
+
+
+class Workspace:
+    """Population-sized scratch of the entropic kernel for one grid shape.
+
+    ``delta`` holds ``Δ = f_eq − f`` from the α solve until the collision
+    consumes it, ``scratch`` holds ``ln(x/w)`` in the Newton iterations
+    (and the solver's moments and equilibrium temporaries before them),
+    and ``unbounding`` marks the populations (``Δ ≥ 0``) that do not
+    bound α for positivity.  ``cells`` holds four per-cell planes: H(f),
+    the upper end of the Newton bracket, G(α) and G'(α).
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.delta = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.unbounding = np.empty(shape, dtype=bool)
+        self.cells = np.empty((4,) + tuple(shape[1:]))
+
+
+def _sum_dense(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``Σ_i t[i]`` over all cells: numpy's axis-0 sum, as ``f.sum(axis=0)``."""
+    return np.sum(t, axis=0, out=out)
+
+
+def _sum_rows(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``Σ_i t[i]`` added row after row into ``out``.
+
+    This is the order numpy's axis-0 sum takes on a C-ordered
+    ``(Q, n, n)`` array, kept for any number of columns: the sum of a
+    ``(Q, m)`` block may go pairwise instead (a gathered ``x[:, idx]`` is
+    F-ordered and does), which changes the bits.
+    """
+    np.copyto(out, t[0])
+    for row in t[1:]:
+        out += row
+    return out
+
+
+def _entropy(x: np.ndarray, log_x: np.ndarray, out: np.ndarray, total=_sum_dense) -> np.ndarray:
+    """``out = Σ_i x_i ln(x_i/w_i)`` for positive ``x`` of shape (Q, cells).
+
+    Leaves ``ln(x/w)`` in ``log_x`` and overwrites ``x`` with the terms;
+    ``total`` does the sum over populations.
+    """
+    np.divide(x, _W, out=log_x)
+    np.log(log_x, out=log_x)
+    x *= log_x
+    return total(x, out)
 
 
 def h_function(f: np.ndarray) -> np.ndarray:
-    """Discrete H-function ``Σ_i f_i ln(f_i/w_i)`` per cell (shape (n, n))."""
+    """Discrete H-function ``Σ_i f_i ln(f_i/w_i)`` per cell (shape (n, n)).
+
+    Populations ``f_i ≤ 0`` contribute nothing: they enter as ``w_i``,
+    whose term ``w_i ln 1`` is exactly zero.
+    """
+    f = np.asarray(f, dtype=float)
+    x = np.where(f > 0, f, WEIGHTS.reshape((Q,) + (1,) * (f.ndim - 1))).reshape(Q, -1)
+    out = np.empty(f.shape[1:])
+    _entropy(x, np.empty_like(x), out.reshape(-1))
+    return out
+
+
+def _solve_alpha(
+    f: np.ndarray, feq: np.ndarray, work: Workspace, tol: float, max_iter: int, alpha_init: float
+) -> np.ndarray:
+    """Kernel of :func:`solve_alpha` for C-ordered ``f`` and ``feq``.
+
+    Leaves ``Δ`` in ``work.delta``; ``feq`` and ``work.scratch`` are
+    used as scratch and come back clobbered.
+    """
+    shape = f.shape[1:]
+    f2 = f.reshape(Q, -1)
+    delta = np.subtract(feq, f, out=work.delta).reshape(Q, -1)
+    fbuf, sbuf = feq.reshape(Q, -1), work.scratch.reshape(Q, -1)
+
+    # Cells with negligible deviation keep α = 2: Newton would divide by ~0.
+    active = np.abs(delta, out=sbuf).max(axis=0) / np.maximum(np.abs(fbuf, out=fbuf).max(axis=0), 1e-15) > 1e-12
+
+    # Positivity bound: f + αΔ must stay positive.  α_max is the largest
+    # admissible step (cells with all Δ ≥ 0 are unbounded).
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = f * np.log(f / _W)
-    return np.where(f > 0, vals, 0.0).sum(axis=0)
+        np.divide(f2, delta, out=sbuf)
+    np.negative(sbuf, out=sbuf)  # −f/Δ
+    unbounding = np.less(delta, 0.0, out=work.unbounding.reshape(Q, -1))
+    np.putmask(sbuf, np.logical_not(unbounding, out=unbounding), np.inf)  # ∞ where Δ ≥ 0
+    h_f, hi, g, gp = work.cells.reshape(4, -1)
+    alpha_max = np.multiply(sbuf.min(axis=0), 0.999, out=hi)
+    bounded = np.isfinite(alpha_max)
+    alpha = np.minimum(float(alpha_init), np.where(bounded, alpha_max, alpha_init))
 
+    # The path H(f + αΔ) has its minimum at α = 1 (the equilibrium), so the
+    # non-trivial root of G(α) = H(f + αΔ) − H(f) = 0 always lies in
+    # (1, α_max]; clamping the Newton iterate into that bracket prevents
+    # convergence to the trivial root at α = 0.
+    lo = 1.0 + 1e-9
+    np.maximum(alpha_max, lo, out=hi)
+    np.copyto(hi, 4.0, where=~bounded)
+    _entropy(np.maximum(f2, 1e-15, out=fbuf), sbuf, h_f)
 
-def _h_and_derivative(f: np.ndarray, delta: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``G(α) = H(f + αΔ) − H(f)`` and ``G'(α)``, elementwise over cells."""
-    fa = f + alpha[None] * delta
-    fa = np.maximum(fa, 1e-15)
-    log_term = np.log(fa / _W)
-    g = (fa * log_term).sum(axis=0) - (np.maximum(f, 1e-15) * np.log(np.maximum(f, 1e-15) / _W)).sum(axis=0)
-    gp = (delta * (log_term + 1.0)).sum(axis=0)
-    return g, gp
+    # The iteration runs over a set of cells: all of them (views of the
+    # dense arrays), then, once fewer than half still move, only those,
+    # gathered from the dense f and Δ into the front halves of the free
+    # buffers (m < N/2 cells, so two (Q, m) blocks fit in one buffer) and
+    # summed row by row, in the order of the dense sum.
+    cells = None
+    fx, dx, hx, hix, ax, actx = f2, delta, h_f, hi, alpha, active
+    fa, log_fa, total = fbuf, sbuf, _sum_dense
+    for _ in range(max_iter):
+        np.multiply(dx, ax, out=fa)
+        fa += fx
+        np.maximum(fa, 1e-15, out=fa)
+        _entropy(fa, log_fa, g, total)
+        g -= hx  # G(α)
+        log_fa += 1.0
+        log_fa *= dx
+        total(log_fa, gp)  # G'(α)
+        update = np.abs(g) < tol
+        np.logical_not(update, out=update)
+        update &= actx
+        np.copyto(gp, 1.0, where=~(np.abs(gp) > 1e-15))
+        g /= gp
+        np.subtract(ax, g, out=g)
+        np.copyto(ax, np.clip(g, lo, hix, out=g), where=update)
+        if cells is not None:
+            alpha[cells] = ax
+        moving = np.count_nonzero(update)
+        if not moving:
+            break
+        if 2 * moving < update.size:
+            cells = np.flatnonzero(update) if cells is None else cells[update]
+            m = cells.size
+            fx = np.take(f2, cells, axis=1, out=fbuf.reshape(-1)[: Q * m].reshape(Q, m), mode="clip")
+            dx = np.take(delta, cells, axis=1, out=sbuf.reshape(-1)[: Q * m].reshape(Q, m), mode="clip")
+            fa = fbuf.reshape(-1)[Q * m : 2 * Q * m].reshape(Q, m)
+            log_fa = sbuf.reshape(-1)[Q * m : 2 * Q * m].reshape(Q, m)
+            hx, hix, ax, actx = h_f[cells], hi[cells], alpha[cells], active[cells]
+            g, gp, total = g[:m], gp[:m], _sum_rows
+
+    return np.where(active, alpha, 2.0).reshape(shape)
 
 
 def solve_alpha(
@@ -56,38 +191,18 @@ def solve_alpha(
     Returns an array of shape ``(n, n)``; cells essentially at
     equilibrium get ``α = 2`` (the BGK fixed point of the condition).
     """
-    delta = feq - f
-    n_shape = f.shape[1:]
-    alpha = np.full(n_shape, float(alpha_init))
+    f = np.ascontiguousarray(f, dtype=float)
+    feq = np.array(feq, dtype=float, order="C")
+    return _solve_alpha(f, feq, Workspace(f.shape), tol, max_iter, alpha_init)
 
-    # Positivity bound: f + αΔ must stay positive.  α_max is the largest
-    # admissible step (cells with all Δ ≥ 0 are unbounded).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(delta < 0, -f / np.where(delta < 0, delta, -1.0), np.inf)
-    alpha_max = 0.999 * ratios.min(axis=0)
-    alpha = np.minimum(alpha, np.where(np.isfinite(alpha_max), alpha_max, alpha))
 
-    # Cells with negligible deviation keep α = 2: Newton would divide by ~0.
-    dev = np.abs(delta).max(axis=0) / np.maximum(np.abs(feq).max(axis=0), 1e-15)
-    active = dev > 1e-12
-
-    # The path H(f + αΔ) has its minimum at α = 1 (the equilibrium), so the
-    # non-trivial root of G(α) = 0 always lies in (1, α_max]; clamping the
-    # Newton iterate into that bracket prevents convergence to the trivial
-    # root at α = 0.
-    lo = 1.0 + 1e-9
-    hi = np.where(np.isfinite(alpha_max), np.maximum(alpha_max, lo), 4.0)
-    for _ in range(max_iter):
-        g, gp = _h_and_derivative(f, delta, alpha)
-        step = g / np.where(np.abs(gp) > 1e-15, gp, 1.0)
-        new_alpha = np.clip(alpha - step, lo, hi)
-        converged = np.abs(g) < tol
-        update = active & ~converged
-        alpha = np.where(update, new_alpha, alpha)
-        if not update.any():
-            break
-
-    alpha = np.where(active, alpha, 2.0)
+def _entropic_collide(f: np.ndarray, feq: np.ndarray, tau: float, work: Workspace) -> np.ndarray:
+    """Kernel of :func:`entropic_collide`: ``f`` becomes ``f'`` in place,
+    ``feq`` is consumed, and the returned ``α`` is a fresh array."""
+    alpha = _solve_alpha(f, feq, work, 1e-10, 20, 2.0)
+    step = work.delta
+    step *= alpha * (1.0 / (2.0 * tau))  # αβΔ
+    f += step
     return alpha
 
 
@@ -98,9 +213,9 @@ def bgk_collide(f: np.ndarray, feq: np.ndarray, tau: float) -> np.ndarray:
 
 def entropic_collide(f: np.ndarray, feq: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Entropic collision; returns ``(f', α)`` for diagnostics."""
-    beta = 1.0 / (2.0 * tau)
-    alpha = solve_alpha(f, feq)
-    return f + (alpha * beta)[None] * (feq - f), alpha
+    post = np.array(f, dtype=float, order="C")
+    alpha = _entropic_collide(post, np.array(feq, dtype=float, order="C"), tau, Workspace(post.shape))
+    return post, alpha
 
 
 # ---------------------------------------------------------------------------

@@ -44,19 +44,32 @@ def entropic_equilibrium(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     Valid for ``|u_α| < 1``; conserves mass and momentum to machine
     precision and keeps populations strictly positive.
     """
+    u = np.asarray(u, dtype=float)
+    shape = u.shape[1:]
+    return _entropic_equilibrium(rho, u, np.empty((Q,) + shape), np.empty((5,) + shape))
+
+
+def _entropic_equilibrium(rho: np.ndarray, u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`entropic_equilibrium`: writes ``f_eq`` into ``out``
+    (Q, n, n), using five planes of ``scratch`` for its temporaries."""
     if np.any(np.abs(u) >= 1.0):
         raise ValueError("entropic equilibrium requires |u| < 1 (lattice units)")
-    feq = np.empty((Q,) + rho.shape, dtype=float)
-    root = np.sqrt(1.0 + 3.0 * u * u)  # (2, n, n)
-    front = 2.0 - root  # (2, n, n)
-    ratio = (2.0 * u + root) / (1.0 - u)  # (2, n, n)
-    base = rho * front[0] * front[1]
+    root, base, ratio = scratch[0:2], scratch[2], scratch[3:5]
+    np.multiply(u, 3.0, out=root)
+    root *= u
+    root += 1.0
+    np.sqrt(root, out=root)  # √(1 + 3u²)
+    front = np.subtract(2.0, root, out=ratio)
+    np.multiply(rho, front[0], out=base)
+    base *= front[1]
+    np.multiply(u, 2.0, out=ratio)
+    ratio += root
+    ratio /= np.subtract(1.0, u, out=root)  # (2u + √(1 + 3u²)) / (1 − u)
+    inverse = np.divide(1.0, ratio, out=root)
     for i in range(Q):
-        cx, cy = VELOCITIES[i]
-        term = base.copy()
-        if cx:
-            term = term * (ratio[0] if cx > 0 else 1.0 / ratio[0])
-        if cy:
-            term = term * (ratio[1] if cy > 0 else 1.0 / ratio[1])
-        feq[i] = WEIGHTS[i] * term
-    return feq
+        term = base
+        for axis, c in enumerate(VELOCITIES[i]):
+            if c:
+                term = np.multiply(term, ratio[axis] if c > 0 else inverse[axis], out=out[i])
+        np.multiply(term, WEIGHTS[i], out=out[i])
+    return out

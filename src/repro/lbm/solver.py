@@ -1,8 +1,12 @@
 """D2Q9 lattice Boltzmann solver for 2-D decaying turbulence.
 
-Fully vectorised stream-and-collide on a periodic grid.  Two collision
-models: plain BGK and the entropic model (adaptive-α stabiliser) used to
-generate the paper's dataset.  All state is in lattice units; use
+Fully vectorised stream-and-collide on a periodic grid.  Three collision
+models: plain BGK, MRT and the entropic model (adaptive-α stabiliser) used
+to generate the paper's dataset.  The entropic step allocates no
+population-sized array: moments, equilibrium, α solve and collision work
+in place in a :class:`~repro.lbm.collision.Workspace`, and streaming
+copies each population once into a spare buffer that is then swapped
+with ``f``.  All state is in lattice units; use
 :class:`repro.lbm.UnitSystem` to convert to the physical/convective units
 the rest of the repo works in.
 """
@@ -14,12 +18,43 @@ import time
 import numpy as np
 
 from ..obs import hooks as _obs_hooks
-from .collision import bgk_collide, entropic_collide, mrt_collide
-from .equilibrium import entropic_equilibrium, polynomial_equilibrium
+from .collision import Workspace, _entropic_collide, bgk_collide, mrt_collide
+from .equilibrium import _entropic_equilibrium, entropic_equilibrium, polynomial_equilibrium
 from .lattice import CS2, Q, VELOCITIES
 from .units import UnitSystem
 
 __all__ = ["LBMSolver2D"]
+
+#: ``VELOCITIES.astype(float).T`` in the layout ``np.tensordot`` hands to
+#: BLAS, so ``np.dot`` into a buffer gives the momenta it gave.
+_VELOCITIES_T = VELOCITIES.astype(float).T
+
+
+def _moments(f: np.ndarray, rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Density and velocity of ``f`` written into ``rho`` (n, n) and ``u`` (2, n, n)."""
+    np.sum(f, axis=0, out=rho)
+    np.dot(_VELOCITIES_T, f.reshape(Q, -1), out=u.reshape(2, -1))
+    u /= rho
+    return rho, u
+
+
+def _shift_pieces(c: int) -> list[tuple[slice, slice]]:
+    """``(destination, source)`` slices of a periodic shift by ``c`` ∈ {−1, 0, 1}."""
+    if c == 0:
+        return [(slice(None), slice(None))]
+    if c == 1:
+        return [(slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None))]
+    return [(slice(None, -1), slice(1, None)), (slice(-1, None), slice(0, 1))]
+
+
+#: One streaming step as block copies: population ``i`` moves by ``c_i``
+#: (``np.roll(f[i], c_i, axis=(0, 1))``) in at most four slice copies.
+_STREAM = [
+    ((i, dx, dy), (i, sx, sy))
+    for i, (cx, cy) in enumerate(VELOCITIES)
+    for dx, sx in _shift_pieces(cx)
+    for dy, sy in _shift_pieces(cy)
+]
 
 
 class LBMSolver2D:
@@ -33,6 +68,10 @@ class LBMSolver2D:
         Relaxation time; ``ν_lat = c_s² (τ − 1/2)`` must be positive.
     collision:
         ``"entropic"`` (default), ``"mrt"`` or ``"bgk"``.
+
+    ``f`` is a buffer the solver reuses: a step updates it in place and
+    swaps it with its spare buffer, so copy it to keep a snapshot.
+    ``last_alpha`` is a fresh array every step.
     """
 
     def __init__(self, n: int, tau: float, collision: str = "entropic"):
@@ -47,6 +86,10 @@ class LBMSolver2D:
             entropic_equilibrium if collision == "entropic" else polynomial_equilibrium
         )
         self.f = np.zeros((Q, n, n))
+        # The streaming target, swapped with ``f`` every step; it holds
+        # ``f_eq`` during an entropic collision.
+        self._spare = np.empty((Q, n, n))
+        self._work = Workspace((Q, n, n)) if collision == "entropic" else None
         self.steps_taken = 0
         self.last_alpha: np.ndarray | None = None
 
@@ -66,9 +109,7 @@ class LBMSolver2D:
     # ------------------------------------------------------------------
     def macroscopics(self) -> tuple[np.ndarray, np.ndarray]:
         """Density ``(n, n)`` and velocity ``(2, n, n)`` (lattice units)."""
-        rho = self.f.sum(axis=0)
-        momentum = np.tensordot(VELOCITIES.astype(float).T, self.f, axes=(1, 0))
-        return rho, momentum / rho
+        return _moments(self.f, np.empty((self.n, self.n)), np.empty((2, self.n, self.n)))
 
     @property
     def density(self) -> np.ndarray:
@@ -94,18 +135,22 @@ class LBMSolver2D:
     def collide(self) -> None:
         if self.collision == "mrt":
             self.f = mrt_collide(self.f, self.tau)
-            return
-        rho, u = self.macroscopics()
-        feq = self._equilibrium(rho, u)
-        if self.collision == "entropic":
-            self.f, self.last_alpha = entropic_collide(self.f, feq, self.tau)
+        elif self.collision == "bgk":
+            rho, u = self.macroscopics()
+            self.f = bgk_collide(self.f, polynomial_equilibrium(rho, u), self.tau)
         else:
-            self.f = bgk_collide(self.f, feq, self.tau)
+            # ρ, u and the equilibrium's temporaries live in scratch planes
+            # the α solve overwrites only after f_eq is complete.
+            scratch = self._work.scratch
+            rho, u = _moments(self.f, scratch[0], scratch[1:3])
+            feq = _entropic_equilibrium(rho, u, self._spare, scratch[3:])
+            self.last_alpha = _entropic_collide(self.f, feq, self.tau, self._work)
 
     def stream(self) -> None:
-        for i in range(1, Q):
-            cx, cy = VELOCITIES[i]
-            self.f[i] = np.roll(self.f[i], shift=(cx, cy), axis=(0, 1))
+        src, dst = self.f, self._spare
+        for to, from_ in _STREAM:
+            dst[to] = src[from_]
+        self.f, self._spare = dst, src
 
     def step(self, n_steps: int = 1) -> None:
         """Advance ``n_steps`` collide–stream cycles."""

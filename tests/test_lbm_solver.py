@@ -58,7 +58,7 @@ class TestInitialization:
 
 
 class TestConservation:
-    @pytest.mark.parametrize("collision", ["bgk", "entropic"])
+    @pytest.mark.parametrize("collision", ["bgk", "entropic", "mrt"])
     def test_mass_momentum_conserved(self, collision):
         units = UnitSystem(n=16, reynolds=100)
         s = LBMSolver2D.from_units(units, collision=collision)
