@@ -10,7 +10,7 @@ Eager and compiled rounds are interleaved back to back so CPU-frequency
 and cache noise hits both symmetrically; the reported speedup is the
 median of per-round ratios.  The probe also counts allocations per call
 — fresh tensor materialisations for eager (every ``Tensor.from_op``
-funnel hit, via the obs profiling hooks) against the compiled plan's
+funnel hit, counted by a tensor-op observer) against the compiled plan's
 fresh step outputs — checks the compiled output is *bitwise* identical
 to eager, and fails (non-zero exit) if the median speedup drops under
 ``SPEEDUP_GATE`` — CI runs this as a regression gate and publishes
@@ -30,8 +30,7 @@ import numpy as np
 from repro import compile as rc
 from repro.core import ChannelFNOConfig, build_model
 from repro.core.rollout import apply_channels
-from repro.obs import metrics_registry
-from repro.obs.hooks import profile
+from repro.tensor import tensor as tensor_module
 
 GRID = 32
 MODEL = ChannelFNOConfig(
@@ -53,16 +52,22 @@ def _time_calls(fn, reps: int) -> float:
 def _materializations(fn) -> int:
     """Fresh tensor materialisations in one call (``Tensor.from_op`` hits).
 
-    Counted through the obs profiling hooks; plan execution never routes
-    through the tensor layer, so a compiled call counts zero here and its
-    allocation story is read off the plan instead (fresh step outputs vs
-    arena writes).
+    Counted by an observer on the ``Tensor.from_op`` funnel; plan
+    execution never routes through the tensor layer, so a compiled call
+    counts zero here and its allocation story is read off the plan
+    instead (fresh step outputs vs arena writes).
     """
-    counter = metrics_registry().counter("tensor_ops_total")
-    with profile():
-        before = counter.value
+    hits = []
+
+    def count(out, parents) -> None:
+        hits.append(None)
+
+    tensor_module.add_observer(count)
+    try:
         fn()
-        return int(counter.value - before)
+    finally:
+        tensor_module.remove_observer(count)
+    return len(hits)
 
 
 def run_compile_probe():

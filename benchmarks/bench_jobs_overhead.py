@@ -11,8 +11,14 @@ pipeline's training behaviour) in three configurations:
   pipeline, which appends ~3 records per *stage*).
 
 The durability tax is the durable/stripped ratio: everything the
-integrity layer added to an already-checkpointing train loop.  CI
-treats a ratio above ``BUDGET`` as a regression::
+integrity layer added to an already-checkpointing train loop.  Stripped
+and durable fits run in interleaved pairs (the order within a pair
+alternates), and the gate reads the median over pairs of
+``durable / stripped``: pairing cancels load drift on a shared runner,
+where best-of-3 timings of each configuration spread wider than the 5%
+being gated (one such run read 0.949x).  A median above ``BUDGET`` fails
+the probe (non-zero exit); the verdict lands in
+``benchmarks/results/bench_jobs_overhead.json``::
 
     PYTHONPATH=src python benchmarks/bench_jobs_overhead.py
 """
@@ -22,6 +28,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from common import write_results
 
 from repro.core import ChannelFNOConfig, Trainer, TrainingConfig, build_model
 from repro.utils.journal import Journal
@@ -29,7 +36,8 @@ from repro.utils import artifacts
 
 GRID = 24
 EPOCHS = 8
-REPEATS = 3
+REPEATS = 3  # best-of for the bare fit, which is reported, not gated
+PAIRS = 20
 BUDGET = 1.05  # journal + manifests may cost at most 5% of the train stage
 
 MODEL = ChannelFNOConfig(
@@ -63,41 +71,66 @@ def _fit_once(x, y, workdir=None, journal=False):
     return time.perf_counter() - t0
 
 
-def _time(x, y, repeats=REPEATS, **kwargs):
-    best = float("inf")
-    for _ in range(repeats):
+def _time(x, y, repeats=REPEATS):
+    return min(_fit_once(x, y) for _ in range(repeats))
+
+
+def _checkpointed(x, y, durable):
+    """One checkpointing fit; ``durable=False`` patches the manifest writer out."""
+    original = artifacts.write_manifest
+    if not durable:
+        artifacts.write_manifest = lambda *a, **k: None  # pre-integrity checkpoints
+    try:
         with tempfile.TemporaryDirectory() as tmp:
-            if "workdir" in kwargs:
-                kwargs["workdir"] = tmp
-            best = min(best, _fit_once(x, y, **kwargs))
-    return best
+            return _fit_once(x, y, workdir=tmp, journal=durable)
+    finally:
+        artifacts.write_manifest = original
 
 
 def run_jobs_probe():
     rng = np.random.default_rng(0)
     x, y = _problem(rng)
     _time(x, y, repeats=1)  # warm FFT plans / caches
+    _checkpointed(x, y, durable=True)
 
     t_bare = _time(x, y)
+    stripped, durable = [], []
+    for i in range(PAIRS):
+        for is_durable in ((False, True) if i % 2 == 0 else (True, False)):
+            t = _checkpointed(x, y, durable=is_durable)
+            (durable if is_durable else stripped).append(t)
 
-    original = artifacts.write_manifest
-    artifacts.write_manifest = lambda *a, **k: None  # pre-integrity checkpoints
-    try:
-        t_stripped = _time(x, y, workdir=True)
-    finally:
-        artifacts.write_manifest = original
-
-    t_durable = _time(x, y, workdir=True, journal=True)
-
-    ratio = t_durable / t_stripped
-    print(f"train stage, {EPOCHS} epochs x per-epoch checkpoints (best of {REPEATS}):")
+    ratios = np.asarray(durable) / np.asarray(stripped)
+    ratio = float(np.median(ratios))
+    q1, q3 = np.percentile(ratios, [25, 75])
+    t_stripped, t_durable = float(np.median(stripped)), float(np.median(durable))
+    print(f"train stage, {EPOCHS} epochs x per-epoch checkpoints "
+          f"(median of {PAIRS} interleaved pairs; bare fit best of {REPEATS}):")
     print(f"  bare fit            {t_bare * 1e3:8.2f} ms")
     print(f"  + atomic ckpts      {t_stripped * 1e3:8.2f} ms  ({t_stripped / t_bare:.3f}x bare)")
-    print(f"  + manifests+journal {t_durable * 1e3:8.2f} ms  ({ratio:.3f}x checkpointed)")
-    verdict = "OK" if ratio < BUDGET or t_durable - t_stripped < 5e-3 else "OVER BUDGET"
-    print(f"  budget {BUDGET:.2f}x -> {verdict}")
-    return {"bare_s": t_bare, "stripped_s": t_stripped, "durable_s": t_durable,
-            "overhead_ratio": ratio}
+    print(f"  + manifests+journal {t_durable * 1e3:8.2f} ms  ({ratio:.3f}x checkpointed, "
+          f"pair IQR {q1:.3f}..{q3:.3f})")
+    target_met = ratio < BUDGET or t_durable - t_stripped < 5e-3
+    print(f"  budget {BUDGET:.2f}x -> {'OK' if target_met else 'OVER BUDGET'}")
+    payload = {
+        "bare_s": t_bare, "stripped_s": t_stripped, "durable_s": t_durable,
+        "overhead_ratio": ratio, "pairs": PAIRS,
+        "pair_ratio_iqr": [float(q1), float(q3)],
+        "gate": {
+            "metric": "durability_overhead",
+            "statistic": "median over pairs of durable / stripped",
+            "target": BUDGET,
+            "observed": ratio,
+            "target_met": target_met,
+        },
+    }
+    write_results("bench_jobs_overhead", payload)
+    if not target_met:
+        raise SystemExit(
+            f"durability gate failed: manifests + journal cost {ratio:.3f}x "
+            f"the checkpointed train stage (budget {BUDGET:.2f}x)"
+        )
+    return payload
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ latency.
 For transparency the toy worst case is *reported* alongside (1-cycle
 fno on the same grid — a request that does a single forward pass, where
 a 3-member ensemble is arithmetically bound to cost more than the
-request itself), as is the globally-disabled flag path
-(``repro.trust.set_enabled(False)``), which must be free.
+request itself).  A service without a policy (``trust=None``) is the
+bare baseline: it computes no diagnostic at all.
 
 Bare and trust-enabled requests are interleaved within one measurement
 loop and compared on min-latency (robust to CI-runner load drift);
@@ -32,7 +32,7 @@ from common import print_table, write_results
 
 from repro.core import ChannelFNOConfig, build_model, save_model
 from repro.serve import BatchPolicy, InferenceService, ModelRegistry
-from repro.trust import TrustPolicy, set_enabled
+from repro.trust import TrustPolicy
 
 GATE_MAX_OVERHEAD = 0.15  # trust-enabled latency <= 1.15x bare latency
 GRID = 64
@@ -62,7 +62,7 @@ def _service(ckpt: str, trust) -> InferenceService:
 
 
 def _measure_pair(ckpt: str, window: np.ndarray, mode: str, cycles: int) -> dict:
-    """Interleaved bare/trust/flag-off latencies for one request shape."""
+    """Interleaved bare/trust latencies for one request shape."""
 
     def one(service):
         start = time.perf_counter()
@@ -74,21 +74,14 @@ def _measure_pair(ckpt: str, window: np.ndarray, mode: str, cycles: int) -> dict
             _service(ckpt, trust=TrustPolicy()) as trust_svc:
         for _ in range(WARMUP):
             one(bare_svc), one(trust_svc)
-        bare, trust, disabled = [], [], []
+        bare, trust = [], []
         for _ in range(REPEATS):
             bare.append(one(bare_svc))
             trust.append(one(trust_svc))
-            previous = set_enabled(False)
-            try:
-                disabled.append(one(trust_svc))
-            finally:
-                set_enabled(previous)
     return {
         "bare_s": float(np.min(bare)),
         "trust_s": float(np.min(trust)),
-        "disabled_flag_s": float(np.min(disabled)),
         "overhead": float(np.min(trust) / np.min(bare) - 1.0),
-        "disabled_overhead": float(np.min(disabled) / np.min(bare) - 1.0),
     }
 
 
@@ -110,9 +103,8 @@ def run_trust_overhead():
     }
     print_table(
         "trust-layer latency (min of %d, interleaved)" % REPEATS,
-        ["request", "bare s", "trust s", "flag-off s", "overhead", "flag-off"],
-        [[name, r["bare_s"], r["trust_s"], r["disabled_flag_s"],
-          f"{100 * r['overhead']:.1f}%", f"{100 * r['disabled_overhead']:.1f}%"]
+        ["request", "bare s", "trust s", "overhead"],
+        [[name, r["bare_s"], r["trust_s"], f"{100 * r['overhead']:.1f}%"]
          for name, r in rows.items()],
     )
 

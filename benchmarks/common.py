@@ -218,15 +218,17 @@ def bench_entry(fn):
     benchmark if any tensor op silently widened float32 inputs to
     float64/complex128 — the runtime complement of ``repro check``'s
     static RPR001 rule.  ``--trace PATH`` streams an obs span trace to
-    PATH (``--profile`` additionally installs the tensor/FFT/solver
-    hooks); render the result with ``repro trace PATH``.  The
-    ``REPRO_OBS`` / ``REPRO_OBS_PROFILE`` environment variables are
-    honoured when the flags are absent.
+    PATH; render it with ``repro trace PATH``.  ``REPRO_OBS`` is honoured
+    when ``--trace`` is absent.  ``--profile`` runs the benchmark inside
+    :func:`repro.obs.hooks.profile`, so solver steps and compiled-plan
+    steps record their wall time.
     """
     import argparse
+    import contextlib
     import sys
 
     from repro import obs
+    from repro.obs import hooks
 
     parser = argparse.ArgumentParser(prog=fn.__module__ or "bench")
     parser.add_argument("--sanitize", action="store_true",
@@ -234,11 +236,11 @@ def bench_entry(fn):
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write an obs span trace (JSONL) to PATH")
     parser.add_argument("--profile", action="store_true",
-                        help="with --trace: install the hot-path profiling hooks")
+                        help="time solver and compiled-plan steps (repro.obs.hooks.profile)")
     args = parser.parse_args()
 
     if args.trace:
-        obs.configure(trace_path=args.trace, profile=args.profile, keep_records=False)
+        obs.configure(trace_path=args.trace, keep_records=False)
     else:
         obs.configure_from_env()
 
@@ -259,7 +261,8 @@ def bench_entry(fn):
             raise SystemExit(1)
 
     try:
-        run()
+        with hooks.profile() if args.profile else contextlib.nullcontext():
+            run()
     finally:
         obs.shutdown()
         if args.trace:

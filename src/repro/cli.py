@@ -18,8 +18,9 @@ and observability::
 
 Every option has a CPU-friendly default; the paper-scale settings are
 plain flag values away (``--grid 256 --reynolds 7500 --samples 5000``).
-Setting ``REPRO_OBS=trace.jsonl`` (and optionally ``REPRO_OBS_PROFILE=1``)
-turns on span tracing for any subcommand; ``REPRO_FAULTS`` (inline JSON
+Setting ``REPRO_OBS=trace.jsonl`` turns on span tracing for any
+subcommand (``repro profile`` also times solver and compiled-plan
+steps); ``REPRO_FAULTS`` (inline JSON
 or a path to a fault-plan file) arms deterministic fault injection.
 A closed stdout reader (``repro inspect m.npz | head -1``) exits 1, no traceback.
 """

@@ -47,7 +47,7 @@ def profile_rows(plan, run, calls: int) -> dict:
     from ..obs import hooks
 
     plan.step_seconds[:] = [0.0] * len(plan.steps)
-    with hooks.step_timing():
+    with hooks.profile():
         for _ in range(calls):
             run()
     total = sum(plan.step_seconds)

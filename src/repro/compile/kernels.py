@@ -31,7 +31,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import fft as _scipy_fft
 
 from ..tensor import fft_ops
 from ..tensor.ops import weak_pair
@@ -210,14 +209,10 @@ def _fft_transforms(x_shape, grid, m_last, rtype, ctype):
     thirds of the wall time of a serving-scale transform.  A plan
     executes one fixed shape forever, so the bookkeeping is resolved once
     here and the pocketfft C entry points are called directly.  Both
-    directions are probed for
-    bitwise equality against the wrappers at build time, any surprise
-    (scipy internals moved, signature change, mismatch) falls back to the
-    wrappers, and the wrappers are also used whenever ``fft_ops._fft``
-    has been swapped out — the obs profiling hooks count FFT calls by
-    replacing that attribute, and compiled plans must stay visible to
-    them.  Callers always use the returned arrays: the wrappers ignore
-    the buffers.  The result depends on shapes and dtypes only, so it is
+    directions are probed for bitwise equality against the wrappers at
+    build time; any surprise (scipy internals moved, signature change,
+    mismatch) falls back to the wrappers.  Callers always use the
+    returned arrays: the wrappers ignore the buffers.  The result depends on shapes and dtypes only, so it is
     built (and probed) once per key and shared by every layer and plan.
     """
     wrap_rfftn, wrap_irfftn = fft_ops.spectral_transforms(grid, m_last, rtype)
@@ -238,8 +233,6 @@ def _fft_transforms(x_shape, grid, m_last, rtype, ctype):
     scale = fft_ops.inverse_scale(grid, rtype)
 
     def fwd(a: np.ndarray, half=None, out=None) -> np.ndarray:
-        if fft_ops._fft is not _scipy_fft:
-            return wrap_rfftn(a)
         X = pfft.r2c(a, (last,), True, 0, half, fft_ops._FFT_WORKERS or 1)[..., :m]
         if full:
             return pfft.c2c(X, full, True, 0, out, fft_ops._FFT_WORKERS or 1)
@@ -249,8 +242,6 @@ def _fft_transforms(x_shape, grid, m_last, rtype, ctype):
         return out
 
     def inv(A: np.ndarray, pad: np.ndarray, out=None) -> np.ndarray:
-        if fft_ops._fft is not _scipy_fft:
-            return wrap_irfftn(A, pad)
         workers = fft_ops._FFT_WORKERS or 1
         if full:
             pfft.c2c(A, full, False, 0, pad[..., :m], workers)

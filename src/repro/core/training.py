@@ -18,7 +18,6 @@ import numpy as np
 from ..compile import runtime as _compile
 from .. import obs
 from ..data.loader import DataLoader
-from ..faults.policy import RetryPolicy, call_with_retry
 from ..nn import DivergenceLoss, H1Loss, LpLoss, Module, MSELoss
 from ..optim import Adam, StepLR
 from ..tensor import Tensor, no_grad
@@ -178,14 +177,14 @@ class Trainer:
             {"model": shapes, "training": cfg, "loss": type(self.loss).__name__}
         )
 
-    def save_checkpoint(self, path, retry: RetryPolicy | None = None) -> None:
+    def save_checkpoint(self, path) -> None:
         """Write model weights, optimiser moments, scheduler position and
         the training history to ``path`` (npz).
 
         The write is atomic (temp file + ``os.replace``), so a crash
-        mid-save leaves the previous checkpoint intact.  ``retry``
-        optionally retries transient I/O errors (``OSError``) with
-        seeded backoff.
+        mid-save leaves the previous checkpoint intact; wrap the call in
+        :func:`repro.faults.call_with_retry` to retry transient I/O
+        errors.
         """
         path = Path(path)
         arrays: dict[str, np.ndarray] = {}
@@ -210,13 +209,7 @@ class Trainer:
             "seed": self.config.seed,
             "extra": {"epoch": self.epochs_completed},
         }
-        if retry is not None:
-            call_with_retry(
-                atomic_write_npz, path, arrays, site="checkpoint.write",
-                manifest=manifest, policy=retry, label="checkpoint.write",
-            )
-        else:
-            atomic_write_npz(path, arrays, site="checkpoint.write", manifest=manifest)
+        atomic_write_npz(path, arrays, site="checkpoint.write", manifest=manifest)
 
     def _raise_if_only_dtype_differs(self, path, stored_hash: str, stored: dict) -> None:
         """Name the dtypes when they are all that separates a checkpoint
@@ -298,7 +291,6 @@ class Trainer:
         rng=None,
         checkpoint_path=None,
         checkpoint_every: int = 0,
-        checkpoint_retry: RetryPolicy | None = None,
     ) -> TrainingHistory:
         """Train until ``config.epochs`` epochs are completed in total.
 
@@ -357,5 +349,5 @@ class Trainer:
                     if "{epoch" in target:
                         target = target.format(epoch=self.epochs_completed)
                     with obs.span("train.checkpoint", epoch=epoch):
-                        self.save_checkpoint(target, retry=checkpoint_retry)
+                        self.save_checkpoint(target)
         return self.history

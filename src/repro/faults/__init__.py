@@ -8,8 +8,8 @@ Two halves:
   raise, stall, tear a write, or poison a payload with NaN —
   deterministically, and at zero cost when no plan is installed
   (``REPRO_FAULTS`` unset).
-* :mod:`repro.faults.policy` — :class:`RetryPolicy` (seeded backoff),
-  :class:`Deadline`, :class:`CircuitBreaker`, and the
+* :mod:`repro.faults.policy` — :class:`RetryPolicy` (seeded backoff)
+  with :func:`call_with_retry`, :class:`CircuitBreaker`, and the
   :class:`DivergenceGuard` / :class:`RolloutDiverged` pair that roll-out
   and hybrid drivers use for graceful degradation.
 
@@ -40,13 +40,10 @@ from .injection import (
 from .policy import (
     CircuitBreaker,
     CircuitOpenError,
-    Deadline,
-    DeadlineExceeded,
     DivergenceGuard,
     RetryPolicy,
     RolloutDiverged,
     call_with_retry,
-    retry,
 )
 
 __all__ = [
@@ -66,11 +63,8 @@ __all__ = [
     "uninstall",
     "CircuitBreaker",
     "CircuitOpenError",
-    "Deadline",
-    "DeadlineExceeded",
     "DivergenceGuard",
     "RetryPolicy",
     "RolloutDiverged",
     "call_with_retry",
-    "retry",
 ]

@@ -29,7 +29,7 @@ from ..core.models import build_model
 from ..utils.artifacts import CheckpointError
 from . import injection
 from .injection import FaultPlan, FaultSpec, InjectedFault
-from .policy import CircuitBreaker, CircuitOpenError, RetryPolicy
+from .policy import CircuitBreaker, CircuitOpenError, RetryPolicy, call_with_retry
 
 __all__ = ["SCENARIOS", "run_scenario", "run_matrix"]
 
@@ -116,9 +116,9 @@ def checkpoint_atomicity(seed: int, workdir: Path) -> list[dict]:
     with injection.active(
         FaultPlan([FaultSpec("checkpoint.write", "io_error", times=1)], seed)
     ):
-        trainer.save_checkpoint(
-            path,
-            retry=RetryPolicy(attempts=3, backoff=0.0, retry_on=(OSError,), seed=seed),
+        call_with_retry(
+            trainer.save_checkpoint, path, label="checkpoint.write",
+            policy=RetryPolicy(attempts=3, backoff=0.0, retry_on=(OSError,), seed=seed),
         )
     probe = _trainer(seed, epochs=1)
     probe.load_checkpoint(path)

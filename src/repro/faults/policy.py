@@ -1,4 +1,4 @@
-"""Retry/backoff, deadlines, circuit breaking, and divergence guards.
+"""Retry/backoff, circuit breaking, and divergence guards.
 
 The policy layer is the *defensive* half of :mod:`repro.faults`: where
 :mod:`~repro.faults.injection` makes subsystems fail on purpose, these
@@ -10,7 +10,6 @@ exact delay sequences and state transitions.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -18,40 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DeadlineExceeded",
-    "Deadline",
     "RetryPolicy",
     "call_with_retry",
-    "retry",
     "CircuitOpenError",
     "CircuitBreaker",
     "RolloutDiverged",
     "DivergenceGuard",
 ]
-
-
-class DeadlineExceeded(TimeoutError):
-    """A :class:`Deadline` ran out before the work finished."""
-
-
-class Deadline:
-    """A monotonic time budget shared across retries or pipeline stages."""
-
-    def __init__(self, seconds: float, clock=time.monotonic):
-        self.seconds = float(seconds)
-        self._clock = clock
-        self._t0 = clock()
-
-    def remaining(self) -> float:
-        return self.seconds - (self._clock() - self._t0)
-
-    def expired(self) -> bool:
-        return self.remaining() <= 0.0
-
-    def check(self, label: str = "") -> None:
-        if self.expired():
-            what = f" ({label})" if label else ""
-            raise DeadlineExceeded(f"deadline of {self.seconds:g}s exceeded{what}")
 
 
 @dataclass(frozen=True)
@@ -98,13 +70,11 @@ def _count_retry(label: str) -> None:
 
 
 def call_with_retry(fn, *args, policy: RetryPolicy | None = None,
-                    sleep=time.sleep, deadline: Deadline | None = None,
-                    label: str = "", on_retry=None, **kwargs):
+                    sleep=time.sleep, label: str = "", **kwargs):
     """Call ``fn`` under ``policy``; re-raise the last error when exhausted.
 
     Only exceptions matching ``policy.retry_on`` are retried; everything
-    else propagates immediately.  A shared ``deadline`` caps the whole
-    attempt sequence, sleeps included.
+    else propagates immediately.
 
     A retried exception may carry a ``retry_after`` attribute — the
     server-supplied backoff hint of :class:`CircuitOpenError`, a 503's
@@ -117,16 +87,12 @@ def call_with_retry(fn, *args, policy: RetryPolicy | None = None,
     policy = policy or RetryPolicy()
     delays = policy.delays()
     for attempt in range(policy.attempts):
-        if deadline is not None:
-            deadline.check(label or getattr(fn, "__name__", "call"))
         try:
             return fn(*args, **kwargs)
         except policy.retry_on as exc:
             if attempt == policy.attempts - 1:
                 raise
             _count_retry(label or getattr(fn, "__name__", "call"))
-            if on_retry is not None:
-                on_retry(attempt, exc)
             pause = delays[attempt]
             hint = getattr(exc, "retry_after", None)
             if hint is not None:
@@ -134,23 +100,8 @@ def call_with_retry(fn, *args, policy: RetryPolicy | None = None,
                     pause = min(max(pause, float(hint)), policy.max_backoff)
                 except (TypeError, ValueError):  # repro: ignore[RPR005] -- malformed server hint: keep the policy's own schedule
                     pass
-            if deadline is not None and pause > max(deadline.remaining(), 0.0):
-                raise
             sleep(pause)
     raise AssertionError("unreachable")  # attempts >= 1 guarantees return/raise
-
-
-def retry(policy: RetryPolicy | None = None, **call_kwargs):
-    """Decorator form of :func:`call_with_retry`."""
-
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            return call_with_retry(fn, *args, policy=policy, **call_kwargs, **kwargs)
-
-        return wrapper
-
-    return deco
 
 
 class CircuitOpenError(RuntimeError):

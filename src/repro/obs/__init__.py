@@ -7,12 +7,13 @@ over all of them.  Three pieces:
 
 * **Spans** (:mod:`repro.obs.trace`) — nested timed regions streamed to
   a JSONL file and rendered by ``repro trace``.
-* **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges, histograms
-  and windowed summaries in a registry the serve ``/metrics`` endpoint
+* **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges and
+  windowed summaries in a registry the serve ``/metrics`` endpoint
   exposes in Prometheus text format.
-* **Profiling hooks** (:mod:`repro.obs.hooks`) — tensor-op / FFT /
-  solver-step instrumentation that is *patched in* only while enabled,
-  so the disabled state costs nothing on the hot paths.
+* **Profiling** (:mod:`repro.obs.hooks`) — ``hooks.profile()`` sets one
+  flag that solver step loops and compiled plans read once per call to
+  time themselves; it patches nothing, so a profiled run executes the
+  same program.
 
 Everything is off by default.  Enable per process::
 
@@ -22,9 +23,8 @@ Everything is off by default.  Enable per process::
     obs.shutdown()
 
 or per environment (picked up by the CLI and the benchmark entry
-points): ``REPRO_OBS=1`` enables metrics+spans in memory,
-``REPRO_OBS=path/to/trace.jsonl`` streams spans there, and
-``REPRO_OBS_PROFILE=1`` additionally installs the hot-path hooks.
+points): ``REPRO_OBS=1`` enables metrics+spans in memory and
+``REPRO_OBS=path/to/trace.jsonl`` streams spans there.
 
 Instrumented call sites follow one pattern: ``obs.span(...)`` always
 returns a context manager that measures its duration (the training loop
@@ -38,26 +38,15 @@ from __future__ import annotations
 import os
 import threading
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    LatencyStats,
-    MetricsRegistry,
-    Timer,
-    WindowedSummary,
-    timed,
-)
+from .metrics import Counter, Gauge, MetricsRegistry, WindowedSummary
 from .trace import Span, Tracer, build_tree, load_trace, render_tree
 from . import hooks
 
 __all__ = [
-    "configure", "configure_from_env", "shutdown", "enabled", "profiling_enabled",
+    "configure", "configure_from_env", "shutdown", "enabled",
     "span", "event", "metric_gauge", "metric_counter", "current_tracer",
     "metrics_registry", "render_prometheus",
-    "Tracer", "Span", "MetricsRegistry",
-    "Counter", "Gauge", "Histogram", "WindowedSummary", "LatencyStats",
-    "Timer", "timed",
+    "Tracer", "Span", "MetricsRegistry", "Counter", "Gauge", "WindowedSummary",
     "load_trace", "build_tree", "render_tree",
     "hooks",
 ]
@@ -65,35 +54,26 @@ __all__ = [
 _lock = threading.Lock()
 _tracer: Tracer | None = None
 _registry = MetricsRegistry()
-_profiling = False
 
 
-def configure(trace_path=None, profile: bool = False, registry: MetricsRegistry | None = None,
+def configure(trace_path=None, registry: MetricsRegistry | None = None,
               keep_records: bool = True) -> Tracer:
     """Enable observability for this process; returns the active tracer.
 
     Re-configuring replaces the previous tracer (closing its file).
-    ``profile=True`` additionally installs the hot-path hooks from
-    :mod:`repro.obs.hooks`.
     """
-    global _tracer, _registry, _profiling
+    global _tracer, _registry
     with _lock:
         if _tracer is not None:
             _tracer.close()
         if registry is not None:
             _registry = registry
         _tracer = Tracer(trace_path, keep_records=keep_records)
-        if profile and not _profiling:
-            hooks.enable_profiling()
-            _profiling = True
-        elif not profile and _profiling:
-            hooks.disable_profiling()
-            _profiling = False
     return _tracer
 
 
 def configure_from_env(environ=os.environ) -> Tracer | None:
-    """Honour ``REPRO_OBS`` / ``REPRO_OBS_PROFILE`` (used by CLI + benches).
+    """Honour ``REPRO_OBS`` (used by the CLI and the benchmarks).
 
     ``REPRO_OBS`` unset/empty/"0" leaves observability off; "1" enables
     in-memory tracing; any other value is treated as a JSONL path.
@@ -101,30 +81,21 @@ def configure_from_env(environ=os.environ) -> Tracer | None:
     value = environ.get("REPRO_OBS", "").strip()
     if not value or value == "0":
         return None
-    path = None if value == "1" else value
-    profile = environ.get("REPRO_OBS_PROFILE", "").strip() not in ("", "0")
-    return configure(trace_path=path, profile=profile)
+    return configure(trace_path=None if value == "1" else value)
 
 
 def shutdown() -> None:
     """Disable observability; flush + close the trace file."""
-    global _tracer, _profiling
+    global _tracer
     with _lock:
         if _tracer is not None:
             _tracer.close()
             _tracer = None
-        if _profiling:
-            hooks.disable_profiling()
-            _profiling = False
 
 
 def enabled() -> bool:
     """True while a tracer is configured (guards expensive diagnostics)."""
     return _tracer is not None
-
-
-def profiling_enabled() -> bool:
-    return _profiling
 
 
 def current_tracer() -> Tracer | None:

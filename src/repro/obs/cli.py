@@ -3,10 +3,11 @@
 ``repro trace run.jsonl`` renders the aggregated span tree of a JSONL
 trace (count / total / self time per span path).  ``repro profile
 script.py`` runs a Python script — typically one of the ``benchmarks/``
-entry points — under full instrumentation (spans + hot-path profiling
-hooks), writes the trace next to the script and prints the tree; with
-``--overhead-budget`` it additionally times an uninstrumented run and
-fails when instrumentation costs more than the budgeted percentage.
+entry points — with spans on and inside :func:`repro.obs.hooks.profile`
+(solver and compiled-plan step timing), writes the trace next to the
+script and prints the tree and the metrics; with ``--overhead-budget``
+it additionally times an uninstrumented run and fails when
+instrumentation costs more than the budgeted percentage.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ def add_profile_arguments(parser) -> None:
                         help="everything after the script is forwarded to it")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="trace destination (default: <script>.trace.jsonl)")
-    parser.add_argument("--no-hooks", action="store_true",
-                        help="spans only; skip the tensor/FFT/solver profiling hooks")
     parser.add_argument("--min-self-ms", type=float, default=0.0)
     parser.add_argument("--depth", type=int, default=None)
     parser.add_argument("--overhead-budget", type=float, default=None, metavar="PCT",
@@ -93,8 +92,17 @@ def _run_script(script: Path, argv: list[str]) -> float:
     return time.perf_counter() - start
 
 
+def _run_instrumented(script: Path, argv: list[str], trace_path) -> float:
+    """Run ``script`` with spans on and inside :func:`hooks.profile`."""
+    from . import configure, hooks
+
+    configure(trace_path=trace_path, keep_records=False)
+    with hooks.profile():
+        return _run_script(script, argv)
+
+
 def run_profile(args) -> int:
-    from . import configure, metrics_registry, shutdown
+    from . import metrics_registry, shutdown
 
     script = Path(args.script).resolve()
     if not script.exists():
@@ -108,16 +116,14 @@ def run_profile(args) -> int:
         # the plain-vs-instrumented comparison measures instrumentation,
         # not cache misses; the warm-up is also the *instrumented* one so
         # any residual warm/cold bias counts against the budget.
-        configure(trace_path=None, profile=not args.no_hooks, keep_records=False)
         try:
-            _run_script(script, args.script_args)
+            _run_instrumented(script, args.script_args, None)
         finally:
             shutdown()
         plain = _run_script(script, args.script_args)
 
-    configure(trace_path=out, profile=not args.no_hooks, keep_records=False)
     try:
-        instrumented = _run_script(script, args.script_args)
+        instrumented = _run_instrumented(script, args.script_args, out)
     finally:
         registry_snapshot = metrics_registry().snapshot()
         shutdown()

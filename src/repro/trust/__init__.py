@@ -7,7 +7,8 @@ trustworthiness:
 
 * :mod:`~repro.trust.diagnostics` — divergence norm, Navier–Stokes
   residual, and energy-spectrum drift per prediction, at the
-  prediction's native dtype/grid, behind a single-flag no-op switch.
+  prediction's native dtype/grid; a service computes them only when it
+  holds a :class:`TrustPolicy` (``repro serve --trust``).
 * :mod:`~repro.trust.uq` — seeded input-perturbation ensembles whose
   spread is bitwise-reproducible at any worker count
   (``repro.parallel`` task-seed streams + batch-invariant kernels).
@@ -25,9 +26,7 @@ from .diagnostics import (
     pde_residual_norm,
     radial_energy_spectrum,
     rms_divergence,
-    set_enabled,
     spectrum_drift,
-    trust_enabled,
 )
 from .policy import TrustGuard, TrustPolicy, TrustReport, assess_prediction
 from .projection import project_velocity
@@ -38,9 +37,7 @@ __all__ = [
     "pde_residual_norm",
     "radial_energy_spectrum",
     "rms_divergence",
-    "set_enabled",
     "spectrum_drift",
-    "trust_enabled",
     "TrustGuard",
     "TrustPolicy",
     "TrustReport",

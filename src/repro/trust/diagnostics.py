@@ -20,10 +20,9 @@ anything becomes non-finite.  These diagnostics make that drift a
 Everything is computed **at the prediction's native dtype and grid**
 (``scipy.fft`` preserves float32, unlike ``np.fft``) — resampling or
 upcasting before diagnosing would hide exactly the numerics being
-checked, which is what the RPR011 rule enforces statically.  The whole
-module is gated on a single module-level flag so the disabled state
-costs one attribute read per prediction (mirroring
-:data:`repro.faults.injection.ACTIVE`).
+checked, which is what the RPR011 rule enforces statically.  Whether
+serving computes them at all is the service's :class:`TrustPolicy`
+(``repro serve --trust``): without one, no diagnostic runs.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ from ..ns.fields import derivative_wavenumbers, wavenumbers
 from ..tensor.fft_ops import half_spectrum_weights
 
 __all__ = [
-    "ENABLED",
-    "set_enabled",
-    "trust_enabled",
     "rms_divergence",
     "radial_energy_spectrum",
     "spectrum_drift",
@@ -50,24 +46,8 @@ __all__ = [
     "diagnose_prediction",
 ]
 
-# Read by serving call sites before doing any work; written under _lock.
-ENABLED = True
-
 _lock = threading.Lock()
 _TINY = 1e-30
-
-
-def set_enabled(flag: bool) -> bool:
-    """Toggle all trust diagnostics process-wide; returns the old value."""
-    global ENABLED
-    with _lock:
-        previous = ENABLED
-        ENABLED = bool(flag)
-    return previous
-
-
-def trust_enabled() -> bool:
-    return ENABLED
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +265,7 @@ def diagnose_prediction(
     dt: float,
     viscosity: float,
     length: float = 2.0 * np.pi,
-) -> dict | None:
+) -> dict:
     """All three diagnostics for one prediction, as a JSON-ready dict.
 
     ``window`` is the model input ``(n_in, 2, n, n)`` and ``prediction``
@@ -295,12 +275,9 @@ def diagnose_prediction(
     spectrum drift of the final snapshot relative to the newest input —
     the quantities that decide whether the rollout should continue.
 
-    Returns ``None`` when diagnostics are disabled (one flag read, no
-    other work).  Non-finite predictions short-circuit with infinite
-    diagnostics — every downstream trust score collapses to 0.
+    Non-finite predictions short-circuit with infinite diagnostics —
+    every downstream trust score collapses to 0.
     """
-    if not ENABLED:
-        return None
     window = np.asarray(window)
     prediction = np.asarray(prediction)
     if prediction.ndim != 4 or prediction.shape[1] != 2:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ..faults.policy import DivergenceGuard
-from .diagnostics import diagnose_prediction, rms_divergence, trust_enabled
+from .diagnostics import diagnose_prediction, rms_divergence
 from .projection import project_velocity
 from .uq import ensemble_uq
 
@@ -176,7 +176,7 @@ class TrustGuard(DivergenceGuard):
         reason = super().diagnose(arr, baseline_ms)
         if reason is not None:
             return reason
-        if not trust_enabled() or self.n_fields != 2:
+        if self.n_fields != 2:
             return None
         arr = np.asarray(arr)
         if arr.ndim < 3 or arr.shape[-3] % 2 != 0:
@@ -207,13 +207,11 @@ def assess_prediction(
     response trajectory whose first ``n_init`` snapshots are the echoed
     initial condition.  Returns ``(bundle, velocity)`` where ``bundle``
     holds ``diagnostics`` / ``uncertainty`` / ``trust`` dicts (``None``
-    when diagnostics are globally disabled — the single-flag no-op
-    path), and ``velocity`` is the possibly projected trajectory: when
+    when the record predicted no velocity snapshots), and ``velocity``
+    is the possibly projected trajectory: when
     ``policy.project`` is set, predicted snapshots are Leray-projected
     *after* diagnosis so the report still sees the raw divergence.
     """
-    if not trust_enabled():
-        return None, velocity
     velocity = np.asarray(velocity)
     predicted = velocity[n_init:]
     if predicted.shape[0] == 0 or predicted.shape[1] != 2:
@@ -225,7 +223,7 @@ def assess_prediction(
             model, window, policy.members, policy.sigma, policy.seed, normalizer
         )
     report = policy.assess(diagnostics, uncertainty)
-    if policy.project and diagnostics is not None and diagnostics.get("finite", False):
+    if policy.project and diagnostics.get("finite", False):
         velocity = np.concatenate(
             [velocity[:n_init], project_velocity(predicted, length)], axis=0
         )

@@ -401,28 +401,38 @@ class TestStepTiming:
         plan, _ = rc.trace_model(model, x)
         plan.execute(x)
         assert sum(plan.step_seconds) == 0.0
-        with hooks.step_timing():
+        with hooks.profile():
             assert hooks.PROFILING
             plan.execute(x)
         assert not hooks.PROFILING
         assert all(t > 0 for t in plan.step_seconds)
 
-    @pytest.mark.parametrize("profile_exits_first", [True, False])
-    def test_interleaved_profile_and_step_timing(self, profile_exits_first):
+    @pytest.mark.parametrize("outer_exits_first", [True, False])
+    def test_interleaved_profile_and_step_timing(self, outer_exits_first):
+        # Two overlapping profile() blocks exited in either order: steps
+        # stay timed until the last one exits, and the FFT module is
+        # never swapped.
         from repro.obs import hooks
         from repro.tensor import fft_ops
 
+        model = _small_fno2d(np.float64)
+        x = np.random.default_rng(4).standard_normal((2, 3, 16, 16))
+        plan, _ = rc.trace_model(model, x)
         original_fft = fft_ops._fft
-        prof, timing = hooks.profile(), hooks.step_timing()
-        prof.__enter__()
-        timing.__enter__()
-        first, second = (prof, timing) if profile_exits_first else (timing, prof)
+        outer, inner = hooks.profile(), hooks.profile()
+        outer.__enter__()
+        inner.__enter__()
+        first, second = (outer, inner) if outer_exits_first else (inner, outer)
         first.__exit__(None, None, None)
         assert hooks.PROFILING
-        assert (fft_ops._fft is original_fft) == profile_exits_first
+        plan.execute(x)
+        assert all(t > 0 for t in plan.step_seconds)
         second.__exit__(None, None, None)
         assert not hooks.PROFILING
         assert fft_ops._fft is original_fft
+        timed = list(plan.step_seconds)
+        plan.execute(x)
+        assert plan.step_seconds == timed
 
     def test_concurrent_step_timing_loses_no_updates(self, monkeypatch):
         import sys
@@ -453,7 +463,7 @@ class TestStepTiming:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with hooks.step_timing():
+            with hooks.profile():
                 workers = [threading.Thread(target=work) for _ in range(threads)]
                 for w in workers:
                     w.start()

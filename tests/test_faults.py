@@ -1,5 +1,5 @@
 """Property-style tests of repro.faults: injection determinism, the
-retry/breaker/deadline policy layer, atomic artifact I/O, and the
+retry/breaker policy layer, atomic artifact I/O, and the
 zero-overhead guarantee when no fault plan is installed."""
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from repro.data.io import load_samples, save_samples
 from repro.faults import (
     CircuitBreaker,
     CircuitOpenError,
-    Deadline,
-    DeadlineExceeded,
     DivergenceGuard,
     FaultPlan,
     FaultSpec,
@@ -25,7 +23,6 @@ from repro.faults import (
     RetryPolicy,
     call_with_retry,
     injection,
-    retry,
 )
 from repro.utils.artifacts import CheckpointError, atomic_write_npz, guarded_npz_load
 
@@ -224,42 +221,6 @@ class TestRetryPolicy:
                 sleep=lambda s: None,
             )
         assert len(calls) == 1
-
-    def test_decorator_form(self):
-        calls = []
-        @retry(RetryPolicy(attempts=2, backoff=0.0), sleep=lambda s: None)
-        def flaky(x):
-            calls.append(x)
-            if len(calls) < 2:
-                raise ValueError("once")
-            return x * 2
-        assert flaky(21) == 42 and calls == [21, 21]
-
-    def test_deadline_caps_the_attempt_sequence(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
-        def failing():
-            clock.advance(0.6)
-            raise OSError("slow failure")
-        with pytest.raises((OSError, DeadlineExceeded)):
-            call_with_retry(
-                failing,
-                policy=RetryPolicy(attempts=10, backoff=0.0),
-                sleep=lambda s: None,
-                deadline=deadline,
-            )
-        assert clock.t < 2.0  # far fewer than 10 attempts ran
-
-
-class TestDeadline:
-    def test_remaining_and_check(self):
-        clock = FakeClock()
-        deadline = Deadline(2.0, clock=clock)
-        assert deadline.remaining() == 2.0 and not deadline.expired()
-        clock.advance(2.5)
-        assert deadline.expired()
-        with pytest.raises(DeadlineExceeded, match="shard"):
-            deadline.check("shard")
 
 
 class TestCircuitBreaker:

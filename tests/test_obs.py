@@ -1,8 +1,7 @@
-"""repro.obs: spans, metrics, profiling hooks and the trace/profile CLIs."""
+"""repro.obs: spans, metrics, the profiling switch and the trace/profile CLIs."""
 
 from __future__ import annotations
 
-import bisect
 import json
 import threading
 
@@ -11,12 +10,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    WindowedSummary,
-)
+from repro.obs.metrics import MetricsRegistry, WindowedSummary
 from repro.obs.trace import build_tree, load_trace, render_tree
 from repro.serve import BatchPolicy, BatchQueue, PredictRequest, WorkerPool
 
@@ -129,30 +123,6 @@ class TestSpans:
 
 
 class TestMetrics:
-    def test_histogram_percentiles_track_np_percentile(self):
-        rng = np.random.default_rng(42)
-        samples = rng.uniform(0.0004, 2.0, size=4000)
-        hist = Histogram()
-        for s in samples:
-            hist.observe(s)
-        bounds = hist.bounds
-        for q in (10.0, 50.0, 90.0, 99.0):
-            exact = float(np.percentile(samples, q))
-            approx = hist.percentile(q)
-            idx = bisect.bisect_left(bounds, exact)
-            lo = bounds[idx - 1] if idx > 0 else 0.0
-            hi = bounds[idx] if idx < len(bounds) else float(samples.max())
-            assert abs(approx - exact) <= (hi - lo), (q, exact, approx)
-
-    def test_histogram_overflow_bucket_and_extremes(self):
-        hist = Histogram(buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 50.0):
-            hist.observe(value)
-        assert hist.bucket_counts() == [1, 1, 1]
-        assert hist.percentile(100.0) == 50.0
-        assert hist.percentile(0.0) == pytest.approx(0.05)
-        assert hist.summary()["count"] == 3
-
     def test_windowed_summary_is_exact_over_window(self):
         ws = WindowedSummary(window=4)
         for v in (1.0, 2.0, 3.0, 4.0, 100.0):
@@ -175,43 +145,68 @@ class TestMetrics:
     def test_prometheus_rendering(self):
         reg = MetricsRegistry()
         reg.counter("reqs_total").inc(7)
-        reg.histogram("lat_seconds", buckets=(0.1, 1.0)).observe(0.5)
+        reg.summary("lat_seconds", labels={"hop": "queue"}).observe(0.5)
         text = reg.render_prometheus()
         assert "# TYPE repro_reqs_total counter" in text
         assert "repro_reqs_total 7" in text
-        assert 'repro_lat_seconds_bucket{le="1"} 1' in text
-        assert 'repro_lat_seconds_bucket{le="+Inf"} 1' in text
-        assert "repro_lat_seconds_count 1" in text
+        assert "# TYPE repro_lat_seconds summary" in text
+        assert 'repro_lat_seconds{hop="queue",quantile="0.5"} 0.5' in text
+        assert 'repro_lat_seconds{hop="queue",quantile="0.95"} 0.5' in text
+        assert 'repro_lat_seconds_count{hop="queue"} 1' in text
 
 
 # ---------------------------------------------------------------------------
 
 
 class TestProfilingHooks:
-    def test_tensor_and_fft_counters(self):
-        from repro.tensor import Tensor
+    def test_profile_leaves_the_profiled_program_alone(self):
+        import scipy.fft
+
+        from repro import compile as rc
+        from repro.core import ChannelFNOConfig, build_model
+        from repro.ns import SpectralNSSolver2D
+        from repro.obs import hooks
+        from repro.tensor import fft_ops
+        from repro.tensor import tensor as tensor_module
+
+        config = ChannelFNOConfig()  # paper shape: 10 -> 5 steps, width 20, modes 12
+        rng = np.random.default_rng(0)
+        model = build_model(config, rng=rng, dtype=np.float32)
+        x = rng.standard_normal((2, config.in_channels, 64, 64)).astype(np.float32)
+        plan, _ = rc.trace_model(model, x)
+        want = plan.execute(x).copy()
+        assert sum(plan.step_seconds) == 0.0
 
         registry = MetricsRegistry()
-        obs.configure(profile=True, registry=registry)
-        x = Tensor(np.ones((4, 4), dtype=np.float32), requires_grad=True)
-        (x * 2.0).sum().backward()
-        snap = registry.snapshot()
-        assert snap["tensor_ops_total"] > 0
-        obs.shutdown()
-        assert not obs.profiling_enabled()
+        obs.configure(registry=registry)
+        solver = SpectralNSSolver2D(16, 0.02, dt=0.01)
+        solver.set_vorticity(rng.standard_normal((16, 16)))
+        observers = tensor_module._OBSERVERS
+        with hooks.profile():
+            assert fft_ops._fft is scipy.fft
+            assert tensor_module._OBSERVERS is observers
+            got = plan.execute(x).copy()
+            solver.advance(0.02)
+        assert not hooks.PROFILING
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+        assert all(t > 0 for t in plan.step_seconds)
+        assert registry.summary("solver_advance_seconds").count == 1
 
     def test_solver_steps_recorded_only_when_profiling(self):
         from repro.ns import SpectralNSSolver2D
+        from repro.obs import hooks
 
         registry = MetricsRegistry()
+        obs.configure(registry=registry)
         solver = SpectralNSSolver2D(16, 0.02, dt=0.01)
         solver.set_vorticity(np.random.default_rng(0).standard_normal((16, 16)))
         solver.advance(0.02)  # profiling off: nothing recorded
-        obs.configure(profile=True, registry=registry)
-        solver.advance(0.02)
-        obs.shutdown()
-        labelled = registry.snapshot().get("solver_steps_total", {})
-        assert labelled == {"solver=SpectralNSSolver2D": 2.0}
+        assert registry.snapshot() == {}
+        with hooks.profile():
+            solver.advance(0.02)
+        snap = registry.snapshot()
+        assert snap["solver_steps_total"] == {"solver=SpectralNSSolver2D": 2.0}
+        assert snap["solver_advance_seconds"]["count"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +268,21 @@ class TestTraceRoundTrip:
         script = tmp_path / "tiny.py"
         script.write_text(
             "from repro import obs\n"
+            "from repro.obs import hooks\n"
             "with obs.span('tiny.work'):\n"
             "    total = sum(range(1000))\n"
-            "print('total', total)\n"
+            "print('total', total, 'profiling', hooks.PROFILING)\n"
         )
         out = tmp_path / "tiny.jsonl"
-        assert cli_main(["profile", "--no-hooks", "--out", str(out), str(script)]) == 0
+        assert cli_main(["profile", "--out", str(out), str(script)]) == 0
         printed = capsys.readouterr().out
         assert "tiny.work" in printed
+        assert "total 499500 profiling True" in printed
         records = load_trace(out)
         assert any(r.get("name") == "tiny.work" for r in records)
-        # The profile run shut the tracer down again.
+        # The profile run shut the tracer and the profiling switch off again.
         assert not obs.enabled()
+        assert not obs.hooks.PROFILING
 
     def test_render_tree_depth_and_filter(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -75,21 +75,22 @@ class TestSanitizerCore:
         assert len(inner.violations) == 1 and len(outer.violations) == 1
 
     def test_profiling_exit_inside_the_context_keeps_checking(self):
-        # Profiling on, sanitizer on, profiling off: each owns its own
+        # Profiling on, sanitizer on, profiling off: profiling owns no
         # observer, so the sanitizer still checks and nothing is left over.
         from repro.obs import hooks
 
         x = Tensor(_f32(4,))
-        hooks.enable_profiling()
-        profiling = True
+        profiling = hooks.profile()
+        profiling.__enter__()
         try:
             with dtype_sanitizer(mode="record") as report:
-                hooks.disable_profiling()
-                profiling = False
+                assert tensor_module._OBSERVERS == (sanitizer._check,)
+                profiling.__exit__(None, None, None)
+                profiling = None
                 Tensor.from_op(x.data.astype(np.float64), (x,), lambda g: None)
         finally:
-            if profiling:
-                hooks.disable_profiling()
+            if profiling is not None:
+                profiling.__exit__(None, None, None)
         assert len(report.violations) == 1
         assert tensor_module._OBSERVERS == ()
 

@@ -256,18 +256,20 @@ class TestOpObservers:
         assert observer not in tensor_module._OBSERVERS
 
     def test_recorder_exit_inside_profiling_removes_its_tag(self):
-        # Recorder enter, profiling on, Recorder exit, profiling off: the
-        # recorder keeps what it saw, and no tagging outlives it.
-        from repro.obs import hooks
+        # Recorder enter, a second observer (the dtype sanitizer's) on,
+        # Recorder exit, sanitizer off: the recorder keeps what it saw,
+        # and no tagging outlives it.
+        from repro.checks import dtype_sanitizer
         from repro.tensor import recording
 
         x = Tensor(np.ones(3), requires_grad=True)
         recorder = recording.Recorder()
         recorder.__enter__()
         inside = x * 3.0
-        hooks.enable_profiling()
+        sanitizer = dtype_sanitizer(mode="record")
+        sanitizer.__enter__()
         recorder.__exit__(None, None, None)
-        hooks.disable_profiling()
+        sanitizer.__exit__(None, None, None)
         after = [x * 2.0 for _ in range(10)]
         assert recorder.saw_from_op(inside)
         assert not any(recorder.saw_from_op(t) for t in after)

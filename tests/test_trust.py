@@ -30,9 +30,7 @@ from repro.trust import (
     project_velocity,
     radial_energy_spectrum,
     rms_divergence,
-    set_enabled,
     spectrum_drift,
-    trust_enabled,
 )
 from repro.trust.diagnostics import _dealias_mask, _multipliers, _shell_index
 from tests.conftest import TRUST_SEEDS
@@ -54,13 +52,6 @@ def gradient_field(n: int, dtype=np.float64) -> np.ndarray:
     xg, yg = np.meshgrid(x, x, indexing="ij")
     return np.stack([np.cos(xg) * np.sin(yg),
                      np.sin(xg) * np.cos(yg)]).astype(dtype)
-
-
-@pytest.fixture()
-def diagnostics_enabled():
-    previous = set_enabled(True)
-    yield
-    set_enabled(previous)
 
 
 class TestGoldenDiagnostics:
@@ -118,7 +109,7 @@ class TestGoldenDiagnostics:
 
 
 class TestDiagnoseBundle:
-    def test_bundle_on_taylor_green_pair(self, diagnostics_enabled):
+    def test_bundle_on_taylor_green_pair(self):
         nu, dt = 5e-2, 0.05
         window = taylor_green(24, 0.0, nu)[None]
         prediction = np.stack([taylor_green(24, dt, nu),
@@ -131,13 +122,13 @@ class TestDiagnoseBundle:
         assert d["spectrum_drift"] == pytest.approx(1.0 - np.exp(-8.0 * nu * dt), rel=1e-6)
         assert d["dtype"] == "float64" and d["grid"] == 24
 
-    def test_bundle_reports_native_float32(self, diagnostics_enabled):
+    def test_bundle_reports_native_float32(self):
         window = taylor_green(16, 0.0, 1e-2, dtype=np.float32)[None]
         prediction = window.copy()
         d = diagnose_prediction(window, prediction, 0.1, 1e-2)
         assert d["dtype"] == "float32"
 
-    def test_nonfinite_prediction_short_circuits(self, diagnostics_enabled):
+    def test_nonfinite_prediction_short_circuits(self):
         window = taylor_green(16, 0.0, 1e-2)[None]
         bad = window.copy()
         bad[0, 0, 0, 0] = np.nan
@@ -146,15 +137,6 @@ class TestDiagnoseBundle:
         assert d["rms_divergence"] == np.inf
         assert d["pde_residual"] == np.inf
         assert d["spectrum_drift"] == np.inf
-
-    def test_disabled_is_a_noop(self):
-        previous = set_enabled(False)
-        try:
-            assert trust_enabled() is False
-            window = taylor_green(16, 0.0, 1e-2)[None]
-            assert diagnose_prediction(window, window.copy(), 0.1, 1e-2) is None
-        finally:
-            set_enabled(previous)
 
 
 class TestSpectralGrid:
@@ -305,31 +287,23 @@ class TestTrustGuard:
         # channels-major (B, S·n_fields, n, n) with one snapshot
         return u.reshape(1, 2, *u.shape[-2:])
 
-    def test_rejects_non_solenoidal_block_with_trust_reason(self, diagnostics_enabled):
+    def test_rejects_non_solenoidal_block_with_trust_reason(self):
         guard = TrustGuard(policy=TrustPolicy(max_rms_divergence=0.05))
         reason = guard.diagnose(self._block(gradient_field(24)))
         assert reason is not None and reason.startswith("trust:")
 
-    def test_accepts_solenoidal_block(self, diagnostics_enabled):
+    def test_accepts_solenoidal_block(self):
         guard = TrustGuard(policy=TrustPolicy(max_rms_divergence=0.05))
         assert guard.diagnose(self._block(taylor_green(24, 0.0, 1e-2))) is None
 
-    def test_base_finiteness_check_still_wins(self, diagnostics_enabled):
+    def test_base_finiteness_check_still_wins(self):
         guard = TrustGuard(policy=TrustPolicy(max_rms_divergence=0.05))
         bad = self._block(gradient_field(24))
         bad[0, 0, 0, 0] = np.nan
         reason = guard.diagnose(bad)
         assert reason is not None and not reason.startswith("trust:")
 
-    def test_disabled_diagnostics_disarm_the_trust_check(self):
-        previous = set_enabled(False)
-        try:
-            guard = TrustGuard(policy=TrustPolicy(max_rms_divergence=0.05))
-            assert guard.diagnose(self._block(gradient_field(24))) is None
-        finally:
-            set_enabled(previous)
-
-    def test_guard_raises_through_rollout_machinery(self, diagnostics_enabled):
+    def test_guard_raises_through_rollout_machinery(self):
         guard = TrustGuard(policy=TrustPolicy(max_rms_divergence=0.05))
         reason = guard.diagnose(self._block(gradient_field(24)))
         exc = RolloutDiverged(step=3, reason=reason)
@@ -345,7 +319,7 @@ class TestNoiseFault:
         # default scale is filtered out of the compact dict form
         assert "scale" not in FaultSpec("rollout.step", "nan").to_dict()
 
-    def test_noise_is_seeded_finite_and_non_solenoidal(self, diagnostics_enabled):
+    def test_noise_is_seeded_finite_and_non_solenoidal(self):
         u = taylor_green(24, 0.0, 1e-2, dtype=np.float32)
         outs = []
         for _ in range(2):
@@ -465,8 +439,7 @@ class TestSolverDiagnosticProperties:
             drift = spectrum_drift(sample.velocity[i + 1], sample.velocity[i])
             assert 0.0 <= drift < 0.5
 
-    def test_solver_pair_scores_trusted(self, seed, seed_matrix_trajectories,
-                                        diagnostics_enabled):
+    def test_solver_pair_scores_trusted(self, seed, seed_matrix_trajectories):
         config, sample = seed_matrix_trajectories[seed]
         dt = float(sample.times[1] - sample.times[0]) * 2.0 * np.pi
         nu = 2.0 * np.pi / config.reynolds

@@ -1,16 +1,15 @@
-"""Utilities: RNG fan-out, timing, latency stats, the JSONL journal.
+"""Utilities: RNG fan-out, latency stats, the JSONL journal.
 
 The process-parallel map moved to :mod:`repro.parallel`; its tests
 live in ``tests/test_parallel.py`` now.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.obs.metrics import LatencyStats, Timer, timed
+from repro.obs.metrics import WindowedSummary
 from repro.utils import as_generator, spawn_rngs
 from repro.utils.journal import Journal, JournalError, read_records
 
@@ -38,60 +37,11 @@ class TestRNG:
         assert np.array_equal(a, b)
 
 
-class TestTiming:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.02
-        assert t.n_intervals == 2
-        assert t.mean == pytest.approx(t.elapsed / 2)
-
-    def test_timer_mean_empty(self):
-        assert Timer().mean == 0.0
-
-    def test_timed_sink(self):
-        messages = []
-        with timed("label", sink=messages.append):
-            pass
-        assert len(messages) == 1
-        assert messages[0].startswith("label:")
-
-    def test_timer_concurrent_use(self):
-        # Regression: the old single `_start` slot was clobbered when two
-        # threads entered the same context manager, corrupting `elapsed`.
-        t = Timer()
-        n_threads, naps = 4, 3
-
-        def work():
-            for _ in range(naps):
-                with t:
-                    time.sleep(0.01)
-
-        threads = [threading.Thread(target=work) for _ in range(n_threads)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert t.n_intervals == n_threads * naps
-        # Every interval slept >= 0.01s; a clobbered start would yield
-        # intervals near zero (or negative accumulation).
-        assert t.elapsed >= n_threads * naps * 0.01 * 0.9
-
-    def test_timer_nested_same_thread(self):
-        t = Timer()
-        with t:
-            with t:
-                time.sleep(0.01)
-        assert t.n_intervals == 2
-        assert t.elapsed >= 0.01
-
-
 class TestLatencyStats:
+    """Serving latency tracking, the registry's ``WindowedSummary``."""
+
     def test_percentiles_of_known_data(self):
-        stats = LatencyStats()
+        stats = WindowedSummary()
         for v in range(1, 101):  # 1..100 ms
             stats.observe(v / 1000.0)
         assert stats.count == 100
@@ -103,24 +53,24 @@ class TestLatencyStats:
         assert stats.mean == pytest.approx(0.0505)
 
     def test_empty(self):
-        stats = LatencyStats()
+        stats = WindowedSummary()
         assert stats.percentile(50) == 0.0
         assert stats.summary()["count"] == 0
 
     def test_window_bounds_memory_not_lifetime_counters(self):
-        stats = LatencyStats(window=4)
+        stats = WindowedSummary(window=4)
         for v in range(10):
             stats.observe(float(v))
         assert stats.count == 10
         assert stats.percentile(0) == 6.0  # only the last 4 samples remain
 
     def test_summary_keys(self):
-        stats = LatencyStats()
+        stats = WindowedSummary()
         stats.observe(0.5)
         assert set(stats.summary()) == {"count", "mean", "p50", "p95", "max"}
 
     def test_concurrent_observe(self):
-        stats = LatencyStats()
+        stats = WindowedSummary()
 
         def work():
             for _ in range(200):
@@ -136,9 +86,9 @@ class TestLatencyStats:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            LatencyStats(window=0)
+            WindowedSummary(window=0)
         with pytest.raises(ValueError):
-            LatencyStats().percentile(101)
+            WindowedSummary().percentile(101)
 
 
 class TestJournal:
