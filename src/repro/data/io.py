@@ -1,4 +1,4 @@
-"""On-disk storage of generated trajectories (compressed npz shards).
+"""On-disk storage of generated trajectories (npz shards).
 
 One shard holds a list of :class:`TrajectorySample`; metadata travels in
 a JSON side-field so shards are self-describing.

@@ -14,6 +14,7 @@ integrating-factor RK4 in time — the 1-D sibling of
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as _fft
 
 from ..utils.rng import as_generator
 
@@ -48,20 +49,20 @@ class BurgersSolver1D:
     # ------------------------------------------------------------------
     @property
     def u(self) -> np.ndarray:
-        return np.fft.irfft(self._u_hat, n=self.n)
+        return _fft.irfft(self._u_hat, n=self.n)
 
     def set_state(self, u: np.ndarray, reset_time: bool = False) -> None:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"expected shape {(self.n,)}, got {u.shape}")
-        self._u_hat = np.fft.rfft(u)
+        self._u_hat = _fft.rfft(u)
         if reset_time:
             self.time = 0.0
 
     # ------------------------------------------------------------------
     def _nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
-        u = np.fft.irfft(u_hat, n=self.n)
-        flux_hat = np.fft.rfft(0.5 * u * u) * self._mask
+        u = _fft.irfft(u_hat, n=self.n)
+        flux_hat = _fft.rfft(0.5 * u * u) * self._mask
         return -1j * self._k * flux_hat
 
     def stable_dt(self) -> float:

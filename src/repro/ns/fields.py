@@ -15,6 +15,7 @@ finite-difference solver keeps its own stencils.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as _fft
 
 __all__ = [
     "wavenumbers",
@@ -41,6 +42,16 @@ def wavenumbers(n: int, length: float = 2.0 * np.pi) -> tuple[np.ndarray, np.nda
     kx = k1[:, None] * np.ones((1, k2_half.size))
     ky = np.ones((n, 1)) * k2_half[None, :]
     return kx, ky, kx * kx + ky * ky
+
+
+def irfft2(a_hat: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of a float64 ``rfft2`` onto an ``n × n`` grid, in ``np.fft``'s bits.
+
+    ``scipy.fft.irfft2`` scales by ``1/n²`` once, ``np.fft.irfft2`` by
+    ``1/n`` per axis; the two round differently unless ``n`` is a power
+    of two.  One axis at a time keeps numpy's rounding at every ``n``.
+    """
+    return _fft.irfft(_fft.ifft(a_hat, axis=0), n=n, axis=1, overwrite_x=True)
 
 
 def derivative_wavenumbers(n: int, length: float = 2.0 * np.pi) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.rng import as_generator
-from .fields import wavenumbers
+from .fields import irfft2, wavenumbers
 
 __all__ = ["Forcing", "KolmogorovForcing", "RingForcing", "LinearDrag", "CompositeForcing"]
 
@@ -88,7 +88,7 @@ class RingForcing(Forcing):
         if self.n % 2 == 0:
             f_hat[self.n // 2, :] = 0.0
             f_hat[:, -1] = 0.0
-        field = np.fft.irfft2(f_hat, s=(self.n, self.n))
+        field = irfft2(f_hat, self.n)
         rms = float(np.sqrt(np.mean(field**2)))
         self._term = field * (self.amplitude / max(rms, 1e-30))
 

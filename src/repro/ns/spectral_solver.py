@@ -15,9 +15,10 @@ acts as one of the PDE partners of the hybrid FNO–PDE scheme.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as _fft
 
 from .base import NSSolverBase
-from .fields import wavenumbers
+from .fields import irfft2, wavenumbers
 
 __all__ = ["SpectralNSSolver2D"]
 
@@ -61,26 +62,26 @@ class SpectralNSSolver2D(NSSolverBase):
 
     # ------------------------------------------------------------------
     def _on_state_change(self) -> None:
-        self._omega_hat = np.fft.rfft2(self._omega)
+        self._omega_hat = _fft.rfft2(self._omega)
 
     def _sync_real(self) -> None:
-        self._omega = np.fft.irfft2(self._omega_hat, s=(self.n, self.n))
+        self._omega = irfft2(self._omega_hat, self.n)
 
     # ------------------------------------------------------------------
     def _nonlinear(self, w_hat: np.ndarray) -> np.ndarray:
         """−FFT(u·∇ω) + FFT(f_ω), dealiased advection plus forcing."""
         psi_hat = w_hat * self._inv_k2
-        ux = np.fft.irfft2(1j * self._ky * psi_hat, s=(self.n, self.n))
-        uy = np.fft.irfft2(-1j * self._kx * psi_hat, s=(self.n, self.n))
-        wx = np.fft.irfft2(1j * self._kx * w_hat, s=(self.n, self.n))
-        wy = np.fft.irfft2(1j * self._ky * w_hat, s=(self.n, self.n))
-        adv_hat = np.fft.rfft2(ux * wx + uy * wy)
+        ux = irfft2(1j * self._ky * psi_hat, self.n)
+        uy = irfft2(-1j * self._kx * psi_hat, self.n)
+        wx = irfft2(1j * self._kx * w_hat, self.n)
+        wy = irfft2(1j * self._ky * w_hat, self.n)
+        adv_hat = _fft.rfft2(ux * wx + uy * wy)
         if self.dealias:
             adv_hat *= self._mask
         tendency = -adv_hat
         if self.forcing is not None:
-            omega = np.fft.irfft2(w_hat, s=(self.n, self.n))
-            tendency = tendency + np.fft.rfft2(self.forcing(omega, self.time))
+            omega = irfft2(w_hat, self.n)
+            tendency = tendency + _fft.rfft2(self.forcing(omega, self.time))
         return tendency
 
     def _rhs(self, w_hat: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Crash-safe artifact I/O shared by checkpoints and data shards.
 
-``np.savez_compressed(path)`` writes the destination in place, so a
+``np.savez(path)`` writes the destination in place, so a
 crash mid-write leaves a truncated zip where a resume expects a
 checkpoint.  :func:`atomic_write_npz` removes that failure mode: the
 bytes land in a temp file in the *same directory* (same filesystem, so
@@ -232,7 +232,11 @@ def atomic_write_json(path, obj) -> Path:
 
 def atomic_write_npz(path, arrays: dict, site: str | None = None,
                      manifest: dict | bool | None = None) -> Path:
-    """Write ``arrays`` as a compressed npz at ``path``, atomically.
+    """Write ``arrays`` as an npz at ``path``, atomically.
+
+    The members are stored, not deflated: zlib saves about a tenth of
+    the bytes of float weights and fields but costs tens of times the
+    write (0.24 s against 4 ms for a 3.7 MB float32 checkpoint).
 
     ``site`` names the fault-injection site guarding the write (e.g.
     ``"checkpoint.write"``); it costs nothing unless a fault plan is
@@ -262,7 +266,7 @@ def atomic_write_npz(path, arrays: dict, site: str | None = None,
     tmp = _tmp_beside(path)
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez(fh, **arrays)
         checksum = None if manifest is False else sha256_file(tmp)
         if any(spec.kind == "partial_write" for spec in payloads):
             size = tmp.stat().st_size
