@@ -93,6 +93,7 @@ def _emit_rollout_diagnostics(u: np.ndarray, length: float, t: float, phase: str
     show up in the gauges/trace thousands of steps before the roll-out
     visibly diverges.
     """
+    u = np.asarray(u, dtype=np.float64)  # a float32 model's raw prediction, too
     omega = vorticity_from_velocity(u, length)
     ke = kinetic_energy(u)
     ens = enstrophy(omega)

@@ -21,6 +21,10 @@ Deploys call :meth:`restart_replica`, which pauses supervision for that
 replica, drains the old incarnation (SIGTERM → graceful drain), spawns
 a fresh one — possibly with a new checkpoint — and resumes watching.
 
+Every incarnation gets the same BLAS thread budget,
+``max(1, available_cores() // n_replicas)``, so the replicas' BLAS
+pools together fit the host's cores instead of each taking all of them.
+
 Routing reads (:meth:`urls`, :meth:`status`) never wait on a restart:
 the backoff and the new incarnation's startup run outside the
 coordinator's lock, and a replica is left out of :meth:`urls` from
@@ -34,6 +38,7 @@ import time
 from pathlib import Path
 
 from ..faults.policy import RetryPolicy
+from ..parallel.maps import available_cores
 from ..utils.heartbeat import HeartbeatReader
 from .replica import ReplicaProcess, ReplicaSpec
 
@@ -59,6 +64,7 @@ class Coordinator:
         self.poll_interval = float(poll_interval)
         self.ready_timeout = float(ready_timeout)
         self.drain_timeout = float(drain_timeout)
+        self.blas_budget = max(1, available_cores() // n_replicas)
         self._on_event = on_event
         self._clock = clock
         self._sleep = sleep
@@ -89,9 +95,9 @@ class Coordinator:
     def _spawn(self, rid: str, spec: ReplicaSpec) -> ReplicaProcess:
         """Spawn + await one replica.  Runs without the lock: startup
         takes seconds, and routing must not wait on it."""
-        proc = ReplicaProcess(rid, spec, self.workdir)
+        proc = ReplicaProcess(rid, spec, self.workdir, self.blas_budget)
         proc.spawn()
-        self._emit("spawn", rid, pid=proc.pid)
+        self._emit("spawn", rid, pid=proc.pid, blas_threads=proc.blas_threads)
         try:
             proc.wait_ready(timeout=self.ready_timeout)
         except BaseException:
@@ -290,6 +296,7 @@ class Coordinator:
                 replicas[rid] = {
                     "replica_id": rid,
                     "pid": proc.pid if proc else None,
+                    "blas_threads": proc.blas_threads if proc else None,
                     "alive": bool(proc and proc.alive()),
                     "url": proc.base_url() if proc else None,
                     "checkpoint": self._specs[rid].checkpoint,

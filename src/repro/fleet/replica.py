@@ -11,6 +11,13 @@ with three fleet hooks the parent reads back:
   beats the coordinator uses for stall detection;
 * SIGTERM → graceful drain (stop admission, finish in-flight, exit).
 
+Each child also gets its share of the host's cores for BLAS: the
+coordinator hands every incarnation a thread budget, and
+:meth:`ReplicaProcess.spawn` fills :data:`BLAS_THREAD_VARS` with it
+unless ``spec.env`` or the parent's environment already sets them.
+OpenBLAS reads these once, when it loads, so they must be in the
+child's environment at ``Popen``.
+
 :class:`ReplicaProcess` owns exactly one incarnation: spawn → ready →
 (terminate | kill).  Restarts create a *new* ReplicaProcess so restart
 counting and announce freshness stay trivially correct.
@@ -27,6 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = ["ReplicaSpec", "ReplicaProcess"]
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -76,9 +85,12 @@ class ReplicaSpec:
 class ReplicaProcess:
     """A single incarnation of a replica child process."""
 
-    def __init__(self, replica_id: str, spec: ReplicaSpec, workdir: Path):
+    def __init__(self, replica_id: str, spec: ReplicaSpec, workdir: Path,
+                 blas_budget: int):
         self.replica_id = replica_id
         self.spec = spec
+        self.blas_budget = blas_budget
+        self.blas_threads: int | str | None = None  # what the child got
         self.workdir = Path(workdir)
         self.announce_path = self.workdir / f"{replica_id}.announce.json"
         self.heartbeat_path = self.workdir / f"{replica_id}.heartbeat.json"
@@ -95,7 +107,11 @@ class ReplicaProcess:
         src_root = Path(__file__).resolve().parents[2]
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src_root) + os.pathsep + env.get("PYTHONPATH", "")
+        for var in BLAS_THREAD_VARS:  # spec.env > inherited > budget
+            env.setdefault(var, str(self.blas_budget))
         env.update(self.spec.env)
+        threads = env["OPENBLAS_NUM_THREADS"]
+        self.blas_threads = int(threads) if threads.isdigit() else threads
         cmd = self.spec.command(self.replica_id, self.announce_path,
                                 self.heartbeat_path)
         with open(self.log_path, "ab") as log:  # repro: ignore[RPR008] -- append-only child stdout log handed to Popen, not an artifact; torn tails are acceptable

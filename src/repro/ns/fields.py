@@ -51,7 +51,7 @@ def irfft2(a_hat: np.ndarray, n: int) -> np.ndarray:
     ``1/n`` per axis; the two round differently unless ``n`` is a power
     of two.  One axis at a time keeps numpy's rounding at every ``n``.
     """
-    return _fft.irfft(_fft.ifft(a_hat, axis=0), n=n, axis=1, overwrite_x=True)
+    return _fft.irfft(_fft.ifft(a_hat, axis=-2), n=n, axis=-1, overwrite_x=True)
 
 
 def derivative_wavenumbers(n: int, length: float = 2.0 * np.pi) -> tuple[np.ndarray, np.ndarray]:
@@ -81,10 +81,10 @@ def streamfunction_from_vorticity(omega: np.ndarray, length: float = 2.0 * np.pi
     """Solve ``∇²ψ = −ω`` spectrally (zero-mean ψ)."""
     n = omega.shape[-1]
     _, _, k2 = wavenumbers(n, length)
-    w_hat = np.fft.rfft2(omega)
+    w_hat = _fft.rfft2(omega)
     with np.errstate(divide="ignore", invalid="ignore"):
         psi_hat = np.where(k2 > 0, w_hat / k2, 0.0)
-    return np.fft.irfft2(psi_hat, s=omega.shape[-2:])
+    return irfft2(psi_hat, n)
 
 
 def velocity_from_vorticity(omega: np.ndarray, length: float = 2.0 * np.pi) -> np.ndarray:
@@ -92,11 +92,11 @@ def velocity_from_vorticity(omega: np.ndarray, length: float = 2.0 * np.pi) -> n
     n = omega.shape[-1]
     _, _, k2 = wavenumbers(n, length)
     kx, ky = derivative_wavenumbers(n, length)
-    w_hat = np.fft.rfft2(omega)
+    w_hat = _fft.rfft2(omega)
     with np.errstate(divide="ignore", invalid="ignore"):
         psi_hat = np.where(k2 > 0, w_hat / k2, 0.0)
-    ux = np.fft.irfft2(1j * ky * psi_hat, s=omega.shape[-2:])
-    uy = np.fft.irfft2(-1j * kx * psi_hat, s=omega.shape[-2:])
+    ux = irfft2(1j * ky * psi_hat, n)
+    uy = irfft2(-1j * kx * psi_hat, n)
     return np.stack([ux, uy])
 
 
@@ -104,18 +104,18 @@ def vorticity_from_velocity(u: np.ndarray, length: float = 2.0 * np.pi) -> np.nd
     """Spectral curl: ``ω = ∂u_y/∂x − ∂u_x/∂y`` for ``u`` of shape (2, n, n)."""
     n = u.shape[-1]
     kx, ky = derivative_wavenumbers(n, length)
-    ux_hat = np.fft.rfft2(u[0])
-    uy_hat = np.fft.rfft2(u[1])
-    return np.fft.irfft2(1j * kx * uy_hat - 1j * ky * ux_hat, s=u.shape[-2:])
+    ux_hat = _fft.rfft2(u[0])
+    uy_hat = _fft.rfft2(u[1])
+    return irfft2(1j * kx * uy_hat - 1j * ky * ux_hat, n)
 
 
 def divergence(u: np.ndarray, length: float = 2.0 * np.pi) -> np.ndarray:
     """Spectral divergence ``∂u_x/∂x + ∂u_y/∂y`` for ``u`` of shape (2, n, n)."""
     n = u.shape[-1]
     kx, ky = derivative_wavenumbers(n, length)
-    ux_hat = np.fft.rfft2(u[0])
-    uy_hat = np.fft.rfft2(u[1])
-    return np.fft.irfft2(1j * kx * ux_hat + 1j * ky * uy_hat, s=u.shape[-2:])
+    ux_hat = _fft.rfft2(u[0])
+    uy_hat = _fft.rfft2(u[1])
+    return irfft2(1j * kx * ux_hat + 1j * ky * uy_hat, n)
 
 
 def kinetic_energy(u: np.ndarray) -> float:
@@ -132,9 +132,9 @@ def palinstrophy(omega: np.ndarray, length: float = 2.0 * np.pi) -> float:
     """Volume-mean palinstrophy ``0.5 <|∇ω|²>`` (spectral gradient)."""
     n = omega.shape[-1]
     kx, ky = derivative_wavenumbers(n, length)
-    w_hat = np.fft.rfft2(omega)
-    gx = np.fft.irfft2(1j * kx * w_hat, s=omega.shape[-2:])
-    gy = np.fft.irfft2(1j * ky * w_hat, s=omega.shape[-2:])
+    w_hat = _fft.rfft2(omega)
+    gx = irfft2(1j * kx * w_hat, n)
+    gy = irfft2(1j * ky * w_hat, n)
     return float(0.5 * np.mean(gx**2 + gy**2))
 
 

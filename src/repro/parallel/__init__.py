@@ -20,10 +20,10 @@ parent).  Multi-process *serving* is a fleet of replicas
 (:mod:`repro.fleet`), not a pool.
 """
 
-from .maps import default_workers, parallel_map, task_seeds
+from .maps import available_cores, default_workers, parallel_map, task_seeds
 from .pool import ProcessPool, RemoteTaskError, WorkerCrashed
 
 __all__ = [
     "ProcessPool", "RemoteTaskError", "WorkerCrashed",
-    "parallel_map", "default_workers", "task_seeds",
+    "parallel_map", "available_cores", "default_workers", "task_seeds",
 ]

@@ -22,12 +22,20 @@ import numpy as np
 
 from .pool import ProcessPool
 
-__all__ = ["parallel_map", "default_workers", "task_seeds"]
+__all__ = ["parallel_map", "available_cores", "default_workers", "task_seeds"]
+
+
+def available_cores() -> int:
+    """Cores this process may run on: its CPU affinity mask where the OS
+    has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def default_workers() -> int:
-    """A sensible worker count: physical parallelism minus one, min 1."""
-    return max(1, (os.cpu_count() or 2) - 1)
+    """A sensible worker count: available cores minus one, min 1."""
+    return max(1, available_cores() - 1)
 
 
 def task_seeds(seed: int, n: int) -> list[int]:

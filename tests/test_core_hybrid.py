@@ -119,6 +119,29 @@ class TestRecordDiagnostics:
         assert d["kinetic_energy"].shape == (3,)
         assert rec.vorticity.shape == (3, 32, 32)
 
+    def test_traced_gauges_widen_a_float32_prediction(self):
+        # A float32 model's raw prediction reaches the traced roll-out
+        # gauges; they must be the float64 physics of the same snapshot.
+        from repro import obs
+        from repro.core.hybrid import _emit_rollout_diagnostics
+        from repro.ns import enstrophy, kinetic_energy, vorticity_from_velocity
+
+        u32 = _initial_window(n_in=1)[0].astype(np.float32)
+        u64 = u32.astype(np.float64)
+        obs.configure()
+        try:
+            _emit_rollout_diagnostics(u32, 2.0 * np.pi, t=0.0, phase="fno")
+            registry = obs.metrics_registry()
+            got = {name: registry.gauge(name).value for name in
+                   ("rollout_kinetic_energy", "rollout_enstrophy", "rollout_rms_divergence")}
+        finally:
+            obs.shutdown()
+        assert got == {
+            "rollout_kinetic_energy": kinetic_energy(u64),
+            "rollout_enstrophy": enstrophy(vorticity_from_velocity(u64)),
+            "rollout_rms_divergence": float(np.sqrt(np.mean(divergence(u64) ** 2))),
+        }
+
 
 class TestPureDrivers:
     def test_pure_pde_record(self):

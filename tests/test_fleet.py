@@ -32,6 +32,8 @@ from repro.fleet import (
     rolling_deploy,
 )
 from repro.fleet import coordinator as coordinator_module
+from repro.fleet import replica as replica_module
+from repro.fleet.replica import BLAS_THREAD_VARS, ReplicaProcess
 from repro.utils import journal as journal_module
 from repro.utils.artifacts import write_manifest
 from repro.utils.heartbeat import Heartbeat, HeartbeatReader
@@ -679,24 +681,29 @@ class TestRollingDeploy:
         assert report["ok"]
 
 
-class _FakeReplicaProcess:
-    """Subprocess-free ``ReplicaProcess``: announces after ``startup``
-    seconds of real time; ``kill`` and ``terminate`` end it at once."""
+class _SpyPopen:
+    """``subprocess.Popen`` for ``ReplicaProcess.spawn``: records the
+    child's command line and environment and starts nothing."""
+
+    _pids = iter(range(1000, 10**6))
+
+    def __init__(self, cmd, env=None, **kwargs):
+        self.cmd, self.env = cmd, env
+        self.pid = next(self._pids)
+
+
+class _FakeReplicaProcess(ReplicaProcess):
+    """``ReplicaProcess`` whose real ``spawn`` hands the child's command
+    and environment to a ``Popen`` spy; the child announces after
+    ``startup`` seconds of real time, ``kill`` and ``terminate`` end it
+    at once."""
 
     startup = 0.0
     fail_ready = False
-    _pids = iter(range(1000, 10**6))
-
-    def __init__(self, replica_id, spec, workdir):
-        self.replica_id = replica_id
-        self.spec = spec
-        self.heartbeat_path = Path(workdir) / f"{replica_id}.heartbeat.json"
-        self.address = None
-        self.pid = None
-        self._alive = False
+    _alive = False
 
     def spawn(self):
-        self.pid = next(self._pids)
+        super().spawn()
         self._alive = True
         self.spawned.append(self)
 
@@ -713,9 +720,6 @@ class _FakeReplicaProcess:
     def returncode(self):
         return None if self._alive else -9
 
-    def base_url(self):
-        return f"http://127.0.0.1:{self.pid}" if self.address else None
-
     def kill(self):
         self._alive = False
         return -9
@@ -730,6 +734,9 @@ def fake_replicas(monkeypatch):
     class Fake(_FakeReplicaProcess):
         spawned: list = []
 
+    for var in BLAS_THREAD_VARS:  # the host's own settings would win
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(replica_module.subprocess, "Popen", _SpyPopen)
     monkeypatch.setattr(coordinator_module, "ReplicaProcess", Fake)
     return Fake
 
@@ -883,6 +890,67 @@ class TestCoordinator:
                 assert not deploy.is_alive() and coord.restarts("r0") == 0
         finally:
             coord.stop(graceful=False)
+
+
+class TestBlasBudget:
+    """Each replica's BLAS pools get ``cores // replicas`` threads (at
+    least 1); a value in ``spec.env`` or the coordinator's environment
+    wins over the budget."""
+
+    def make(self, monkeypatch, tmp_path, cores, n_replicas, spec=None):
+        monkeypatch.setattr(coordinator_module, "available_cores", lambda: cores)
+        self.events: list[dict] = []
+        return Coordinator(
+            spec or ReplicaSpec(checkpoint="m.npz"), n_replicas, tmp_path,
+            poll_interval=3600.0, on_event=self.events.append,
+        )
+
+    @staticmethod
+    def child_env(proc):
+        return {var: proc.proc.env[var] for var in BLAS_THREAD_VARS}
+
+    @pytest.mark.parametrize("cores, n_replicas, budget",
+                             [(2, 2, 1), (8, 3, 2), (1, 4, 1), (4, 1, 4)])
+    def test_each_replica_gets_its_share_of_the_cores(
+            self, fake_replicas, monkeypatch, tmp_path, cores, n_replicas, budget):
+        with self.make(monkeypatch, tmp_path, cores, n_replicas) as coord:
+            assert len(fake_replicas.spawned) == n_replicas
+            for proc in fake_replicas.spawned:
+                assert self.child_env(proc) == dict.fromkeys(BLAS_THREAD_VARS, str(budget))
+            status = coord.status()["replicas"]
+            assert [r["blas_threads"] for r in status.values()] == [budget] * n_replicas
+            spawns = [e for e in self.events if e["event"] == "spawn"]
+            assert [e["blas_threads"] for e in spawns] == [budget] * n_replicas
+
+    def test_an_inherited_setting_survives(self, fake_replicas, monkeypatch, tmp_path):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        with self.make(monkeypatch, tmp_path, 2, 2) as coord:
+            for proc in fake_replicas.spawned:
+                assert self.child_env(proc) == {"OPENBLAS_NUM_THREADS": "3",
+                                                "OMP_NUM_THREADS": "1",
+                                                "MKL_NUM_THREADS": "1"}
+            assert coord.status()["replicas"]["r0"]["blas_threads"] == 3
+
+    def test_spec_env_beats_inherited_and_budget(self, fake_replicas, monkeypatch,
+                                                 tmp_path):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        spec = ReplicaSpec(checkpoint="m.npz", env={"OPENBLAS_NUM_THREADS": "5"})
+        with self.make(monkeypatch, tmp_path, 2, 2, spec=spec) as coord:
+            for proc in fake_replicas.spawned:
+                assert self.child_env(proc)["OPENBLAS_NUM_THREADS"] == "5"
+                assert self.child_env(proc)["OMP_NUM_THREADS"] == "1"
+            assert coord.status()["replicas"]["r1"]["blas_threads"] == 5
+
+    def test_a_deployed_replacement_keeps_the_budget(self, fake_replicas, monkeypatch,
+                                                     tmp_path):
+        with self.make(monkeypatch, tmp_path, 8, 3) as coord:
+            coord.restart_replica("r1", coord.spec_of("r1").with_checkpoint("v2.npz"))
+            new = fake_replicas.spawned[-1]
+            assert new.spec.checkpoint == "v2.npz"
+            assert self.child_env(new) == dict.fromkeys(BLAS_THREAD_VARS, "2")
+            r1 = coord.status()["replicas"]["r1"]
+            assert r1["pid"] == new.pid and r1["blas_threads"] == 2
+            assert r1["checkpoint"] == "v2.npz"
 
 
 class TestFleetCliWiring:

@@ -7,9 +7,12 @@ float32 runs its own erf, float64 keeps ``scipy.special.erf``.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.core import ChannelFNOConfig, Trainer, TrainingConfig
 from repro.core.models import build_model
 from repro.core.rollout import apply_channels
 from repro.data import FieldNormalizer, make_channel_pairs
+from repro.fleet.replica import BLAS_THREAD_VARS
 from repro.nn import FNO, LpLoss
 from repro.optim import Adam
 from repro.tensor import Tensor, no_grad, ops
@@ -267,3 +271,42 @@ class TestGeluPrecision:
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(done) == list(range(len(xs)))
         assert failures == []
+
+
+def paper_forwards() -> dict:
+    """The compiled float32 forward of the seeded paper-shaped model at
+    batch 1 and 4 (module level, so a child process can run it too)."""
+    config = ChannelFNOConfig()
+    model = build_model(config, rng=np.random.default_rng(7), dtype=np.float32)
+    rng = np.random.default_rng(8)
+    out = {}
+    for batch in (1, 4):
+        x = rng.standard_normal((batch, config.in_channels, 64, 64)).astype(np.float32)
+        plan, _ = trace_model(model, x)
+        out[f"batch{batch}"] = plan.execute(x)
+    return out
+
+
+class TestBlasThreadCount:
+    """A fleet replica runs with its share of the cores as its BLAS thread
+    count; the fleet's bitwise checks hold only if that count changes no
+    bit of the forward."""
+
+    def test_one_blas_thread_gives_the_default_bits(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(root / "src"), str(root), os.environ.get("PYTHONPATH")) if p))
+        env.update({var: "1" for var in BLAS_THREAD_VARS})
+        out = tmp_path / "one_thread.npz"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys, numpy as np; from tests.test_float32_path import paper_forwards; "
+             "np.savez(sys.argv[1], **paper_forwards())", str(out)],
+            env=env, cwd=root, check=True, timeout=300,
+        )
+        here = paper_forwards()
+        with np.load(out) as child:
+            assert sorted(child.files) == sorted(here)
+            for key, want in here.items():
+                assert want.dtype == np.float32
+                assert np.array_equal(child[key], want), key

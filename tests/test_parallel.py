@@ -16,6 +16,7 @@ from repro.parallel import (
     ProcessPool,
     RemoteTaskError,
     WorkerCrashed,
+    available_cores,
     default_workers,
     parallel_map,
     task_seeds,
@@ -124,6 +125,15 @@ class TestParallelMap:
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+    def test_cores_follow_the_affinity_mask(self, monkeypatch):
+        from repro.parallel import maps
+
+        monkeypatch.setattr(maps.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert available_cores() == 3 and default_workers() == 2
+        monkeypatch.delattr(maps.os, "sched_getaffinity")
+        assert available_cores() == 8 and default_workers() == 7
 
     def test_task_seeds_reproducible_and_distinct(self):
         a = task_seeds(7, 5)
