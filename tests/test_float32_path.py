@@ -295,7 +295,7 @@ class TestBlasThreadCount:
     def test_one_blas_thread_gives_the_default_bits(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(root / "src"), str(root), os.environ.get("PYTHONPATH")) if p))
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
         env.update({var: "1" for var in BLAS_THREAD_VARS})
         out = tmp_path / "one_thread.npz"
         subprocess.run(
